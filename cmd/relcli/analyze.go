@@ -42,14 +42,16 @@ func runAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	var reports []analyzeFileReport
 	if len(files) == 0 {
-		reports = append(reports, analyzeDocument("<stdin>", stdin))
+		rep, _ := analyzeDocument("<stdin>", stdin)
+		reports = append(reports, rep)
 	}
 	for _, path := range files {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		reports = append(reports, analyzeDocument(path, f))
+		rep, _ := analyzeDocument(path, f)
+		reports = append(reports, rep)
 		f.Close()
 	}
 
@@ -77,26 +79,28 @@ func runAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // analyzeDocument lints one document and, for ctmc models, attaches the
-// structural report.
-func analyzeDocument(name string, r io.Reader) analyzeFileReport {
+// structural report. It also returns the decoded spec (nil when the
+// document did not decode) so callers can name the model without
+// parsing it again.
+func analyzeDocument(name string, r io.Reader) (analyzeFileReport, *modelio.Spec) {
 	spec, ds := modelio.LintDocument(r)
 	sortByCodePath(ds)
 	out := analyzeFileReport{File: name, Diagnostics: ds}
 	if spec == nil {
 		out.Skipped = "document did not parse"
-		return out
+		return out, nil
 	}
 	if spec.Type != "ctmc" || spec.CTMC == nil {
 		out.Skipped = fmt.Sprintf("structural analysis applies to ctmc models (type %q)", spec.Type)
-		return out
+		return out, spec
 	}
 	rep, err := modelio.StructReport(spec.CTMC)
 	if err != nil {
 		out.Skipped = fmt.Sprintf("analysis failed: %v", err)
-		return out
+		return out, spec
 	}
 	out.Report = rep
-	return out
+	return out, spec
 }
 
 // writeAnalyzeText renders one report for terminals.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -137,8 +138,9 @@ func runChaos(args []string, stdout io.Writer) error {
 		}
 	}
 
+	reg := metrics.NewRegistry()
 	_, mux, err := newSolveServer(serveConfig{
-		Registry:    metrics.NewRegistry(),
+		Registry:    reg,
 		MaxInflight: 4, QueueDepth: 4, QueueWait: 250 * time.Millisecond,
 		BreakerThreshold: 3, BreakerCooldown: 300 * time.Millisecond,
 		SolveTimeout: 5 * time.Second,
@@ -175,6 +177,7 @@ func runChaos(args []string, stdout io.Writer) error {
 	}
 	close(work)
 	wg.Wait()
+	chaosCountsAgree(reg, rep.ByStatus, violate)
 	// Snapshot trip counts before the breaker drill re-arms the registry.
 	for _, st := range failpoint.Stats() {
 		if st.Trips > 0 {
@@ -264,6 +267,26 @@ func chaosOneRequest(client *http.Client, base, name, doc string, violate func(s
 				violate("%s: non-finite bound on %s", name, r.Measure)
 			}
 		}
+	}
+}
+
+// chaosCountsAgree asserts the server counted the swarm exactly as its
+// clients saw it: relscope_solve_requests_total by code must equal the
+// clients' by_status tally. A request counted twice, or under a status
+// it was not answered with, breaks every availability number built on
+// the count.
+func chaosCountsAgree(reg *metrics.Registry, byStatus map[string]int, violate func(string, ...any)) {
+	server := make(map[string]int)
+	for _, f := range reg.Snapshot() {
+		if f.Name != "relscope_solve_requests_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			server[s.LabelValues[0]] = int(s.Value)
+		}
+	}
+	if !maps.Equal(server, byStatus) {
+		violate("server counted solve requests by status as %v, clients saw %v", server, byStatus)
 	}
 }
 

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/reldash"
 )
 
@@ -22,126 +19,82 @@ type jobResponse struct {
 	Code  string           `json:"code,omitempty"`
 }
 
-// writeJob emits an indented JSON job reply, mirroring solveServer.reply.
-func (s *solveServer) writeJob(w http.ResponseWriter, code int, resp jobResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("job response write failed", "err", err)
-	}
-}
-
 // handleJobSubmit accepts a sweep job document on POST /jobs. A request
 // carrying an Idempotency-Key header it has seen before gets the
 // existing job back with 200 instead of a duplicate with 201, so clients
 // can blindly re-post after a lost response.
-func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	corr := s.corrStamp(w, r)
-	code := http.StatusCreated
-	defer func() {
-		s.latency.Observe(time.Since(start).Seconds(), "/jobs")
-		s.win.Record(code >= 400)
-	}()
+func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	if s.draining.Load() {
-		code = http.StatusServiceUnavailable
 		s.shed.Inc("draining")
 		w.Header().Set("Retry-After", "1")
-		s.writeJob(w, code, jobResponse{Error: "server is draining for shutdown", Code: "draining"})
-		return
+		return http.StatusServiceUnavailable, jobResponse{Error: "server is draining for shutdown", Code: "draining"}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		code = http.StatusBadRequest
-		resp := jobResponse{Error: err.Error(), Code: "body-read"}
-		if maxBytesError(err) {
-			resp.Error = fmt.Sprintf("job document exceeds the %d-byte limit", s.cfg.MaxBody)
-			resp.Code = "too-large"
-		}
-		s.writeJob(w, code, resp)
-		return
+	body, msg, code := s.readBody(w, r, "job")
+	if code != "" {
+		return http.StatusBadRequest, jobResponse{Error: msg, Code: code}
 	}
 	spec, err := jobs.ParseSpec(body)
 	if err != nil {
-		code = http.StatusBadRequest
-		s.writeJob(w, code, jobResponse{Error: err.Error(), Code: "bad-spec"})
-		return
+		return http.StatusBadRequest, jobResponse{Error: err.Error(), Code: "bad-spec"}
 	}
-	spec.Corr = corr
+	spec.Corr = ev.Corr
 	snap, created, err := s.jobs.Submit(spec, r.Header.Get("Idempotency-Key"))
 	if err != nil {
-		code, respCode := jobErrorStatus(err)
-		s.writeJob(w, code, jobResponse{Error: err.Error(), Code: respCode})
-		return
-	}
-	if !created {
-		code = http.StatusOK
-	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("job submitted",
-			"corr", corr, "job", snap.ID, "created", created, "samples", snap.Samples,
-			"shards", snap.Shards, "remote", r.RemoteAddr)
+		return jobError(err)
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
-	s.writeJob(w, code, jobResponse{Job: snap})
+	if !created {
+		return http.StatusOK, jobResponse{Job: snap}
+	}
+	return http.StatusCreated, jobResponse{Job: snap}
 }
 
 // handleJobGet answers GET /jobs/{id} with the job's live snapshot —
 // progress while running, the folded result once done.
-func (s *solveServer) handleJobGet(w http.ResponseWriter, r *http.Request) {
+func (s *solveServer) handleJobGet(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	snap, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		code, respCode := jobErrorStatus(err)
-		s.writeJob(w, code, jobResponse{Error: err.Error(), Code: respCode})
-		return
+		return jobError(err)
 	}
-	s.writeJob(w, http.StatusOK, jobResponse{Job: snap})
+	return http.StatusOK, jobResponse{Job: snap}
 }
 
 // handleJobList answers GET /jobs with every known job, including
 // terminal history replayed from the checkpoint directory.
-func (s *solveServer) handleJobList(w http.ResponseWriter, r *http.Request) {
+func (s *solveServer) handleJobList(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	list := s.jobs.List()
 	if list == nil {
 		list = []*jobs.Snapshot{}
 	}
-	s.writeJob(w, http.StatusOK, jobResponse{Jobs: list})
+	return http.StatusOK, jobResponse{Jobs: list}
 }
 
 // handleJobCancel stops a running job on DELETE /jobs/{id} and returns
 // its terminal snapshot. Canceling an already-terminal job is a 409 so
 // retried deletes are distinguishable from races.
-func (s *solveServer) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	corr := s.corrStamp(w, r)
+func (s *solveServer) handleJobCancel(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	snap, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		code, respCode := jobErrorStatus(err)
-		s.writeJob(w, code, jobResponse{Error: err.Error(), Code: respCode})
-		return
+		return jobError(err)
 	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("job canceled", "corr", corr, "job", snap.ID, "remote", r.RemoteAddr)
-	}
-	s.writeJob(w, http.StatusOK, jobResponse{Job: snap})
+	return http.StatusOK, jobResponse{Job: snap}
 }
 
-// jobErrorStatus maps the engine's typed sentinels onto HTTP and the
+// jobError maps the engine's typed sentinels onto HTTP and the
 // machine-readable code taxonomy.
-func jobErrorStatus(err error) (int, string) {
+func jobError(err error) (int, any) {
+	status, code := http.StatusInternalServerError, "internal"
 	switch {
 	case errors.Is(err, jobs.ErrBadSpec):
-		return http.StatusBadRequest, "bad-spec"
+		status, code = http.StatusBadRequest, "bad-spec"
 	case errors.Is(err, jobs.ErrUnknownJob):
-		return http.StatusNotFound, "unknown-job"
+		status, code = http.StatusNotFound, "unknown-job"
 	case errors.Is(err, jobs.ErrDraining):
-		return http.StatusServiceUnavailable, "draining"
+		status, code = http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, jobs.ErrTerminal):
-		return http.StatusConflict, "terminal"
-	default:
-		return http.StatusInternalServerError, "internal"
+		status, code = http.StatusConflict, "terminal"
 	}
+	return status, jobResponse{Error: err.Error(), Code: code}
 }
 
 // jobRows flattens the engine's snapshots for the dashboard Jobs panel.

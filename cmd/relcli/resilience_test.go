@@ -284,10 +284,14 @@ func TestServeBreakerOpenNoBoundsThenRecloses(t *testing.T) {
 }
 
 // TestServePanicIsolation: an injected panic inside the request path is
-// converted to a typed 500 and the server keeps answering.
+// converted to a typed 500, counted exactly once — as a 500 — by every
+// per-request sink, and the server keeps answering.
 func TestServePanicIsolation(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
+	var wide bytes.Buffer
+	mux := mustServeMux(t, serveConfig{
+		Registry: metrics.NewRegistry(), UI: true, WideWriter: &wide, WideSample: 1,
+	})
 	if err := failpoint.Arm("modelio.parse", "times(1)->panic(parser detonated)"); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +305,45 @@ func TestServePanicIsolation(t *testing.T) {
 		t.Errorf("error body lost the panic payload: %q", resp.Error)
 	}
 
+	// One request, one record: the request counter, the SLO engine, the
+	// wide log, and the dashboard window all saw a single 500.
+	get := func(path string) string {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w.Body.String()
+	}
+	exposition := get("/metrics")
+	for _, want := range []string{
+		`relscope_solve_requests_total{code="500"} 1` + "\n",
+		`relslo_events_total{objective="solve-availability",verdict="bad"} 1` + "\n",
+	} {
+		if !strings.Contains(exposition, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for _, unwanted := range []string{
+		`relscope_solve_requests_total{code="200"}`,
+		`relslo_events_total{objective="solve-availability",verdict="good"}`,
+	} {
+		if strings.Contains(exposition, unwanted) {
+			t.Errorf("/metrics counts the panicked request as a success too: %q", unwanted)
+		}
+	}
+	if lines := strings.Split(strings.TrimSpace(wide.String()), "\n"); len(lines) != 1 ||
+		!strings.Contains(lines[0], `"status":500,"code":"internal"`) {
+		t.Errorf("wide log: want one 500 internal line, got:\n%s", wide.String())
+	}
+	var summary struct {
+		Requests int `json:"requests"`
+		Errors   int `json:"errors"`
+	}
+	if err := json.Unmarshal([]byte(get("/api/summary")), &summary); err != nil {
+		t.Fatal(err)
+	}
+	if summary.Requests != 1 || summary.Errors != 1 {
+		t.Errorf("/api/summary requests/errors = %d/%d, want 1/1", summary.Requests, summary.Errors)
+	}
+
 	// The next request must succeed: the panic was isolated per-request.
 	w = postJSON(t, mux, rbdDegradable)
 	if w.Code != http.StatusOK {
@@ -309,7 +352,7 @@ func TestServePanicIsolation(t *testing.T) {
 }
 
 // TestServeStorePanicDoesNotFailSolve: a panicking trace store loses
-// the record, never the solve response.
+// the record, never the solve (or analyze) response.
 func TestServeStorePanicDoesNotFailSolve(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
 	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
@@ -320,19 +363,27 @@ func TestServeStorePanicDoesNotFailSolve(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Errorf("solve with panicking store: status %d: %s", w.Code, w.Body.String())
 	}
+	req := httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(ctmcPlain))
+	w = httptest.NewRecorder()
+	mux.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Errorf("analyze with panicking store: status %d: %s", w.Code, w.Body.String())
+	}
 }
 
 // TestServeOversizeBody: a body past MaxBody is a client error (400
-// too-large), never a 500.
+// too-large), never a 500 — on /solve and /analyze alike.
 func TestServeOversizeBody(t *testing.T) {
 	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), MaxBody: 64})
 	big := bytes.Repeat([]byte("x"), 128)
-	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(big))
-	w := httptest.NewRecorder()
-	mux.ServeHTTP(w, req)
-	resp := decodeSolve(t, w)
-	if w.Code != http.StatusBadRequest || resp.Code != "too-large" {
-		t.Errorf("oversize body: status %d code %q, want 400 too-large", w.Code, resp.Code)
+	for _, path := range []string{"/solve", "/analyze"} {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(big))
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		resp := decodeSolve(t, w)
+		if w.Code != http.StatusBadRequest || resp.Code != "too-large" {
+			t.Errorf("oversize body on %s: status %d code %q, want 400 too-large", path, w.Code, resp.Code)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -123,7 +122,7 @@ type solveServer struct {
 	adm   *admission
 	brk   *breakerSet
 	store *obs.TraceStore
-	win   *reldash.Window
+	win   *metrics.SlidingCounter // the dashboard's request window
 	jobs  *jobs.Engine
 	// jobsResumed counts the incomplete jobs Recover picked up from the
 	// checkpoint directory at boot.
@@ -198,7 +197,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		cfg:   cfg,
 		adm:   newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait),
 		store: obs.NewTraceStore(cfg.TraceStoreSize),
-		win:   reldash.NewWindow(time.Minute),
+		win:   metrics.NewSlidingCounter(time.Minute, 0),
 		start: time.Now(),
 		requests: cfg.Registry.NewCounter("relscope_solve_requests_total",
 			"Solve requests handled, by HTTP status code.", "code"),
@@ -291,17 +290,17 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		return nil, nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /solve", s.isolated("/solve", s.handleSolve))
-	mux.HandleFunc("POST /analyze", s.isolated("/analyze", s.handleAnalyze))
+	mux.HandleFunc("POST /solve", s.route("/solve", s.handleSolve))
+	mux.HandleFunc("POST /analyze", s.route("/analyze", s.handleAnalyze))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	// SLO status and the profile listing mount unconditionally (like
 	// /healthz): chaos drills and probes need them with the UI off.
-	mux.HandleFunc("GET /api/slo", s.isolated("/api/slo", s.handleSLO))
-	mux.HandleFunc("GET /api/profiles", s.isolated("/api/profiles", s.handleProfiles))
-	mux.HandleFunc("POST /jobs", s.isolated("/jobs", s.handleJobSubmit))
-	mux.HandleFunc("GET /jobs", s.isolated("/jobs", s.handleJobList))
-	mux.HandleFunc("GET /jobs/{id}", s.isolated("/jobs", s.handleJobGet))
-	mux.HandleFunc("DELETE /jobs/{id}", s.isolated("/jobs", s.handleJobCancel))
+	mux.HandleFunc("GET /api/slo", s.route("/api/slo", s.handleSLO))
+	mux.HandleFunc("GET /api/profiles", s.route("/api/profiles", s.handleProfiles))
+	mux.HandleFunc("POST /jobs", s.route("/jobs", s.handleJobSubmit))
+	mux.HandleFunc("GET /jobs", s.route("/jobs", s.handleJobList))
+	mux.HandleFunc("GET /jobs/{id}", s.route("/jobs/{id}", s.handleJobGet))
+	mux.HandleFunc("DELETE /jobs/{id}", s.route("/jobs/{id}", s.handleJobCancel))
 	obs.RegisterDebug(mux, cfg.Registry)
 	if cfg.UI {
 		dash, err := reldash.NewHandler(reldash.Config{
@@ -331,34 +330,104 @@ func newServeMux(cfg serveConfig) (*http.ServeMux, error) {
 	return mux, err
 }
 
-// isolated wraps a handler with the per-request panic boundary: a panic
-// escaping the handler (or injected through a failpoint) is converted
-// to a *guard.InternalError and answered as a typed 500, and the server
-// keeps serving. Without this, net/http would recover the panic but
-// kill the connection with an empty reply.
-func (s *solveServer) isolated(route string, h http.HandlerFunc) http.HandlerFunc {
+// handler is the shape of every route serve wraps. It may set response
+// headers (Retry-After, Location) and fill in the request record, and it
+// returns the status and the reply document; it never writes a body or
+// feeds a sink — route does both, exactly once per request.
+type handler func(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (status int, body any)
+
+// route wraps a handler in the per-request boundary. It stamps the
+// correlation ID (a sanitized inbound X-Rel-Correlation-Id, or a freshly
+// minted one) and runs the handler under guard.Isolate: a panic escaping
+// it (or injected through a failpoint) becomes a typed 500 and the
+// server keeps serving, where net/http alone would kill the connection
+// with an empty reply. It then writes the one JSON reply and fans the
+// finished request record out to every sink — the /solve request
+// counter, the latency histogram, the dashboard window, the SLO engine,
+// the wide-event log, and one slog line.
+func (s *solveServer) route(path string, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		err := guard.Isolate("serve"+route, func() error {
-			h(w, r)
+		corr := obs.SanitizeCorr(r.Header.Get(obs.CorrHeader))
+		if corr == "" {
+			corr = s.corr.Next()
+		}
+		w.Header().Set(obs.CorrHeader, corr)
+		ev := &obs.WideEvent{Time: time.Now(), Corr: corr, Route: path}
+		var status int
+		var body any
+		if err := guard.Isolate("serve"+path, func() error {
+			status, body = h(w, r, ev)
 			return nil
-		})
-		if err != nil {
-			s.panics.Inc(route)
-			s.requests.Inc("500")
-			s.win.Record(true)
+		}); err != nil {
+			s.panics.Inc(path)
 			if s.cfg.Logger != nil {
-				// The handler stamped its correlation ID on the response
-				// header before panicking; recover it for the log join.
-				s.cfg.Logger.Error("handler panic isolated", "route", route,
-					"corr", w.Header().Get(obs.CorrHeader), "err", err)
+				s.cfg.Logger.Error("handler panic isolated", "route", path, "corr", corr, "err", err)
 			}
-			// Best effort: if the handler already wrote a header this is a
-			// no-op on the status line but still closes out the request.
-			s.reply(w, http.StatusInternalServerError, solveResponse{
-				Error: err.Error(), Code: "internal",
-			})
+			status, body = http.StatusInternalServerError, solveResponse{Error: err.Error(), Code: "internal"}
+		}
+		switch b := body.(type) {
+		case solveResponse:
+			ev.Code = b.Code
+		case jobResponse:
+			ev.Code = b.Code
+		}
+		reldash.WriteJSON(w, status, body)
+
+		wall := time.Since(ev.Time)
+		ev.Status = status
+		ev.WallMS = float64(wall.Nanoseconds()) / 1e6
+		if path == "/solve" {
+			s.requests.Inc(strconv.Itoa(status))
+		}
+		s.latency.Observe(wall.Seconds(), path)
+		s.win.Record(status >= http.StatusBadRequest)
+		if s.slo != nil {
+			s.slo.Observe(path, status, wall)
+		}
+		s.wide.Log(*ev)
+		if s.cfg.Logger != nil {
+			level := slog.LevelInfo
+			switch {
+			case status >= http.StatusInternalServerError:
+				level = slog.LevelError
+			case ev.Degraded:
+				level = slog.LevelWarn
+			}
+			s.cfg.Logger.LogAttrs(r.Context(), level, "request",
+				slog.Time("ts", ev.Time), slog.String("corr", corr), slog.String("route", path),
+				slog.Int("status", status), slog.String("code", ev.Code),
+				slog.String("model", ev.Model), slog.String("model_hash", ev.ModelHash),
+				slog.String("solver", ev.Solver), slog.String("outcome", ev.Outcome),
+				slog.Bool("degraded", ev.Degraded), slog.String("queue", ev.Queue),
+				slog.String("breaker", ev.Breaker), slog.String("trace", ev.Trace),
+				slog.Float64("wall_ms", ev.WallMS))
 		}
 	}
+}
+
+// readBody reads the request body up to MaxBody. A failed read returns
+// the reply's error text and code instead: too-large past the limit
+// (doc names the document in the message), body-read otherwise.
+func (s *solveServer) readBody(w http.ResponseWriter, r *http.Request, doc string) (body []byte, msg, code string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	switch {
+	case err == nil:
+		return body, "", ""
+	case maxBytesError(err):
+		return nil, fmt.Sprintf("%s document exceeds the %d-byte limit", doc, s.cfg.MaxBody), "too-large"
+	default:
+		return nil, err.Error(), "body-read"
+	}
+}
+
+// storePut retains a request's trace record and returns its ID. A
+// panicking trace store (failpoint) loses the record, never the reply:
+// the record is an observability nicety.
+func (s *solveServer) storePut(route string, rec obs.TraceRecord) (id string) {
+	if err := guard.Isolate("serve.store", func() error { id = s.store.Put(rec); return nil }); err != nil {
+		s.panics.Inc(route + "/store")
+	}
+	return id
 }
 
 // resilience snapshots the serve-layer protection state for the
@@ -414,9 +483,7 @@ type healthzOccupancy struct {
 // once graceful shutdown has begun, so load balancers stop routing new
 // work while in-flight solves finish.
 func (s *solveServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-store")
-	resp := healthzResponse{
+	status, resp := http.StatusOK, healthzResponse{
 		Status:   "ok",
 		UptimeS:  time.Since(s.start).Seconds(),
 		InFlight: int(s.inflight.Value()),
@@ -427,15 +494,9 @@ func (s *solveServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		SLO:      s.sloHealth(),
 	}
 	if s.draining.Load() {
-		resp.Status = "draining"
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status, resp.Status = http.StatusServiceUnavailable, "draining"
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil && s.cfg.Logger != nil {
-		// Health probes carry no correlation ID to thread through.
-		s.cfg.Logger.Warn("healthz response write failed", "err", err) //numvet:allow slog-corr health probes are uncorrelated
-	}
+	reldash.WriteJSON(w, status, resp)
 }
 
 // sloHealth condenses the objective statuses for /healthz; nil when the
@@ -466,7 +527,8 @@ func (s *solveServer) sloHealth() *healthzSLO {
 // key on. ModelHash fingerprints the posted document so an error can be
 // correlated without echoing the body. Degraded marks bounds-only
 // answers served while the model class's breaker was open — Results
-// then carry Bound intervals instead of exact values.
+// then carry Bound intervals instead of exact values. It is also the
+// error-only {"error","code"} reply of /analyze and of panicking routes.
 type solveResponse struct {
 	Model     string           `json:"model,omitempty"`
 	ModelHash string           `json:"model_hash,omitempty"`
@@ -489,44 +551,21 @@ func (s *solveServer) retryAfter() int {
 // breaker. The request context is threaded into the solver via the
 // guard plumbing, so a disconnecting client (or server shutdown closing
 // the connection) cancels the solve at iteration granularity.
-func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := http.StatusOK
-	corr := s.corrStamp(w, r)
-	ev := &obs.WideEvent{Time: start, Corr: corr, Route: "/solve"}
-	defer func() {
-		s.requests.Inc(strconv.Itoa(code))
-		wall := time.Since(start)
-		s.latency.Observe(wall.Seconds(), "/solve")
-		s.win.Record(code >= 400)
-		s.observeSLO("/solve", code, wall)
-		ev.Status = code
-		ev.WallMS = float64(wall.Nanoseconds()) / 1e6
-		s.wide.Log(*ev)
-	}()
-
+func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	if s.draining.Load() {
-		code = http.StatusServiceUnavailable
 		s.shed.Inc("draining")
 		w.Header().Set("Retry-After", "1")
-		s.replyEv(w, ev, code, solveResponse{Error: "server is draining for shutdown", Code: "draining"})
-		return
+		return http.StatusServiceUnavailable, solveResponse{Error: "server is draining for shutdown", Code: "draining"}
 	}
 
 	// The body is read (bounded) before admission so every rejection can
 	// carry the model hash; reading is microseconds against a solve.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		code = http.StatusBadRequest
-		resp := solveResponse{Error: err.Error(), Code: "body-read"}
-		if maxBytesError(err) {
-			resp.Error = fmt.Sprintf("model document exceeds the %d-byte limit", s.cfg.MaxBody)
-			resp.Code = "too-large"
-		}
-		s.replyEv(w, ev, code, resp)
-		return
+	body, msg, code := s.readBody(w, r, "model")
+	if code != "" {
+		return http.StatusBadRequest, solveResponse{Error: msg, Code: code}
 	}
 	hash := modelHash(body)
+	ev.ModelHash = hash
 
 	release, verdict := s.adm.acquire(r.Context())
 	switch verdict {
@@ -538,45 +577,32 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 			release()
 		}()
 	case admitShed:
-		code = http.StatusTooManyRequests
 		ev.Queue = "shed"
 		s.shed.Inc("shed")
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		s.replyEv(w, ev, code, solveResponse{
-			ModelHash: hash, Code: "shed",
-			Error: "admission queue full; load shed",
-		})
-		return
+		return http.StatusTooManyRequests, solveResponse{ModelHash: hash, Code: "shed",
+			Error: "admission queue full; load shed"}
 	case admitTimeout:
-		code = http.StatusServiceUnavailable
 		ev.Queue = "timeout"
 		s.shed.Inc("capacity-timeout")
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		s.replyEv(w, ev, code, solveResponse{
-			ModelHash: hash, Code: "capacity-timeout",
-			Error: fmt.Sprintf("no solve slot freed within %s", s.cfg.QueueWait),
-		})
-		return
+		return http.StatusServiceUnavailable, solveResponse{ModelHash: hash, Code: "capacity-timeout",
+			Error: fmt.Sprintf("no solve slot freed within %s", s.cfg.QueueWait)}
 	default: // admitCanceled: the client is gone; close out cheaply.
-		code = http.StatusServiceUnavailable
 		ev.Queue = "canceled"
-		s.replyEv(w, ev, code, solveResponse{ModelHash: hash, Code: "canceled",
-			Error: "client canceled while queued"})
-		return
+		return http.StatusServiceUnavailable, solveResponse{ModelHash: hash, Code: "canceled",
+			Error: "client canceled while queued"}
 	}
 
 	spec, err := modelio.Parse(bytes.NewReader(body))
 	if err != nil {
-		code = http.StatusBadRequest
-		respCode := "bad-spec"
 		if errorCode(err) == "injected" {
 			// The parser itself broke (failpoint), not the document.
-			code = http.StatusInternalServerError
-			respCode = "injected"
+			return http.StatusInternalServerError, solveResponse{ModelHash: hash, Error: err.Error(), Code: "injected"}
 		}
-		s.replyEv(w, ev, code, solveResponse{ModelHash: hash, Error: err.Error(), Code: respCode})
-		return
+		return http.StatusBadRequest, solveResponse{ModelHash: hash, Error: err.Error(), Code: "bad-spec"}
 	}
+	ev.Model = spec.Name
 
 	// Circuit breaker: when the exact path for this model class has been
 	// failing consecutively, short-circuit to a degraded bounds-only
@@ -585,20 +611,17 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !proceed:
 		ev.Breaker = "open"
+		return s.solveDegraded(w, ev, spec)
 	case probe:
 		ev.Breaker = "probe"
 	default:
 		ev.Breaker = "closed"
 	}
-	if !proceed {
-		s.replyDegraded(w, ev, &code, spec, hash, corr)
-		return
-	}
 
 	// Every solve is traced so the store retains its span tree for the
 	// dashboard; the response only carries the tree when asked (?trace=1).
 	tr := obs.NewTrace(rootName(spec))
-	tr.Set(obs.S("corr", corr))
+	tr.Set(obs.S("corr", ev.Corr))
 	recs := []obs.Recorder{obs.NewMetricsRecorder(s.cfg.Registry, spec.Name), tr}
 	if s.cfg.Logger != nil {
 		recs = append(recs, obs.NewSlogRecorder(s.cfg.Logger))
@@ -619,132 +642,75 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") != "" {
 		resp.Trace = tr.Finish()
 	}
+	status := http.StatusOK
 	if solveErr != nil {
-		code = solveErrorStatus(solveErr)
+		status = solveErrorStatus(solveErr)
 		resp.Error = solveErr.Error()
 		resp.Code = errorCode(solveErr)
 	}
 	// 5xx-class outcomes are solver breakage and feed the breaker; 4xx
 	// (bad documents, client cancellations) do not.
-	s.brk.record(spec.Type, probe, code >= http.StatusInternalServerError)
+	s.brk.record(spec.Type, probe, status >= http.StatusInternalServerError)
 	rec := obs.RecordFromTrace(tr, rootName(spec), "solve")
-	rec.Start = start
-	rec.Corr = corr
+	rec.Start = ev.Time
+	rec.Corr = ev.Corr
 	rec.Outcome = solveOutcome(solveErr)
 	if solveErr != nil {
 		rec.Error = solveErr.Error()
 	}
 	ev.Solver = rec.Solver
 	ev.Outcome = rec.Outcome
-	// A panicking trace store (failpoint) must not take the response
-	// down with it: the record is an observability nicety.
-	if err := guard.Isolate("serve.store", func() error { ev.Trace = s.store.Put(rec); return nil }); err != nil {
-		s.panics.Inc("/solve/store")
-	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("solve request",
-			"corr", corr, "model", spec.Name, "type", spec.Type, "status", code,
-			"model_hash", hash, "degraded", false,
-			"wall_ms", float64(time.Since(start).Nanoseconds())/1e6,
-			"remote", r.RemoteAddr)
-	}
-	s.replyEv(w, ev, code, resp)
+	ev.Trace = s.storePut("/solve", rec)
+	return status, resp
 }
 
-// replyDegraded answers a breaker-open request: a bounds-only degraded
+// solveDegraded answers a breaker-open request: a bounds-only degraded
 // solve when the model family has one (rbd, faulttree), 503 with the
 // cooldown-derived Retry-After when it does not (ctmc and friends have
 // no cheap certified bounds).
-func (s *solveServer) replyDegraded(w http.ResponseWriter, ev *obs.WideEvent, code *int, spec *modelio.Spec, hash, corr string) {
+func (s *solveServer) solveDegraded(w http.ResponseWriter, ev *obs.WideEvent, spec *modelio.Spec) (int, any) {
 	results, err := modelio.SolveBounds(spec)
 	if err != nil {
-		*code = http.StatusServiceUnavailable
 		s.shed.Inc("breaker-open")
 		w.Header().Set("Retry-After", strconv.Itoa(s.brk.retrySecs(spec.Type)))
-		s.replyEv(w, ev, *code, solveResponse{
-			Model: spec.Name, ModelHash: hash, Code: "breaker-open",
-			Error: fmt.Sprintf("circuit breaker open for model class %q and no bounds-only path: %v", spec.Type, err),
-		})
-		return
+		return http.StatusServiceUnavailable, solveResponse{Model: spec.Name, ModelHash: ev.ModelHash, Code: "breaker-open",
+			Error: fmt.Sprintf("circuit breaker open for model class %q and no bounds-only path: %v", spec.Type, err)}
 	}
 	s.degraded.Inc(spec.Type)
 	ev.Outcome = "degraded"
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("degraded bounds-only answer",
-			"corr", corr, "model", spec.Name, "type", spec.Type, "model_hash", hash)
-	}
-	s.replyEv(w, ev, *code, solveResponse{
-		Model: spec.Name, ModelHash: hash, Degraded: true, Results: results,
-	})
+	ev.Degraded = true
+	return http.StatusOK, solveResponse{Model: spec.Name, ModelHash: ev.ModelHash, Degraded: true, Results: results}
 }
 
 // handleAnalyze runs the static structural analysis (no solving) over one
 // model document: the serve-side preflight. The response mirrors the
 // `relcli analyze -json` per-file report. Documents with error-severity
 // findings come back 422 so callers can gate a later /solve on it.
-func (s *solveServer) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	code := http.StatusOK
-	corr := s.corrStamp(w, r)
-	ev := &obs.WideEvent{Time: start, Corr: corr, Route: "/analyze"}
-	defer func() {
-		wall := time.Since(start)
-		s.latency.Observe(wall.Seconds(), "/analyze")
-		s.win.Record(code >= 400)
-		s.observeSLO("/analyze", code, wall)
-		ev.Status = code
-		ev.WallMS = float64(wall.Nanoseconds()) / 1e6
-		s.wide.Log(*ev)
-	}()
-	// The body is read once and re-parsed from memory: analyzeDocument
-	// consumes the reader, and the trace store wants the model's name.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		code = http.StatusBadRequest
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", err.Error())
-		return
+func (s *solveServer) handleAnalyze(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
+	body, msg, code := s.readBody(w, r, "model")
+	if code != "" {
+		return http.StatusBadRequest, solveResponse{Error: msg, Code: code}
 	}
-	rep := analyzeDocument("<request>", bytes.NewReader(body))
+	rep, spec := analyzeDocument("<request>", bytes.NewReader(body))
+	status := http.StatusOK
+	ev.Outcome = "ok"
 	if lint.HasErrors(rep.Diagnostics) {
-		code = http.StatusUnprocessableEntity
+		status, ev.Outcome = http.StatusUnprocessableEntity, "error"
 	}
-	model := analyzeModelName(body)
-	ev.Model = model
-	ev.Outcome = analyzeOutcome(code)
-	ev.Trace = s.store.Put(obs.TraceRecord{
-		Corr:     corr,
-		Model:    model,
+	// An undecodable or unnamed document is still retained, labeled as such.
+	ev.Model = "<unparsed>"
+	if spec != nil && spec.Name != "" {
+		ev.Model = spec.Name
+	}
+	ev.Trace = s.storePut("/analyze", obs.TraceRecord{
+		Corr:     ev.Corr,
+		Model:    ev.Model,
 		Endpoint: "analyze",
-		Outcome:  analyzeOutcome(code),
-		Start:    start,
-		WallMS:   float64(time.Since(start).Nanoseconds()) / 1e6,
+		Outcome:  ev.Outcome,
+		Start:    ev.Time,
+		WallMS:   float64(time.Since(ev.Time).Nanoseconds()) / 1e6,
 	})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("analyze response write failed", "corr", corr, "err", err)
-	}
-}
-
-// analyzeModelName extracts the spec name for the trace-store record; an
-// unparseable document is still retained, labeled as such.
-func analyzeModelName(body []byte) string {
-	spec, err := modelio.Parse(bytes.NewReader(body))
-	if err != nil || spec.Name == "" {
-		return "<unparsed>"
-	}
-	return spec.Name
-}
-
-func analyzeOutcome(code int) string {
-	if code == http.StatusOK {
-		return "ok"
-	}
-	return "error"
+	return status, rep
 }
 
 // solveOutcome classifies how a solve ended for trace-store filtering.
@@ -773,16 +739,6 @@ func solveErrorStatus(err error) int {
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
-	}
-}
-
-func (s *solveServer) reply(w http.ResponseWriter, code int, resp solveResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("response write failed", "err", err)
 	}
 }
 

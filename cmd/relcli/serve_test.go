@@ -242,7 +242,7 @@ func TestServeStructuredLogs(t *testing.T) {
 		t.Fatalf("status %d", w.Code)
 	}
 	logs := logBuf.String()
-	if !strings.Contains(logs, `"msg":"solve request"`) {
+	if !strings.Contains(logs, `"msg":"request"`) {
 		t.Errorf("missing request event:\n%s", logs)
 	}
 	if !strings.Contains(logs, `"span":"modelio.solve"`) || !strings.Contains(logs, `"solver":"sor"`) {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -21,44 +20,6 @@ var selfUpStates = []string{"ok", "saturated"}
 type selfPrediction struct {
 	pred slo.Prediction
 	err  error
-}
-
-// corrStamp resolves the request's correlation ID — a sanitized inbound
-// X-Rel-Correlation-Id, or a freshly minted one — and stamps it on the
-// response header before any body bytes are written.
-func (s *solveServer) corrStamp(w http.ResponseWriter, r *http.Request) string {
-	corr := obs.SanitizeCorr(r.Header.Get(obs.CorrHeader))
-	if corr == "" {
-		corr = s.corr.Next()
-	}
-	w.Header().Set(obs.CorrHeader, corr)
-	return corr
-}
-
-// replyEv mirrors the response's identity fields into the wide event
-// before handing off to reply, so every exit path of a handler feeds the
-// same log line.
-func (s *solveServer) replyEv(w http.ResponseWriter, ev *obs.WideEvent, code int, resp solveResponse) {
-	if resp.Model != "" {
-		ev.Model = resp.Model
-	}
-	if resp.ModelHash != "" {
-		ev.ModelHash = resp.ModelHash
-	}
-	if resp.Code != "" {
-		ev.Code = resp.Code
-	}
-	if resp.Degraded {
-		ev.Degraded = true
-	}
-	s.reply(w, code, resp)
-}
-
-// observeSLO feeds one finished request into the SLO engine.
-func (s *solveServer) observeSLO(route string, status int, latency time.Duration) {
-	if s.slo != nil {
-		s.slo.Observe(route, status, latency)
-	}
 }
 
 // selfState classifies the server's current condition for the
@@ -176,9 +137,7 @@ type sloPayload struct {
 
 // handleSLO answers GET /api/slo: objective statuses, error budgets,
 // and the modeled-vs-measured availability pair.
-func (s *solveServer) handleSLO(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-store")
+func (s *solveServer) handleSLO(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	payload := sloPayload{Enabled: s.slo != nil}
 	if s.slo != nil {
 		payload.Objectives = s.slo.Status()
@@ -202,11 +161,7 @@ func (s *solveServer) handleSLO(w http.ResponseWriter, r *http.Request) {
 	} else {
 		payload.ModelError = "self-model warming up"
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(payload); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("slo response write failed", "err", err) //numvet:allow slog-corr status probes are uncorrelated
-	}
+	return http.StatusOK, payload
 }
 
 // profilesPayload is the GET /api/profiles reply.
@@ -218,20 +173,14 @@ type profilesPayload struct {
 
 // handleProfiles answers GET /api/profiles: the continuous-profiling
 // ring listing, newest first.
-func (s *solveServer) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-store")
+func (s *solveServer) handleProfiles(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	payload := profilesPayload{Profiles: []obs.ProfileEntry{}}
 	if s.profiles != nil {
 		payload.Enabled = true
 		payload.Dir = s.profiles.Dir()
 		payload.Profiles = s.profiles.List()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(payload); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Warn("profiles response write failed", "err", err) //numvet:allow slog-corr status probes are uncorrelated
-	}
+	return http.StatusOK, payload
 }
 
 // sloView flattens the SLO state for the dashboard panel.

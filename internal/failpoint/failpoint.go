@@ -281,7 +281,7 @@ func (p *point) fire() bool {
 		return false
 	}
 	if p.seeded {
-		p.prng = splitmix64(p.prng)
+		_, p.prng = SplitMix64(p.prng)
 		// Top 53 bits → uniform float in [0,1).
 		if float64(p.prng>>11)/(1<<53) >= p.prob {
 			return false
@@ -291,14 +291,19 @@ func (p *point) fire() bool {
 	return true
 }
 
-// splitmix64 is the PRNG behind the p(prob,seed) trigger: tiny, seedable,
-// and identical on every platform, so a chaos schedule replays exactly.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
+// SplitMix64 advances a splitmix64 stream by one step: next is state
+// plus the golden gamma, out is next mixed. It is the one splitmix64
+// implementation — behind the p(prob,seed) trigger, the sweep shard
+// streams in internal/uncertainty, and correlation IDs in internal/obs —
+// tiny and identical on every platform, so every seeded run replays
+// exactly. Callers either feed out back as the state or keep next and
+// use out.
+func SplitMix64(state uint64) (next, out uint64) {
+	next = state + 0x9e3779b97f4a7c15
+	z := next
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return next, z ^ (z >> 31)
 }
 
 // parseSpec compiles one spec string into a point.

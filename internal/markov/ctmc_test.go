@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/failpoint"
 	"repro/internal/linalg"
 )
 
@@ -530,10 +531,7 @@ func newSplitMix(seed int64) *splitMix {
 }
 
 func (r *splitMix) float() float64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	var z uint64
+	r.s, z = failpoint.SplitMix64(r.s)
 	return float64(z>>11) / float64(1<<53)
 }

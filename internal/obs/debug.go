@@ -12,8 +12,8 @@ import (
 )
 
 // RegisterDebug mounts the debug routes on mux: /debug/pprof/ (index,
-// profile, heap, trace, …), /debug/vars (expvar, including the mirrored
-// relprobe.* counters), and /metrics (reg in Prometheus exposition
+// profile, heap, trace, …), /debug/vars (expvar: Go's cmdline and
+// memstats), and /metrics (reg in Prometheus exposition
 // format; nil means the default registry). `relcli serve` reuses it so
 // the solve service and the standalone debug server expose identical
 // surfaces.

@@ -45,17 +45,12 @@ func TestDebugServerRoutes(t *testing.T) {
 		t.Errorf("/debug/pprof/ index missing profile list:\n%.200s", body)
 	}
 
-	resp, body = get("/debug/vars")
+	resp, _ = get("/debug/vars")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/vars status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Errorf("/debug/vars content type %q", ct)
-	}
-	for _, name := range []string{"relprobe.traces", "relprobe.spans", "relprobe.iterations"} {
-		if !strings.Contains(body, name) {
-			t.Errorf("/debug/vars missing %s", name)
-		}
 	}
 
 	resp, body = get("/metrics")
@@ -81,28 +76,12 @@ func TestDebugServerRoutes(t *testing.T) {
 	srv2.Close()
 }
 
-// TestExpvarMirrorsRegistry asserts the consolidation satellite: the
-// expvar relprobe.* values are views of the registry counters, so the
-// two surfaces move together.
-func TestExpvarMirrorsRegistry(t *testing.T) {
+// TestTraceCounterAdvances: starting a trace advances the process-wide
+// relprobe_traces_total counter that /metrics exposes.
+func TestTraceCounterAdvances(t *testing.T) {
 	before := ctrTraces.Value()
-	tr := NewTrace("mirror")
-	tr.Finish()
+	NewTrace("counted").Finish()
 	if got := ctrTraces.Value(); got != before+1 {
-		t.Fatalf("registry counter did not advance: %g -> %g", before, got)
-	}
-	srv, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"relprobe.traces"`) {
-		t.Errorf("expvar page missing mirrored counter:\n%.300s", body)
+		t.Fatalf("relprobe_traces_total did not advance: %g -> %g", before, got)
 	}
 }

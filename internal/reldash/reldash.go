@@ -66,9 +66,10 @@ type Config struct {
 	// BenchPath locates the committed bench baseline for /api/bench
 	// (empty disables the trend section).
 	BenchPath string
-	// Window receives request completions for /api/summary (nil builds a
-	// one-minute window; the caller must then Record into that one).
-	Window *Window
+	// Window counts request completions (bad = 4xx/5xx) for /api/summary
+	// (nil builds a one-minute window; the caller must then Record into
+	// that one).
+	Window *metrics.SlidingCounter
 	// InFlight reports currently-executing solves (nil reports 0).
 	InFlight func() int
 	// Start anchors the uptime report (zero means "now").
@@ -181,7 +182,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cfg.Registry = metrics.Default()
 	}
 	if cfg.Window == nil {
-		cfg.Window = NewWindow(time.Minute)
+		cfg.Window = metrics.NewSlidingCounter(time.Minute, 0)
 	}
 	if cfg.Start.IsZero() {
 		cfg.Start = time.Now()
@@ -195,7 +196,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 
 // Window returns the request window the handler reports on, so the
 // serve layer can Record into it.
-func (h *Handler) Window() *Window { return h.cfg.Window }
+func (h *Handler) Window() *metrics.SlidingCounter { return h.cfg.Window }
 
 // Register mounts every dashboard route on mux.
 func (h *Handler) Register(mux *http.ServeMux) {
@@ -219,9 +220,11 @@ func setHeaders(w http.ResponseWriter, contentType string) {
 	h.Set("Cache-Control", "no-store")
 }
 
-// writeJSON emits an indented JSON response (indented so curl output in
-// the README examples reads without a formatter).
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON emits an indented JSON response (indented so curl output in
+// the README examples reads without a formatter) with the explicit
+// content type and the no-store cache policy. It is the one JSON reply
+// writer of the dashboard and of every `relcli serve` route.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	setHeaders(w, "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -271,7 +274,7 @@ type tracesPayload struct {
 }
 
 func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, tracesPayload{
+	WriteJSON(w, http.StatusOK, tracesPayload{
 		Retained: h.cfg.Store.Len(),
 		Capacity: h.cfg.Store.Cap(),
 		Traces:   h.cfg.Store.List(filterFromQuery(r)),
@@ -282,12 +285,12 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := h.cfg.Store.Get(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
+		WriteJSON(w, http.StatusNotFound, map[string]string{
 			"error": "trace " + id + " not found (never stored, or evicted from the ring)",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	WriteJSON(w, http.StatusOK, rec)
 }
 
 // metricsPayload is the GET /api/metrics reply document: the registry
@@ -297,7 +300,7 @@ type metricsPayload struct {
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, metricsPayload{Families: h.cfg.Registry.Snapshot()})
+	WriteJSON(w, http.StatusOK, metricsPayload{Families: h.cfg.Registry.Snapshot()})
 }
 
 // benchPayload is the GET /api/bench reply document.
@@ -316,7 +319,7 @@ func (h *Handler) handleBench(w http.ResponseWriter, r *http.Request) {
 	} else {
 		p.Entries = trend
 	}
-	writeJSON(w, http.StatusOK, p)
+	WriteJSON(w, http.StatusOK, p)
 }
 
 // summaryPayload is the GET /api/summary reply document the dashboard
@@ -339,7 +342,8 @@ type storeOccupancy struct {
 }
 
 func (h *Handler) handleSummary(w http.ResponseWriter, r *http.Request) {
-	total, failed := h.cfg.Window.Stats()
+	good, bad := h.cfg.Window.Totals()
+	total, failed := int(good+bad), int(bad)
 	windowS := h.cfg.Window.Span().Seconds()
 	p := summaryPayload{
 		UptimeS:    time.Since(h.cfg.Start).Seconds(),
@@ -361,7 +365,7 @@ func (h *Handler) handleSummary(w http.ResponseWriter, r *http.Request) {
 		res := h.cfg.Resilience()
 		p.Resilience = &res
 	}
-	writeJSON(w, http.StatusOK, p)
+	WriteJSON(w, http.StatusOK, p)
 }
 
 // jobsPayload is the GET /api/jobs reply document.
@@ -380,7 +384,7 @@ func (h *Handler) handleJobs(w http.ResponseWriter, r *http.Request) {
 			p.Jobs = rows
 		}
 	}
-	writeJSON(w, http.StatusOK, p)
+	WriteJSON(w, http.StatusOK, p)
 }
 
 // --- HTML pages ---
