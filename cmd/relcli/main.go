@@ -28,8 +28,8 @@
 // per-iteration residuals, -metrics prints a one-line trace summary plus
 // the relscope metric registry in Prometheus text format to stderr, -log
 // emits structured slog events per span (and per iteration at -log-level
-// debug), and -pprof addr serves net/http/pprof, expvar, and /metrics for
-// the duration of the solve.
+// debug) once the solve returns, and -pprof addr serves net/http/pprof,
+// expvar, and /metrics for the duration of the solve.
 //
 // The serve subcommand turns the same pipeline into a long-running HTTP
 // service: POST /solve takes a model document and returns {model,
@@ -78,6 +78,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"time"
 
@@ -166,30 +167,33 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if rootName == "" {
 		rootName = "solve"
 	}
-	var tr *obs.Trace
-	var recs []obs.Recorder
-	if *traceText || *traceJSON || *metricsFlag {
-		tr = obs.NewTrace(rootName)
-		recs = append(recs, tr)
-	}
-	if *metricsFlag {
-		// The same registry backs /metrics in relcli serve and the debug
-		// server, so the one-shot dump and the scrape endpoint share both
-		// the numbers and the formatting path.
-		recs = append(recs, obs.NewMetricsRecorder(metrics.Default(), rootName))
-	}
+	var logger *slog.Logger
 	if *logFormat != "" {
-		logger, err := newSlogLogger(*logFormat, *logLevel, stderr)
-		if err != nil {
+		if logger, err = newSlogLogger(*logFormat, *logLevel, stderr); err != nil {
 			return err
 		}
-		recs = append(recs, obs.NewSlogRecorder(logger))
 	}
-	opts.Recorder = obs.Multi(recs...)
+	// The trace is the one record of the solve: the metrics and the slog
+	// events are read off the finished span tree.
+	var tr *obs.Trace
+	if *traceText || *traceJSON || *metricsFlag || logger != nil {
+		tr = obs.NewTrace(rootName)
+		opts.Recorder = tr
+	}
 	results, err := modelio.SolveWithOptions(spec, opts)
 	if tr != nil {
 		// Emit whatever was traced even when the solve failed — the partial
 		// trace is exactly what diagnoses a non-converging solver.
+		root := tr.Finish()
+		if *metricsFlag {
+			// The same registry backs /metrics in relcli serve and the debug
+			// server, so the one-shot dump and the scrape endpoint share both
+			// the numbers and the formatting path.
+			obs.NewSolveMetrics(metrics.Default()).Observe(rootName, root)
+		}
+		if logger != nil {
+			obs.LogSpans(logger, root)
+		}
 		if *traceText {
 			if werr := tr.WriteText(stderr); werr != nil {
 				return werr

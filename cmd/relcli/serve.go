@@ -137,6 +137,10 @@ type solveServer struct {
 	selfPred  atomic.Pointer[selfPrediction]
 	profiles  *obs.ProfileRing
 
+	// solveMetrics folds each finished solve trace into the relscope
+	// solver families, registered once per server.
+	solveMetrics *obs.SolveMetrics
+
 	// stopBg stops the background samplers (self-model, profiling);
 	// bgWG waits them out on close.
 	stopBg chan struct{}
@@ -220,6 +224,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		func(class string) { s.breaker.Inc(class) })
 	failpoint.SetOnTrip(func(name string) { s.fpTrips.Inc(name) })
 	s.corr = obs.NewCorrSource(cfg.CorrSeed)
+	s.solveMetrics = obs.NewSolveMetrics(cfg.Registry)
 	s.selfModel = slo.NewSelfModel()
 	s.stopBg = make(chan struct{})
 	if cfg.WideWriter != nil {
@@ -618,29 +623,32 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 		ev.Breaker = "closed"
 	}
 
-	// Every solve is traced so the store retains its span tree for the
-	// dashboard; the response only carries the tree when asked (?trace=1).
+	// Every solve is traced, and the finished span tree is its one
+	// record: the relscope solver metrics, the -log span events and the
+	// trace store all read it once the solve returns. The response only
+	// carries the tree when asked (?trace=1).
 	tr := obs.NewTrace(rootName(spec))
 	tr.Set(obs.S("corr", ev.Corr))
-	recs := []obs.Recorder{obs.NewMetricsRecorder(s.cfg.Registry, spec.Name), tr}
-	if s.cfg.Logger != nil {
-		recs = append(recs, obs.NewSlogRecorder(s.cfg.Logger))
-	}
 	var results []modelio.Result
 	solveErr := guard.Isolate("serve.solve", func() error {
 		var err error
 		results, err = modelio.SolveWithOptions(spec, modelio.SolveOptions{
 			Preflight: s.cfg.Preflight,
-			Recorder:  obs.Multi(recs...),
+			Recorder:  tr,
 			Context:   r.Context(),
 			Timeout:   s.cfg.SolveTimeout,
 			Rails:     s.cfg.Rails,
 		})
 		return err
 	})
+	root := tr.Finish()
+	s.solveMetrics.Observe(spec.Name, root)
+	if s.cfg.Logger != nil {
+		obs.LogSpans(s.cfg.Logger, root, "corr", ev.Corr)
+	}
 	resp := solveResponse{Model: spec.Name, ModelHash: hash, Results: results}
 	if r.URL.Query().Get("trace") != "" {
-		resp.Trace = tr.Finish()
+		resp.Trace = root
 	}
 	status := http.StatusOK
 	if solveErr != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // mustServeMux builds the serve routes or fails the test; the only
@@ -228,8 +229,9 @@ func TestServeHealthz(t *testing.T) {
 	}
 }
 
-// TestServeStructuredLogs checks the slog bridge rides along on solve
-// requests: one span event per solver span plus the request summary.
+// TestServeStructuredLogs checks -log rides along on solve requests: one
+// span event per solver span plus the request summary, every span event
+// carrying the request's correlation ID so it joins its request line.
 func TestServeStructuredLogs(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger, err := newSlogLogger("json", "info", &logBuf)
@@ -242,11 +244,36 @@ func TestServeStructuredLogs(t *testing.T) {
 		t.Fatalf("status %d", w.Code)
 	}
 	logs := logBuf.String()
-	if !strings.Contains(logs, `"msg":"request"`) {
-		t.Errorf("missing request event:\n%s", logs)
-	}
 	if !strings.Contains(logs, `"span":"modelio.solve"`) || !strings.Contains(logs, `"solver":"sor"`) {
 		t.Errorf("missing span events:\n%s", logs)
+	}
+	var requestCorr string
+	var spanCorrs []string
+	for _, line := range strings.Split(strings.TrimSpace(logs), "\n") {
+		var ev struct {
+			Msg  string `json:"msg"`
+			Corr string `json:"corr"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		switch ev.Msg {
+		case "request":
+			requestCorr = ev.Corr
+		case "span":
+			spanCorrs = append(spanCorrs, ev.Corr)
+		}
+	}
+	if header := w.Header().Get(obs.CorrHeader); requestCorr == "" || requestCorr != header {
+		t.Fatalf("request event corr %q, response header %q:\n%s", requestCorr, header, logs)
+	}
+	if len(spanCorrs) == 0 {
+		t.Fatalf("no span events:\n%s", logs)
+	}
+	for i, c := range spanCorrs {
+		if c != requestCorr {
+			t.Errorf("span event %d corr %q, want the request's %q", i, c, requestCorr)
+		}
 	}
 }
 

@@ -136,3 +136,28 @@ func TestSolveTraceTextAndMetrics(t *testing.T) {
 		t.Errorf("metrics line missing dominant solver:\n%s", diag)
 	}
 }
+
+// TestSolveLogAndMetricsFromTrace checks that -log and -metrics are read
+// off the finished trace: -log alone still yields span events, and the
+// relscope dump carries the SOR iterations folded from the span tree.
+func TestSolveLogAndMetricsFromTrace(t *testing.T) {
+	model := filepath.Join("..", "..", "models", "repairfarm.json")
+	var errBuf strings.Builder
+	old := stderr
+	stderr = &errBuf
+	defer func() { stderr = old }()
+
+	if err := run([]string{"solve", "-log", "json", "-metrics", model}, nil, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	diag := errBuf.String()
+	for _, want := range []string{
+		`"msg":"span","span":"modelio.solve"`,
+		`"solver":"sor"`,
+		`relscope_solver_iterations_total{solver="sor",model="machine repair farm (SOR steady state)"} `,
+	} {
+		if !strings.Contains(diag, want) {
+			t.Errorf("stderr missing %q:\n%s", want, diag)
+		}
+	}
+}

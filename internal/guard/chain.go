@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -90,15 +89,6 @@ type Step[T any] struct {
 	// Run executes the method. The recorder is scoped to this attempt's
 	// span, so nested solver spans land under the attempt.
 	Run func(ctx context.Context, rec obs.Recorder) (T, error)
-	// Retries re-runs this step up to Retries additional times when it
-	// fails with an escalatable class, waiting Backoff (doubled per retry)
-	// between attempts. Zero disables retrying; deterministic solvers
-	// should leave it zero — retries exist for stochastic or external
-	// steps.
-	Retries int
-	// Backoff is the initial wait before a retry. The wait is
-	// context-aware: cancellation during backoff aborts the chain.
-	Backoff time.Duration
 }
 
 // Prefer reorders a step list so the named step runs first, keeping the
@@ -119,12 +109,10 @@ func Prefer[T any](name string, steps ...Step[T]) []Step[T] {
 	return steps
 }
 
-// Attempt records one executed step (including retries) in a ChainReport.
+// Attempt records one executed step in a ChainReport.
 type Attempt struct {
-	// Method is the step name, Try its 1-based attempt number within the
-	// step (retries increment it).
+	// Method is the step name.
 	Method string `json:"method"`
-	Try    int    `json:"try"`
 	// Class is the failure class ("" on success).
 	Class FailureClass `json:"class,omitempty"`
 	// Err is the failure message ("" on success).
@@ -136,42 +124,6 @@ type Attempt struct {
 type ChainReport struct {
 	Attempts []Attempt `json:"attempts"`
 	Winner   string    `json:"winner,omitempty"`
-	// RetryBudgetExhausted reports that per-step retries were skipped
-	// because the chain's retry budget ran out (see WithRetryBudget);
-	// escalation to later steps still happened.
-	RetryBudgetExhausted bool `json:"retry_budget_exhausted,omitempty"`
-}
-
-// retryBudgetKey carries an explicit retry budget on the context.
-type retryBudgetKey struct{}
-
-// WithRetryBudget caps the total wall time RunChain may spend on
-// *retries* of failing steps (escalation to the next method is always
-// allowed — the budget protects the deadline from being eaten by
-// re-running a struggling solver, not from trying a different one).
-// Without an explicit budget, a chain under a context deadline gets half
-// the time remaining when it starts; a chain with neither deadline nor
-// budget retries without limit.
-func WithRetryBudget(ctx context.Context, d time.Duration) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, retryBudgetKey{}, d)
-}
-
-// retryDeadline computes the instant after which RunChain stops retrying.
-// The zero time means "no budget".
-func retryDeadline(ctx context.Context, start time.Time) time.Time {
-	if ctx == nil {
-		return time.Time{}
-	}
-	if d, ok := ctx.Value(retryBudgetKey{}).(time.Duration); ok {
-		return start.Add(d)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		return start.Add(dl.Sub(start) / 2)
-	}
-	return time.Time{}
 }
 
 // ExhaustedError reports a chain whose every method failed. It unwraps to
@@ -198,12 +150,12 @@ func (e *ExhaustedError) Error() string {
 func (e *ExhaustedError) Unwrap() error { return e.last }
 
 // RunChain executes the steps in escalation order until one succeeds.
-// Failures with an escalatable class (no-convergence, divergence,
-// numerical, budget) fall through to the next step; cancellation,
-// deadline, and structural errors abort immediately. Every attempt, its
-// failure class, and the winning method are recorded on a "guard.chain"
-// span under rec, and the same information is returned as a ChainReport
-// regardless of tracing.
+// Each step runs once: failures with an escalatable class
+// (no-convergence, divergence, numerical, budget) fall through to the
+// next step; cancellation, deadline, and structural errors abort
+// immediately. Every attempt, its failure class, and the winning method
+// are recorded on a "guard.chain" span under rec, and the same
+// information is returned as a ChainReport regardless of tracing.
 func RunChain[T any](ctx context.Context, rec obs.Recorder, name string, steps ...Step[T]) (T, *ChainReport, error) {
 	var zero T
 	report := &ChainReport{}
@@ -217,59 +169,36 @@ func RunChain[T any](ctx context.Context, rec obs.Recorder, name string, steps .
 		defer rec.End()
 	}
 	var lastErr error
-	retryCutoff := retryDeadline(ctx, time.Now())
 	for _, step := range steps {
-		backoff := step.Backoff
-		for try := 1; try <= step.Retries+1; try++ {
-			if err := Ctx(ctx, "guard.chain:"+name, 0, nan()); err != nil {
-				report.finish(rec, tracing, "")
-				return zero, report, err
+		if err := Ctx(ctx, "guard.chain:"+name, 0, nan()); err != nil {
+			report.finish(rec, tracing, "")
+			return zero, report, err
+		}
+		sp := rec
+		if tracing {
+			sp = rec.Span("attempt:"+step.Name, obs.S("method", step.Name))
+		}
+		val, err := step.Run(ctx, sp)
+		class := Classify(err)
+		report.Attempts = append(report.Attempts, Attempt{Method: step.Name, Class: class, Err: errString(err)})
+		if tracing {
+			if err != nil {
+				sp.Set(obs.S("failure_class", string(class)), obs.S("error", err.Error()))
+			} else {
+				sp.Set(obs.S("failure_class", "none"))
 			}
-			sp := rec
-			if tracing {
-				sp = rec.Span("attempt:"+step.Name, obs.S("method", step.Name), obs.I("try", try))
-			}
-			val, err := step.Run(ctx, sp)
-			class := Classify(err)
-			report.Attempts = append(report.Attempts, Attempt{
-				Method: step.Name, Try: try, Class: class, Err: errString(err),
-			})
-			if tracing {
-				if err != nil {
-					sp.Set(obs.S("failure_class", string(class)), obs.S("error", err.Error()))
-				} else {
-					sp.Set(obs.S("failure_class", "none"))
-				}
-				sp.End()
-			}
-			if err == nil {
-				report.finish(rec, tracing, step.Name)
-				return val, report, nil
-			}
-			lastErr = err
-			if !class.Escalatable() {
-				// Cancellation/deadline/structural failure: abort the chain,
-				// surfacing the typed error unchanged.
-				report.finish(rec, tracing, "")
-				return zero, report, err
-			}
-			if try <= step.Retries {
-				if !retryCutoff.IsZero() && !time.Now().Before(retryCutoff) {
-					// Retry budget spent: skip this step's remaining retries
-					// but keep escalating so a different method still gets
-					// its shot inside the deadline.
-					report.RetryBudgetExhausted = true
-					if tracing {
-						rec.Set(obs.S("retry_budget", "exhausted"))
-					}
-					break
-				}
-				if err := waitBackoff(ctx, backoff); err != nil {
-					report.finish(rec, tracing, "")
-					return zero, report, err
-				}
-				backoff *= 2
-			}
+			sp.End()
+		}
+		if err == nil {
+			report.finish(rec, tracing, step.Name)
+			return val, report, nil
+		}
+		lastErr = err
+		if !class.Escalatable() {
+			// Cancellation/deadline/structural failure: abort the chain,
+			// surfacing the typed error unchanged.
+			report.finish(rec, tracing, "")
+			return zero, report, err
 		}
 	}
 	report.finish(rec, tracing, "")
@@ -287,27 +216,6 @@ func (r *ChainReport) finish(rec obs.Recorder, tracing bool, winner string) {
 		return
 	}
 	rec.Set(obs.I("attempts", len(r.Attempts)), obs.S("winner", winner))
-}
-
-// waitBackoff sleeps for d respecting cancellation. It deliberately avoids
-// time.Sleep (forbidden in library code by numvet's time-sleep rule) so a
-// deadline can cut a backoff short.
-func waitBackoff(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return Ctx(ctx, "guard.backoff", 0, nan())
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	if ctx == nil {
-		<-timer.C
-		return nil
-	}
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return Ctx(ctx, "guard.backoff", 0, nan())
-	}
 }
 
 func errString(err error) string {

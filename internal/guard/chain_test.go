@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -126,63 +125,9 @@ func TestChainExhausted(t *testing.T) {
 	}
 }
 
-func TestChainRetryWithBackoff(t *testing.T) {
-	tries := 0
-	start := time.Now()
-	v, report, err := RunChain(context.Background(), nil, "mc",
-		Step[float64]{
-			Name:    "sim",
-			Retries: 2,
-			Backoff: 5 * time.Millisecond,
-			Run: func(context.Context, obs.Recorder) (float64, error) {
-				tries++
-				if tries < 3 {
-					return 0, classedErr{"numerical"}
-				}
-				return 1, nil
-			},
-		},
-	)
-	if err != nil || v != 1 {
-		t.Fatalf("got %v, %v", v, err)
-	}
-	if tries != 3 {
-		t.Errorf("tries = %d, want 3", tries)
-	}
-	// Backoffs: 5ms + 10ms.
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("backoff not applied: elapsed %v", elapsed)
-	}
-	if len(report.Attempts) != 3 || report.Attempts[2].Try != 3 {
-		t.Errorf("attempts = %+v", report.Attempts)
-	}
-}
-
-func TestChainBackoffHonorsDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err := RunChain(ctx, nil, "mc",
-		Step[float64]{
-			Name:    "sim",
-			Retries: 5,
-			Backoff: time.Hour,
-			Run: func(context.Context, obs.Recorder) (float64, error) {
-				return 0, classedErr{"numerical"}
-			},
-		},
-	)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("want ErrDeadline, got %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("backoff ignored the deadline")
-	}
-}
-
 // TestChainStressRace is the -race fallback-chain stress test wired into
 // scripts/check.sh: many goroutines run chains that share one Trace
-// recorder, mixing successes, escalations, retries, and cancellations, so
+// recorder, mixing successes, escalations, and cancellations, so
 // the race detector sees every lock interaction in guard + obs.
 func TestChainStressRace(t *testing.T) {
 	tr := obs.NewTrace("stress")
@@ -202,7 +147,7 @@ func TestChainStressRace(t *testing.T) {
 				}
 				mode := (g + i) % 3
 				v, _, err := RunChain(ctx, tr, fmt.Sprintf("c%d", g),
-					Step[int]{Name: "fast", Retries: 1, Run: func(ctx context.Context, rec obs.Recorder) (int, error) {
+					Step[int]{Name: "fast", Run: func(ctx context.Context, rec obs.Recorder) (int, error) {
 						if err := Ctx(ctx, "fast", i, 0.5); err != nil {
 							return 0, err
 						}

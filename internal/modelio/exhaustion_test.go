@@ -52,7 +52,7 @@ func TestChainExhaustionTelemetry(t *testing.T) {
 	for _, a := range exh.Report.Attempts {
 		methods[a.Method] = a.Class
 		if a.Err == "" || a.Class == "" {
-			t.Errorf("attempt %q try %d lacks failure detail: %+v", a.Method, a.Try, a)
+			t.Errorf("attempt %q lacks failure detail: %+v", a.Method, a)
 		}
 	}
 	if _, ok := methods["sor"]; !ok {

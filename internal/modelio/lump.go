@@ -71,7 +71,7 @@ func StructReport(spec *CTMCSpec) (*relstruct.StructReport, error) {
 // "no reduction" (not lumpable, analysis failed, or markov.Lump vetoed
 // the partition) and the caller solves the original. An applied lump is
 // announced on a "relstruct.lump" span whose lump_ratio attribute feeds
-// the metrics bridge.
+// the relscope lump metrics (obs.SolveMetrics).
 func autoLump(c *markov.CTMC, spec *CTMCSpec, rec obs.Recorder) (*markov.CTMC, map[string]string) {
 	in := structInput(spec)
 	if in.States == 0 {

@@ -1,15 +1,13 @@
 package obs
 
 import (
-	"time"
-
 	"repro/internal/metrics"
 )
 
-// MetricsRecorder bridges Recorder events into a metrics.Registry,
-// turning per-solve span trees into cross-solve aggregates. It pattern
-// matches the attribute vocabulary the solvers already emit (see
-// internal/linalg, markov, hier, faulttree, guard):
+// SolveMetrics folds finished solve traces into a metrics.Registry,
+// turning per-solve span trees into cross-solve aggregates. It reads the
+// attribute vocabulary the solvers already emit (see internal/linalg,
+// markov, hier, faulttree, guard):
 //
 //   - spans carrying a "solver" attribute feed a wall-time histogram,
 //     an iteration counter, and a last-residual gauge labeled
@@ -23,12 +21,11 @@ import (
 //   - "guard_warning_op" attributes (warn-mode guard rails) feed a
 //     rail-warning counter labeled {op}.
 //
-// Attach it with Multi alongside a Trace or SlogRecorder; when metrics
-// are not wanted, simply don't attach it — the solvers' Enabled() guards
-// then skip every call.
-type MetricsRecorder struct {
-	model string
-
+// Register the families once per registry and call Observe when each
+// solve returns: the span tree is the one record of a solve, and the
+// solver series land only then. The relprobe_* counters are the live
+// mid-solve signal.
+type SolveMetrics struct {
 	spans     *metrics.Counter
 	solves    *metrics.Counter
 	wall      *metrics.Histogram
@@ -42,12 +39,10 @@ type MetricsRecorder struct {
 	lumpRatio *metrics.Gauge
 }
 
-// NewMetricsRecorder registers the relscope solver-metric families on reg
-// (idempotently — registries dedupe by name) and returns a bridge that
-// labels every sample with the given model name.
-func NewMetricsRecorder(reg *metrics.Registry, model string) *MetricsRecorder {
-	return &MetricsRecorder{
-		model: model,
+// NewSolveMetrics registers the relscope solver-metric families on reg
+// (idempotently — registries dedupe by name).
+func NewSolveMetrics(reg *metrics.Registry) *SolveMetrics {
+	return &SolveMetrics{
 		spans: reg.NewCounter("relscope_spans_total",
 			"Solver telemetry spans opened.", "model"),
 		solves: reg.NewCounter("relscope_solves_total",
@@ -73,107 +68,117 @@ func NewMetricsRecorder(reg *metrics.Registry, model string) *MetricsRecorder {
 	}
 }
 
-// Enabled implements Recorder.
-func (m *MetricsRecorder) Enabled() bool { return true }
-
-// Span implements Recorder: the root of a new solve.
-func (m *MetricsRecorder) Span(name string, attrs ...Attr) Recorder {
-	m.solves.Inc(m.model)
-	return m.openSpan(name, "", attrs)
+// Observe folds one finished trace, labeling every sample with model.
+// Each child of root is one solve; root itself (the trace's name and
+// request-level attributes such as corr) is not a solver span.
+func (m *SolveMetrics) Observe(model string, root *Span) {
+	for _, s := range root.Children {
+		m.solves.Inc(model)
+		m.observe(model, "", s)
+	}
 }
 
-// End, Iter, IterLabel, and Set on the bridge itself (outside any span)
-// have no aggregate meaning and are ignored.
-func (m *MetricsRecorder) End()                           {}
-func (m *MetricsRecorder) Iter(int, float64)              {}
-func (m *MetricsRecorder) IterLabel(int, float64, string) {}
-func (m *MetricsRecorder) Set(...Attr)                    {}
-
-// openSpan builds the per-span state, inheriting the enclosing chain name
-// so attempt spans can label their metrics.
-func (m *MetricsRecorder) openSpan(name, chain string, attrs []Attr) *metricsSpan {
-	m.spans.Inc(m.model)
-	s := &metricsSpan{m: m, name: name, chain: chain, start: time.Now()}
-	s.absorb(attrs)
-	return s
-}
-
-// metricsSpan is the bridge's per-span recorder. Only the goroutine
-// driving the span mutates it (the Recorder contract), so no lock is
-// needed; the metric families it feeds are themselves concurrency-safe.
-type metricsSpan struct {
-	m      *MetricsRecorder
-	name   string
-	chain  string // enclosing guard.chain name, inherited by children
-	method string // "method" attr on attempt spans
-	solver string // "solver" attr
-	start  time.Time
-}
-
-// absorb inspects attributes for the keys the bridge aggregates.
-func (s *metricsSpan) absorb(attrs []Attr) {
-	for _, a := range attrs {
-		if a.Key == "lump_ratio" {
-			// The one float the bridge aggregates: a "relstruct.lump" span
+// observe folds one span and its subtree. chain is the enclosing
+// guard.chain name, inherited so attempt spans can label their metrics.
+// Attributes are read in the order they were recorded; a span's own
+// iterations come after its children's, as they do in a fixed-point
+// sweep over sub-solves.
+func (m *SolveMetrics) observe(model, chain string, s *Span) {
+	m.spans.Inc(model)
+	var method, solver string
+	for _, a := range s.Attrs {
+		if a.Key == "lump_ratio" && a.kind == kindFloat {
+			// The one float the fold aggregates: a "relstruct.lump" span
 			// announcing an applied state-space reduction.
-			if f, ok := a.Value().(float64); ok {
-				s.m.lumped.Inc(s.m.model)
-				s.m.lumpRatio.Set(f, s.m.model)
-			}
+			m.lumped.Inc(model)
+			m.lumpRatio.Set(a.num, model)
 			continue
 		}
-		v, isString := a.Value().(string)
-		if !isString {
+		if a.kind != kindString {
 			continue
 		}
+		v := a.str
 		switch a.Key {
 		case "solver":
-			s.solver = v
+			solver = v
 		case "chain":
-			s.chain = v
+			chain = v
 		case "method":
-			s.method = v
+			method = v
 		case "failure_class":
-			s.m.attempts.Inc(s.chain, s.method, v, s.m.model)
+			m.attempts.Inc(chain, method, v, model)
 		case "winner":
-			s.m.winners.Inc(s.chain, v, s.m.model)
+			m.winners.Inc(chain, v, model)
 		case "outcome":
 			if v == "exhausted" {
 				// A chain span reporting exhaustion also sets winner="";
 				// count it under both surfaces.
-				s.m.winners.Inc(s.chain, "", s.m.model)
+				m.winners.Inc(chain, "", model)
 			}
-			s.m.outcomes.Inc(v, s.m.model)
+			m.outcomes.Inc(v, model)
 		case "guard_warning_op":
-			s.m.railWarns.Inc(v, s.m.model)
+			m.railWarns.Inc(v, model)
 		}
 	}
-}
-
-func (s *metricsSpan) Enabled() bool { return true }
-
-func (s *metricsSpan) Span(name string, attrs ...Attr) Recorder {
-	return s.m.openSpan(name, s.chain, attrs)
-}
-
-// End observes the wall-time histogram for spans that identified a
-// solver; purely structural spans (measure:*, modelio.solve) only count
-// toward relscope_spans_total.
-func (s *metricsSpan) End() {
-	if s.solver != "" {
-		s.m.wall.Observe(time.Since(s.start).Seconds(), s.solver, s.m.model)
+	for _, c := range s.Children {
+		m.observe(model, chain, c)
+	}
+	if n := len(s.Iters); n > 0 {
+		label := solver
+		if label == "" {
+			label = s.Name
+		}
+		m.iters.Add(float64(n), label, model)
+		m.residual.Set(s.Iters[n-1].Residual, label, model)
+	}
+	// Purely structural spans (measure:*, modelio.solve) only count
+	// toward relscope_spans_total.
+	if solver != "" {
+		m.wall.Observe(float64(s.WallNS)/1e9, solver, model)
 	}
 }
 
-func (s *metricsSpan) Iter(n int, residual float64) { s.IterLabel(n, residual, "") }
-
-func (s *metricsSpan) IterLabel(_ int, residual float64, _ string) {
-	solver := s.solver
-	if solver == "" {
-		solver = s.name
-	}
-	s.m.iters.Inc(solver, s.m.model)
-	s.m.residual.Set(residual, solver, s.m.model)
+// MetricsRecorder is a live Recorder over SolveMetrics, for callers that
+// compose recorders with Multi: it traces each top-level span on its own
+// and folds that trace when the span ends. A caller that already holds
+// the solve's Trace should call SolveMetrics.Observe on it instead.
+type MetricsRecorder struct {
+	m     *SolveMetrics
+	model string
 }
 
-func (s *metricsSpan) Set(attrs ...Attr) { s.absorb(attrs) }
+// NewMetricsRecorder registers the relscope solver-metric families on reg
+// and returns a recorder that labels every sample with the given model
+// name.
+func NewMetricsRecorder(reg *metrics.Registry, model string) *MetricsRecorder {
+	return &MetricsRecorder{m: NewSolveMetrics(reg), model: model}
+}
+
+// Enabled implements Recorder.
+func (r *MetricsRecorder) Enabled() bool { return true }
+
+// Span implements Recorder: the root of a new solve, traced on its own.
+func (r *MetricsRecorder) Span(name string, attrs ...Attr) Recorder {
+	t := NewTrace(r.model)
+	return foldOnEnd{Recorder: t.Span(name, attrs...), t: t, r: r}
+}
+
+// End, Iter, IterLabel, and Set on the recorder itself (outside any span)
+// have no aggregate meaning and are ignored.
+func (r *MetricsRecorder) End()                           {}
+func (r *MetricsRecorder) Iter(int, float64)              {}
+func (r *MetricsRecorder) IterLabel(int, float64, string) {}
+func (r *MetricsRecorder) Set(...Attr)                    {}
+
+// foldOnEnd scopes one top-level span of a MetricsRecorder; ending it
+// folds the span's trace.
+type foldOnEnd struct {
+	Recorder
+	t *Trace
+	r *MetricsRecorder
+}
+
+func (f foldOnEnd) End() {
+	f.Recorder.End()
+	f.r.m.Observe(f.r.model, f.t.Finish())
+}

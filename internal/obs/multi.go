@@ -1,10 +1,11 @@
 package obs
 
 // Multi fans every Recorder event out to several recorders — a solve can
-// simultaneously build a Trace, feed a metrics registry, and emit slog
-// events. Disabled (nil or Nop) recorders are filtered at construction,
-// so a Multi of nothing collapses to Nop and a Multi of one is that
-// recorder itself, preserving the zero-cost-when-disabled property.
+// simultaneously build more than one Trace, or a Trace and a
+// MetricsRecorder. Disabled (nil or Nop) recorders are filtered at
+// construction, so a Multi of nothing collapses to Nop and a Multi of
+// one is that recorder itself, preserving the zero-cost-when-disabled
+// property.
 func Multi(recs ...Recorder) Recorder {
 	live := make([]Recorder, 0, len(recs))
 	for _, r := range recs {

@@ -3,97 +3,51 @@ package obs
 import (
 	"context"
 	"log/slog"
-	"time"
 )
 
-// SlogRecorder bridges Recorder events to a *slog.Logger, rendering a
-// solve as structured log events instead of (or alongside, via Multi) a
-// span tree. Span completions log at Info with the span's dotted path,
-// wall time, and accumulated attributes; per-iteration convergence
-// records log at Debug (enable a Debug-level handler to see residual
-// trajectories). relcli exposes it as `-log text|json`.
-type SlogRecorder struct {
-	log *slog.Logger
-}
-
-// NewSlogRecorder wraps a logger. A nil logger uses slog.Default().
-func NewSlogRecorder(l *slog.Logger) *SlogRecorder {
-	if l == nil {
-		l = slog.Default()
+// LogSpans writes a finished trace to a logger as structured events:
+// one Info "span" event per span below root with the span's dotted path,
+// wall time, folded iteration summary, and attributes. Events come in
+// completion order — each span after its children, siblings in start
+// order. A Debug-level logger also gets one "convergence" event per
+// recorded iteration, just before its span's event. args (for example
+// "corr", id) are attached to every event. The root itself (the trace's
+// name and request-level attributes) is not logged. relcli exposes it as
+// `-log text|json`.
+func LogSpans(log *slog.Logger, root *Span, args ...any) {
+	if len(args) > 0 {
+		log = log.With(args...)
 	}
-	return &SlogRecorder{log: l}
+	debug := log.Enabled(context.Background(), slog.LevelDebug)
+	for _, s := range root.Children {
+		logSpan(log, debug, "", s)
+	}
 }
 
-// Enabled implements Recorder.
-func (r *SlogRecorder) Enabled() bool { return true }
-
-// Span implements Recorder: a root span of a logged solve.
-func (r *SlogRecorder) Span(name string, attrs ...Attr) Recorder {
-	return newSlogSpan(r.log, "", name, attrs)
-}
-
-// End, Iter, IterLabel, and Set outside any span carry no path context
-// and are ignored.
-func (r *SlogRecorder) End()                           {}
-func (r *SlogRecorder) Iter(int, float64)              {}
-func (r *SlogRecorder) IterLabel(int, float64, string) {}
-func (r *SlogRecorder) Set(...Attr)                    {}
-
-// slogSpan is the per-span recorder. The driving goroutine owns it, so
-// the accumulated attrs need no lock.
-type slogSpan struct {
-	log   *slog.Logger
-	path  string
-	start time.Time
-	attrs []Attr
-	iters int
-	last  float64
-}
-
-func newSlogSpan(log *slog.Logger, parentPath, name string, attrs []Attr) *slogSpan {
-	path := name
+func logSpan(log *slog.Logger, debug bool, parentPath string, s *Span) {
+	path := s.Name
 	if parentPath != "" {
-		path = parentPath + "." + name
+		path = parentPath + "." + s.Name
 	}
-	return &slogSpan{log: log, path: path, start: time.Now(), attrs: attrs}
-}
-
-func (s *slogSpan) Enabled() bool { return true }
-
-func (s *slogSpan) Span(name string, attrs ...Attr) Recorder {
-	return newSlogSpan(s.log, s.path, name, attrs)
-}
-
-// End emits the span-completion event carrying everything the span
-// accumulated.
-func (s *slogSpan) End() {
-	args := make([]any, 0, 2*len(s.attrs)+8)
-	args = append(args, "span", s.path, "wall_ms", float64(time.Since(s.start).Nanoseconds())/1e6)
-	if s.iters > 0 {
-		args = append(args, "iterations", s.iters, "last_residual", s.last)
+	for _, c := range s.Children {
+		logSpan(log, debug, path, c)
 	}
-	for _, a := range s.attrs {
+	if debug {
+		for _, it := range s.Iters {
+			args := []any{"span", path, "n", it.N, "residual", it.Residual}
+			if it.Label != "" {
+				args = append(args, "label", it.Label)
+			}
+			log.Debug("convergence", args...)
+		}
+	}
+	args := make([]any, 0, 2*len(s.Attrs)+8)
+	args = append(args, "span", path, "wall_ms", float64(s.WallNS)/1e6)
+	if n := len(s.Iters); n > 0 {
+		args = append(args, "iterations", n, "last_residual", s.Iters[n-1].Residual)
+	}
+	for _, a := range s.Attrs {
 		args = append(args, a.Key, a.Value())
 	}
-	s.log.Info("span", args...)
+	log.Info("span", args...)
 }
-
-func (s *slogSpan) Iter(n int, residual float64) { s.IterLabel(n, residual, "") }
-
-// IterLabel logs one convergence record at Debug — visible only when the
-// handler's level admits it, so Info-level serving does not drown in
-// residuals — and folds the running count into the span-end event.
-func (s *slogSpan) IterLabel(n int, residual float64, label string) {
-	s.iters++
-	s.last = residual
-	if !s.log.Enabled(context.Background(), slog.LevelDebug) {
-		return
-	}
-	args := []any{"span", s.path, "n", n, "residual", residual}
-	if label != "" {
-		args = append(args, "label", label)
-	}
-	s.log.Debug("convergence", args...)
-}
-
-func (s *slogSpan) Set(attrs ...Attr) { s.attrs = append(s.attrs, attrs...) }

@@ -8,20 +8,22 @@ import (
 	"testing"
 )
 
-// TestSlogRecorderInfo checks span-completion events at Info level: one
-// line per span with the dotted path, wall time, attributes, and folded
-// iteration summary — but no per-iteration spam.
+// TestSlogRecorderInfo checks the span events LogSpans writes off a
+// finished trace at Info level: one line per span in completion order
+// with the dotted path, wall time, attributes, folded iteration summary
+// and the caller's extra fields — but no per-iteration spam.
 func TestSlogRecorderInfo(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	rec := NewSlogRecorder(logger)
-
-	root := rec.Span("modelio.solve", S("model", "farm"))
+	tr := NewTrace("farm")
+	tr.Set(S("corr", "root-attr-not-logged"))
+	root := tr.Span("modelio.solve", S("model", "farm"))
 	sor := root.Span("linalg.sor", S("solver", "sor"))
 	sor.Iter(1, 0.5)
 	sor.IterLabel(2, 0.01, "sweep")
 	sor.End()
 	root.End()
+	LogSpans(logger, tr.Finish(), "corr", "c1")
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -29,6 +31,7 @@ func TestSlogRecorderInfo(t *testing.T) {
 	}
 	var ev struct {
 		Msg          string  `json:"msg"`
+		Corr         string  `json:"corr"`
 		Span         string  `json:"span"`
 		WallMS       float64 `json:"wall_ms"`
 		Iterations   int     `json:"iterations"`
@@ -38,30 +41,33 @@ func TestSlogRecorderInfo(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Msg != "span" || ev.Span != "modelio.solve.linalg.sor" {
+	if ev.Msg != "span" || ev.Span != "modelio.solve.linalg.sor" || ev.Corr != "c1" {
 		t.Errorf("inner event = %+v", ev)
 	}
 	if ev.Iterations != 2 || ev.LastResidual != 0.01 || ev.Solver != "sor" {
 		t.Errorf("inner event missing solve facts: %+v", ev)
 	}
+	ev.Corr = ""
 	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Span != "modelio.solve" || ev.WallMS < 0 {
+	if ev.Span != "modelio.solve" || ev.WallMS < 0 || ev.Corr != "c1" {
 		t.Errorf("root event = %+v", ev)
 	}
 }
 
 // TestSlogRecorderDebugIterations checks that a Debug-level handler also
-// receives one structured convergence event per iteration.
+// receives one structured convergence event per iteration, ahead of its
+// span's event.
 func TestSlogRecorderDebugIterations(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	rec := NewSlogRecorder(logger)
-	sp := rec.Span("linalg.sor", S("solver", "sor"))
+	tr := NewTrace("root")
+	sp := tr.Span("linalg.sor", S("solver", "sor"))
 	sp.Iter(1, 0.5)
 	sp.IterLabel(2, 0.25, "node-a")
 	sp.End()
+	LogSpans(logger, tr.Finish())
 
 	out := buf.String()
 	if got := strings.Count(out, "msg=convergence"); got != 2 {
@@ -70,13 +76,7 @@ func TestSlogRecorderDebugIterations(t *testing.T) {
 	if !strings.Contains(out, "label=node-a") {
 		t.Errorf("labeled iteration lost its label:\n%s", out)
 	}
-}
-
-func TestSlogRecorderNilLogger(t *testing.T) {
-	rec := NewSlogRecorder(nil)
-	if !rec.Enabled() {
-		t.Error("slog recorder reports disabled")
+	if strings.Index(out, "msg=convergence") > strings.Index(out, "msg=span") {
+		t.Errorf("span event logged before its convergence events:\n%s", out)
 	}
-	sp := rec.Span("x")
-	sp.End() // must not panic with the default logger
 }

@@ -1,13 +1,9 @@
 package uncertainty
 
 import (
-	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-
-	"repro/internal/dist"
 )
 
 // TestPercentileIntervalEdgeCases pins the typed-error contract of the
@@ -54,44 +50,5 @@ func TestPercentileIntervalEdgeCases(t *testing.T) {
 				t.Fatalf("error path leaked value %g", v)
 			}
 		})
-	}
-}
-
-// TestPropagateParallelDeterministicAcrossWorkers pins result equality
-// across worker counts: the same seed must yield the same Result for
-// workers=1, 4, and 16, because outputs are index-addressed rather than
-// collected in completion order.
-func TestPropagateParallelDeterministicAcrossWorkers(t *testing.T) {
-	model := func(params map[string]float64) (float64, error) {
-		return 1 / (1 + params["lambda"]), nil
-	}
-	lam, err := dist.NewLognormal(math.Log(0.02), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := []Param{{Name: "lambda", Dist: lam}}
-	opts := Options{Samples: 4000, LatinHypercube: true}
-
-	var ref *Result
-	for _, workers := range []int{1, 4, 16} {
-		rng := rand.New(rand.NewSource(2024))
-		res, err := PropagateParallel(context.Background(), model, params, opts, rng, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.N != ref.N ||
-			math.Float64bits(res.Mean) != math.Float64bits(ref.Mean) ||
-			math.Float64bits(res.StdDev) != math.Float64bits(ref.StdDev) {
-			t.Fatalf("workers=%d moments differ: %+v vs %+v", workers, res, ref)
-		}
-		for i := range res.Samples {
-			if math.Float64bits(res.Samples[i]) != math.Float64bits(ref.Samples[i]) {
-				t.Fatalf("workers=%d sample %d differs: %v vs %v", workers, i, res.Samples[i], ref.Samples[i])
-			}
-		}
 	}
 }

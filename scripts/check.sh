@@ -19,6 +19,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# cmd/relperf is a nested module, so the ./... patterns above never reach
+# it; vet and test it on its own so a change to the APIs it builds against
+# (obs, modelio, jobs) breaks here. -short skips its relcli builds.
+echo "== relperf (nested module)"
+(cd cmd/relperf && go vet ./... && go test -short ./...)
+
 echo "== go test -race"
 go test -race ./...
 
