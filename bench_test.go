@@ -1,5 +1,5 @@
 // Package repro's root-level benchmarks regenerate every experiment table
-// (E1–E12) indexed in EXPERIMENTS.md, one benchmark per table/figure, plus
+// (E1–E16) indexed in EXPERIMENTS.md, one benchmark per table/figure, plus
 // micro-benchmarks of the core solver kernels. Run with:
 //
 //	go test -bench=. -benchmem
@@ -60,6 +60,7 @@ func BenchmarkE12RelGraph(b *testing.B)     { benchExperiment(b, "E12") }
 func BenchmarkE13Lumping(b *testing.B)      { benchExperiment(b, "E13") }
 func BenchmarkE14AutoLump(b *testing.B)     { benchExperiment(b, "E14") }
 func BenchmarkE15JobSweep(b *testing.B)     { benchExperiment(b, "E15") }
+func BenchmarkE16SelfModel(b *testing.B)    { benchExperiment(b, "E16") }
 
 // --- solver-kernel micro-benchmarks -----------------------------------
 

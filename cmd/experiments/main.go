@@ -1,23 +1,18 @@
-// Command experiments regenerates the reproduction tables E1–E12 indexed in
+// Command experiments regenerates the reproduction tables E1–E16 indexed in
 // EXPERIMENTS.md.
 //
 // Usage:
 //
 //	experiments                  # run everything
-//	experiments -bench out.json  # also write the solver-telemetry records there
 //	experiments -run E4          # run one experiment
 //	experiments -list            # list experiment IDs and titles
 //
-// With -bench, each experiment executes under a solver trace (see
-// internal/obs) and a per-experiment summary — dominant solver,
-// iteration count, wall time — is serialized to the given path. The
-// committed BENCH_solvers.json trajectory file is owned by cmd/relbench,
-// which aggregates several runs into stable statistics; regenerate it
-// with `go run ./cmd/relbench -runs 3 -out BENCH_solvers.json`.
+// The per-experiment solver, iteration and allocation baseline,
+// BENCH_solvers.json, is written and gated by the root package's
+// TestSuiteBaseline (`go test -run '^TestSuiteBaseline$' . -update`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +34,6 @@ func run(args []string, stdout io.Writer) error {
 	only := fs.String("run", "", "run a single experiment by ID (e.g. E3)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	asCSV := fs.Bool("csv", false, "emit CSV instead of an aligned table (with -run)")
-	benchPath := fs.String("bench", "", "write per-experiment solver telemetry to this file when running everything (see cmd/relbench for the committed baseline)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,23 +68,5 @@ func run(args []string, stdout io.Writer) error {
 	if *asCSV {
 		return fmt.Errorf("experiments: -csv requires -run <id>")
 	}
-	if *benchPath == "" {
-		return reg.RunAll(stdout)
-	}
-	entries, err := experiments.RunAllWithBench(stdout)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*benchPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(entries); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d experiments)\n", *benchPath, len(entries))
-	return f.Close()
+	return reg.RunAll(stdout)
 }

@@ -1,26 +1,34 @@
+//go:build !race
+
+// The race detector's instrumentation allocates, so the allocation gate
+// only builds without it.
+
 package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
-// BenchmarkServeSolveFixtures posts the bundled models (all but the
-// deliberately broken lint fixtures) round-robin to POST /solve through
-// the full serve handler stack. It touches only the HTTP surface, so its
-// allocs/op and B/op track the per-request cost of the request path and
-// its telemetry from one change to the next.
-func BenchmarkServeSolveFixtures(b *testing.B) {
+// serveFixtures builds a serve mux over a fresh registry and reads the
+// bundled models that solve cleanly (all but the deliberately broken
+// lint fixtures), for the benchmark and the allocation gate below.
+func serveFixtures(tb testing.TB) (*http.ServeMux, [][]byte) {
+	tb.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "models", "*.json"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var docs [][]byte
 	for _, p := range paths {
@@ -29,22 +37,70 @@ func BenchmarkServeSolveFixtures(b *testing.B) {
 		}
 		body, err := os.ReadFile(p)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		docs = append(docs, body)
 	}
 	mux, err := newServeMux(serveConfig{Registry: metrics.NewRegistry()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return mux, docs
+}
+
+// postSolve posts one document to POST /solve and fails on a non-200.
+func postSolve(tb testing.TB, mux http.Handler, doc []byte) {
+	req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(doc))
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		tb.Fatalf("POST /solve: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// BenchmarkServeSolveFixtures posts the fixtures round-robin to POST
+// /solve through the full serve handler stack. It touches only the HTTP
+// surface, so its allocs/op and B/op track the per-request cost of the
+// request path and its telemetry from one change to the next.
+func BenchmarkServeSolveFixtures(b *testing.B) {
+	mux, docs := serveFixtures(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(docs[i%len(docs)]))
-		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("POST /solve: status %d: %s", w.Code, w.Body.String())
+		postSolve(b, mux, docs[i%len(docs)])
+	}
+}
+
+// TestServeSolveAllocs gates the request path's allocations: one round
+// of the fixtures through the serve mux must allocate within the suite
+// gate's band (max(0.5%, 48 allocations), both directions; see
+// baseline_test.go at the repository root) of the count in
+// testdata/serve_allocs.golden. With -update it rewrites the golden.
+func TestServeSolveAllocs(t *testing.T) {
+	mux, docs := serveFixtures(t)
+	got := testing.AllocsPerRun(10, func() {
+		for _, doc := range docs {
+			postSolve(t, mux, doc)
 		}
+	})
+	t.Logf("serve round (%d fixtures): %.0f allocations", len(docs), got)
+	golden := filepath.Join("testdata", "serve_allocs.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(fmt.Sprintf("%.0f\n", got)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := strconv.ParseFloat(strings.TrimSpace(string(data)), 64)
+	if err != nil {
+		t.Fatalf("%s: %v", golden, err)
+	}
+	if math.Abs(got-want) > 48 && core.RelativeError(want, got) > 0.005 {
+		t.Errorf("serve round (%d fixtures): allocations %.0f -> %.0f (%+.2f%%), outside the 0.5%% / 48 band; if intended, regenerate with -update",
+			len(docs), want, got, 100*(got-want)/want)
 	}
 }

@@ -130,7 +130,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // Experiment couples an identifier with the function regenerating its
 // table.
 type Experiment struct {
-	// ID is the experiment identifier ("E1".."E12").
+	// ID is the experiment identifier ("E1".."E16").
 	ID string
 	// Title is a one-line description.
 	Title string

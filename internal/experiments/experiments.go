@@ -1,10 +1,13 @@
-// Package experiments defines the reproduction experiments E1–E12 indexed
+// Package experiments defines the reproduction experiments E1–E16 indexed
 // in DESIGN.md and EXPERIMENTS.md. Each experiment regenerates one table
 // (or one figure's data series) demonstrating a claim from the tutorial:
 // scalability of non-state-space methods, state-space explosion, bounding,
 // the cost of the independence assumption, hierarchical fixed-point
 // composition, transient analysis, phase-type expansion, parametric
 // uncertainty, SPN generation, rejuvenation MRGPs, and network factoring.
+// E13–E16 extend the tutorial: exact lumping, the automatic lumping
+// pre-pass, sharded uncertainty sweeps on the job engine, and the serve
+// process's fitted self-model.
 //
 // The same functions back cmd/experiments and the root-level benchmarks, so
 // tables in documentation and numbers in benchmark runs cannot drift apart.
@@ -12,12 +15,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Registry returns all experiments in order.
@@ -40,65 +41,6 @@ func Registry() (*core.Registry, error) {
 		core.Experiment{ID: "E15", Title: "Async job engine: sharded uncertainty sweep matches the exact solve in O(1) memory (extension)", Run: E15JobSweep},
 		core.Experiment{ID: "E16", Title: "Self-model fidelity: sampled availability CTMC of the server matches ground truth (extension)", Run: E16SelfModel},
 	)
-}
-
-// BenchEntry is one experiment's solver-telemetry record, serialized to
-// BENCH_solvers.json by cmd/experiments.
-type BenchEntry struct {
-	// ID is the experiment identifier ("E1".."E13").
-	ID string `json:"id"`
-	// Title is the experiment's one-line description.
-	Title string `json:"title"`
-	// Solver names the dominant solver observed in the trace (the span
-	// that recorded the most iterations; see obs.Summary).
-	Solver string `json:"solver,omitempty"`
-	// Spans is the trace's total span count.
-	Spans int `json:"spans"`
-	// Iterations sums every recorded solver iteration across the run.
-	Iterations int `json:"iterations"`
-	// WallMS is the experiment's wall time in milliseconds — the median
-	// across runs when the record was aggregated by internal/bench.
-	WallMS float64 `json:"wall_ms"`
-	// WallMSP95 is the 95th-percentile wall time across aggregated runs;
-	// zero (and omitted) on single-run records.
-	WallMSP95 float64 `json:"wall_ms_p95,omitempty"`
-	// Runs is how many suite runs were folded into this record; zero
-	// (and omitted) means one unaggregated run.
-	Runs int `json:"runs,omitempty"`
-}
-
-// RunAllWithBench executes every experiment under a fresh trace, writing
-// each table to w and returning one telemetry record per experiment.
-func RunAllWithBench(w io.Writer) ([]BenchEntry, error) {
-	reg, err := Registry()
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]BenchEntry, 0, len(reg.IDs()))
-	for _, id := range reg.IDs() {
-		e, err := reg.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		tr := obs.NewTrace(id)
-		tbl, err := e.Run(tr)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		if err := tbl.Fprint(w); err != nil {
-			return nil, err
-		}
-		s := tr.Summary()
-		entries = append(entries, BenchEntry{
-			ID:         id,
-			Title:      e.Title,
-			Solver:     s.Solver,
-			Spans:      s.Spans,
-			Iterations: s.Iterations,
-			WallMS:     float64(s.WallNS) / 1e6,
-		})
-	}
-	return entries, nil
 }
 
 // --- small formatting helpers shared by the experiment files ---

@@ -4,16 +4,17 @@
 // external assets, no new dependencies) rendering views over the
 // telemetry the solve pipeline already produces — the obs.TraceStore of
 // retained solve traces, the relscope metrics registry snapshot, and the
-// committed relbench baseline.
+// committed suite baseline (BENCH_solvers.json, written by the root
+// package's TestSuiteBaseline).
 //
 // Routes (all GET, all marked Cache-Control: no-store):
 //
-//	/ui              trace list + filters + metric highlights + bench trend
+//	/ui              trace list + filters + metric highlights + bench baseline
 //	/ui/trace/{id}   one trace: nested span tree, attrs, residual sparklines
 //	/api/traces      filterable trace metadata (model, solver, outcome, limit)
 //	/api/traces/{id} one full trace record including the span tree
 //	/api/metrics     metrics.Registry snapshot as structured JSON
-//	/api/bench       BENCH_solvers.json trend (median/p95 per experiment)
+//	/api/bench       BENCH_solvers.json rows (solver, iterations, allocs, wall per experiment)
 //	/api/summary     sliding-window throughput/error rate + uptime + store occupancy
 //
 // The /ui pages poll /api/summary for liveness; there is no SSE or
@@ -28,11 +29,11 @@ import (
 	"html/template"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -64,7 +65,7 @@ type Config struct {
 	// (nil means the default registry).
 	Registry *metrics.Registry
 	// BenchPath locates the committed bench baseline for /api/bench
-	// (empty disables the trend section).
+	// (empty disables the bench section).
 	BenchPath string
 	// Window counts request completions (bad = 4xx/5xx) for /api/summary
 	// (nil builds a one-minute window; the caller must then Record into
@@ -303,21 +304,44 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, metricsPayload{Families: h.cfg.Registry.Snapshot()})
 }
 
+// benchRow is one experiment's row of the committed suite baseline.
+type benchRow struct {
+	ID         string  `json:"id"`
+	Title      string  `json:"title"`
+	Solver     string  `json:"solver"`
+	Iterations int     `json:"iterations"`
+	Allocs     uint64  `json:"allocs"`
+	WallMS     float64 `json:"wall_ms"`
+}
+
+// loadBench decodes the baseline's rows, kept in file order.
+func loadBench(path string) ([]benchRow, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rows []benchRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rows, nil
+}
+
 // benchPayload is the GET /api/bench reply document.
 type benchPayload struct {
-	Source  string             `json:"source"`
-	Error   string             `json:"error,omitempty"`
-	Entries []bench.TrendPoint `json:"entries"`
+	Source  string     `json:"source"`
+	Error   string     `json:"error,omitempty"`
+	Entries []benchRow `json:"entries"`
 }
 
 func (h *Handler) handleBench(w http.ResponseWriter, r *http.Request) {
-	p := benchPayload{Source: h.cfg.BenchPath, Entries: []bench.TrendPoint{}}
+	p := benchPayload{Source: h.cfg.BenchPath, Entries: []benchRow{}}
 	if h.cfg.BenchPath == "" {
 		p.Error = "no bench baseline configured (relcli serve -bench)"
-	} else if trend, err := bench.LoadTrend(h.cfg.BenchPath); err != nil {
+	} else if rows, err := loadBench(h.cfg.BenchPath); err != nil {
 		p.Error = err.Error()
 	} else {
-		p.Entries = trend
+		p.Entries = rows
 	}
 	WriteJSON(w, http.StatusOK, p)
 }
@@ -398,7 +422,7 @@ type indexData struct {
 	Winners            []winnerRow
 	Outcomes           []outcomeRow
 	Lumps              []lumpRow
-	Bench              []bench.TrendPoint
+	Bench              []benchRow
 	BenchErr           string
 	Resilience         *Resilience
 	// JobsOn gates the Jobs panel; Jobs are the rows inside it.
@@ -455,10 +479,10 @@ func (h *Handler) handleIndex(w http.ResponseWriter, r *http.Request) {
 		data.SLO = h.cfg.SLO()
 	}
 	if h.cfg.BenchPath != "" {
-		if trend, err := bench.LoadTrend(h.cfg.BenchPath); err != nil {
+		if rows, err := loadBench(h.cfg.BenchPath); err != nil {
 			data.BenchErr = err.Error()
 		} else {
-			data.Bench = trend
+			data.Bench = rows
 		}
 	}
 	h.render(w, "index", data)

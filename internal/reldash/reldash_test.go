@@ -204,6 +204,28 @@ func TestHandlerBenchMissingFile(t *testing.T) {
 	}
 }
 
+// TestHandlerBenchCommittedBaseline reads the repository's own baseline,
+// the file the root package's TestSuiteBaseline writes, so a change to
+// its row format breaks here rather than on a live dashboard.
+func TestHandlerBenchCommittedBaseline(t *testing.T) {
+	h, _ := newTestHandler(t, "../../BENCH_solvers.json")
+	var p benchPayload
+	if err := json.Unmarshal(get(t, h, "/api/bench").Body.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Error != "" || len(p.Entries) < 16 {
+		t.Fatalf("committed baseline: error %q, %d rows", p.Error, len(p.Entries))
+	}
+	if p.Entries[0].ID != "E1" || p.Entries[15].ID != "E16" {
+		t.Errorf("rows not in registry order: first %s, 16th %s", p.Entries[0].ID, p.Entries[15].ID)
+	}
+	for _, e := range p.Entries {
+		if e.Title == "" || e.Allocs == 0 || e.WallMS <= 0 {
+			t.Errorf("%s: incomplete row %+v", e.ID, e)
+		}
+	}
+}
+
 func TestHandlerTracesFilterQuery(t *testing.T) {
 	h, store := newTestHandler(t, "")
 	store.Put(obs.TraceRecord{Model: "a", Solver: "sor", Outcome: "ok"})

@@ -74,12 +74,16 @@ fi
 kill "$SMOKE_PID" 2>/dev/null || true
 trap - EXIT
 
-# Solver performance gate: one suite run compared against the committed
-# baseline with a wide band (10x + 250ms) so only order-of-magnitude
-# regressions fail CI regardless of machine speed. Tighten locally with
-# `go run ./cmd/relbench -compare` (default band: 4x + 25ms).
-echo "== relbench regression gate"
-go run ./cmd/relbench -compare -factor 10 -slack-ms 250
+# Performance gate: run E1-E16 once each and one round of the ten clean
+# fixtures through the serve stack, and check them against
+# BENCH_solvers.json and cmd/relcli/testdata/serve_allocs.golden. The
+# dominant solver and iteration count of each experiment must match
+# exactly; heap allocations must stay within max(0.5%, 48 allocations) of
+# the baseline in either direction; wall time only backstops at 10x +
+# 250ms. Both tests build only without -race, so the pass above skips
+# them. Regenerate intended changes with -update.
+echo "== suite baseline gate"
+go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs)$' . ./cmd/relcli
 
 # Fuzz smoke is opt-in (CHECK_FUZZ=1): ten seconds per target over the
 # modelio JSON parser, seeded from models/*.json. Go allows one -fuzz
