@@ -47,6 +47,12 @@ type Manager struct {
 	allocErr  error
 
 	iteHits, iteMisses int64
+
+	// Prob's memo: probMemo[r] holds Pr[r = 1] for the running call
+	// when probGen[r] equals probStamp.
+	probMemo  []float64
+	probGen   []uint32
+	probStamp uint32
 }
 
 // Stats reports manager-level telemetry: live node count and ITE

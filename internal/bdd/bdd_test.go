@@ -121,6 +121,44 @@ func TestProbRepeatedEvent(t *testing.T) {
 	}
 }
 
+// TestProbMemoIsPerCall checks that Prob's memo, kept on the Manager,
+// never carries one call's values into the next: not between calls with
+// different probabilities, not after the node table grows, and not when
+// the memo's generation counter wraps.
+func TestProbMemoIsPerCall(t *testing.T) {
+	m := New(16)
+	a, b, c := mustVar(t, m, 0), mustVar(t, m, 1), mustVar(t, m, 2)
+	f := m.And(a, m.Or(b, c))
+	check := func(pa, pb, pc float64) {
+		t.Helper()
+		p := make([]float64, 16)
+		p[0], p[1], p[2] = pa, pb, pc
+		got, err := m.Prob(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pa * (1 - (1-pb)*(1-pc)); math.Abs(got-want) > 1e-15 {
+			t.Fatalf("Prob(%g, %g, %g) = %g, want %g", pa, pb, pc, got, want)
+		}
+	}
+	check(0.9, 0.8, 0.7)
+	check(0.5, 0.4, 0.3)
+	size := m.Size()
+	g := False
+	for i := 3; i < 16; i++ {
+		for j := i + 1; j < 16; j++ {
+			g = m.Or(g, m.And(mustVar(t, m, i), mustVar(t, m, j)))
+		}
+	}
+	if m.Size() <= 2*size {
+		t.Fatalf("node table grew from %d to only %d", size, m.Size())
+	}
+	check(0.2, 0.6, 0.1)
+	m.probStamp = math.MaxUint32
+	check(0.3, 0.3, 0.3)
+	check(0.9, 0.8, 0.7)
+}
+
 func TestKofN(t *testing.T) {
 	m := New(4)
 	vars := make([]Ref, 4)

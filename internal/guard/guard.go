@@ -88,16 +88,21 @@ func (e *InterruptError) FailureClass() string {
 
 // Ctx polls the context at iteration granularity. It returns nil when the
 // context is nil or still live, and a *InterruptError carrying the
-// partial progress otherwise. The check is one atomic load on the happy
-// path, cheap enough for per-sweep use in solver hot loops.
+// partial progress otherwise. The live path is a non-blocking receive on
+// ctx.Done(), which takes no lock once the channel exists; ctx.Err(),
+// which locks the context's mutex, runs only after Done has fired. Many
+// goroutines can therefore poll one context every sweep without
+// contending.
 func Ctx(ctx context.Context, op string, iterations int, lastResidual float64) error {
 	if ctx == nil {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return &InterruptError{Op: op, Iterations: iterations, LastResidual: lastResidual, cause: err}
+	select {
+	case <-ctx.Done():
+		return &InterruptError{Op: op, Iterations: iterations, LastResidual: lastResidual, cause: ctx.Err()}
+	default:
+		return nil
 	}
-	return nil
 }
 
 // RecordInterrupt stamps an interrupted span with the outcome and partial

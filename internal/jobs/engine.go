@@ -80,8 +80,11 @@ type job struct {
 	wal       *wal
 	submitted time.Time
 
-	mu           sync.Mutex
+	mu sync.Mutex
+	// shards holds the completed shards until the job is terminal; then
+	// only the result and the count in doneShards remain.
 	shards       map[int]*uncertainty.ShardState
+	doneShards   int
 	retries      int64
 	resumed      bool
 	userCanceled bool
@@ -183,7 +186,7 @@ func (e *Engine) load(wj *walJob) bool {
 	j := &job{
 		id: wj.id, key: wj.key, spec: wj.spec, total: wj.spec.shardCount(),
 		ctx: ctx, cancel: cancel, doneCh: make(chan struct{}),
-		shards: wj.shards, resumed: true,
+		shards: wj.shards, doneShards: len(wj.shards), resumed: true,
 		state: StateRunning, submitted: time.Now(), //numvet:allow nondeterminism wall-clock bookkeeping, never feeds the computation
 	}
 	e.jobs[wj.id] = j
@@ -192,6 +195,7 @@ func (e *Engine) load(wj *walJob) bool {
 	}
 	if wj.state.terminal() {
 		j.state, j.errMsg, j.result = wj.state, wj.errMsg, wj.result
+		j.shards = nil
 		j.finished = j.submitted
 		close(j.doneCh)
 		cancel()
@@ -279,7 +283,7 @@ func (e *Engine) run(j *job, sw *sweep) {
 	defer e.wg.Done()
 	model := sw.model(j.ctx)
 	j.mu.Lock()
-	missing := make([]int, 0, j.total-len(j.shards))
+	missing := make([]int, 0, j.total-j.doneShards)
 	for i := 0; i < j.total; i++ {
 		if _, ok := j.shards[i]; !ok {
 			missing = append(missing, i)
@@ -388,7 +392,8 @@ func waitBackoff(ctx context.Context, d time.Duration) error {
 func (e *Engine) checkpoint(j *job, st *uncertainty.ShardState) {
 	j.mu.Lock()
 	j.shards[st.Index] = st
-	rec := &walRecord{T: "shard", Shard: st, Bitmap: bitmapHex(j.shards, j.total), Done: len(j.shards)}
+	j.doneShards = len(j.shards)
+	rec := &walRecord{T: "shard", Shard: st, Bitmap: bitmapHex(j.shards, j.total), Done: j.doneShards}
 	var werr error
 	if j.wal != nil {
 		// The jobs.checkpoint.write failpoint fires on shard checkpoints
@@ -428,7 +433,7 @@ func (e *Engine) finish(j *job, failErr error) {
 		(errors.Is(failErr, guard.ErrCanceled) || errors.Is(failErr, guard.ErrDeadline)) &&
 		!j.userCanceled
 	switch {
-	case len(j.shards) == j.total:
+	case j.doneShards == j.total:
 		ordered := make([]*uncertainty.ShardState, j.total)
 		for i := range ordered {
 			ordered[i] = j.shards[i]
@@ -450,9 +455,11 @@ func (e *Engine) finish(j *job, failErr error) {
 	}
 }
 
-// terminalLocked records a terminal transition; j.mu must be held.
+// terminalLocked records a terminal transition and drops the job's
+// shards; j.mu must be held.
 func (e *Engine) terminalLocked(j *job, s State, msg string, result *uncertainty.SweepResult) {
 	j.state, j.errMsg, j.result = s, msg, result
+	j.shards = nil
 	j.finished = time.Now() //numvet:allow nondeterminism wall-clock bookkeeping, never feeds the computation
 	if j.wal != nil {
 		if err := j.wal.append(&walRecord{T: "end", State: s, Error: msg, Result: result}); err != nil {
@@ -470,7 +477,7 @@ func (j *job) progressLocked() float64 {
 	if j.total == 0 {
 		return 0
 	}
-	return float64(len(j.shards)) / float64(j.total)
+	return float64(j.doneShards) / float64(j.total)
 }
 
 // snapshot builds the external view of the job.
@@ -480,7 +487,7 @@ func (j *job) snapshot() *Snapshot {
 	s := &Snapshot{
 		ID: j.id, State: j.state, Error: j.errMsg,
 		Samples: j.spec.Samples, ShardSize: j.spec.ShardSize, Shards: j.total,
-		DoneShards: len(j.shards), Retries: j.retries, Resumed: j.resumed,
+		DoneShards: j.doneShards, Retries: j.retries, Resumed: j.resumed,
 		IdempotencyKey: j.key, Corr: j.spec.Corr, Submitted: j.submitted, Result: j.result,
 	}
 	if j.state.terminal() {

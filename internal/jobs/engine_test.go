@@ -451,3 +451,57 @@ func TestRecoverLoadsTerminalJobs(t *testing.T) {
 		t.Fatalf("ID %s reused after recovery", fresh.ID)
 	}
 }
+
+// shardsHeld reports whether the engine still holds shard state for a
+// job.
+func shardsHeld(t *testing.T, e *Engine, id string) bool {
+	t.Helper()
+	e.mu.Lock()
+	j, ok := e.jobs[id]
+	e.mu.Unlock()
+	if !ok {
+		t.Fatalf("unknown job %s", id)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.shards != nil
+}
+
+// TestTerminalJobDropsShards checks that a finished job keeps its result
+// and its completed-shard count but no per-shard state, both when it
+// finishes in this process and when Recover loads it from its log.
+func TestTerminalJobDropsShards(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, Config{Workers: 2, Dir: dir})
+	snap, _, err := e.Submit(testSpec(100, 20, 5), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, e, snap.ID)
+	if done.State != StateDone || done.DoneShards != done.Shards || done.Shards != 5 {
+		t.Fatalf("finished job: state %s, %d of %d shards", done.State, done.DoneShards, done.Shards)
+	}
+	if shardsHeld(t, e, snap.ID) {
+		t.Fatal("finished job still holds its shards")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := e.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestEngine(t, Config{Workers: 2, Dir: dir})
+	if _, err := e2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e2.Get(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DoneShards != got.Shards || got.Result == nil {
+		t.Fatalf("recovered job: %d of %d shards, result %v", got.DoneShards, got.Shards, got.Result)
+	}
+	if shardsHeld(t, e2, snap.ID) {
+		t.Fatal("recovered terminal job holds its shards")
+	}
+}

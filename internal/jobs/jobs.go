@@ -1,9 +1,12 @@
 // Package jobs is a durable, crash-recoverable async job engine for
 // sharded Monte Carlo uncertainty sweeps. A job takes a CTMC model
 // document, a scalar measure, and a set of uncertain rate parameters,
-// and estimates the output distribution over millions of samples in
-// O(1) memory per job (exact moment sums plus streaming P² quantile
-// estimators; see internal/uncertainty).
+// and estimates the output distribution over millions of samples
+// without retaining them: each shard folds into exact moment sums plus
+// streaming P² quantile estimators (see internal/uncertainty), and a
+// finished job keeps only the folded result. The model is compiled once
+// per job (see modelio.CTMCPlan), so a sample only writes its rates and
+// solves.
 //
 // The robustness contract:
 //

@@ -9,14 +9,16 @@ import (
 	"repro/internal/uncertainty"
 )
 
-// sweep is a compiled job spec: the parsed model document, the
-// uncertainty parameters, and the transition indices each parameter
-// rewrites. Compilation happens once per submission (and once per
-// resume) so the per-sample hot path only clones transitions and
-// re-solves.
+// sweep is a compiled job spec: the model document compiled into a
+// modelio.CTMCPlan for the swept measure, the uncertainty parameters,
+// and the transition indices each parameter rewrites. Compilation
+// happens once per submission (and once per resume): it builds the
+// chain's state table, generator pattern and lumping decision, so each
+// sample only fills a rate vector and solves.
 type sweep struct {
 	spec    *Spec
-	doc     *modelio.Spec
+	ctmc    *modelio.CTMCPlan
+	rates   []float64 // the document's rates, never written
 	params  []uncertainty.Param
 	targets []paramTarget
 }
@@ -57,7 +59,7 @@ func compile(s *Spec) (*sweep, error) {
 			return nil, fmt.Errorf("%w: quantile %g outside (0,1)", ErrBadSpec, p)
 		}
 	}
-	sw := &sweep{spec: s, doc: &doc}
+	sw := &sweep{spec: s}
 	seen := make(map[string]bool, len(s.Params))
 	for i, ps := range s.Params {
 		if ps.Name == "" {
@@ -83,6 +85,14 @@ func compile(s *Spec) (*sweep, error) {
 		sw.params = append(sw.params, uncertainty.Param{Name: ps.Name, Dist: d})
 		sw.targets = append(sw.targets, t)
 	}
+	// Only the swept measure is solved, and lumping is decided for it.
+	ctmc := *doc.CTMC
+	ctmc.Measures = []string{s.Measure}
+	plan, err := modelio.CompileCTMC(&modelio.Spec{Type: "ctmc", Name: doc.Name, CTMC: &ctmc})
+	if err != nil {
+		return nil, fmt.Errorf("%w: model document: %v", ErrBadSpec, err)
+	}
+	sw.ctmc, sw.rates = plan, plan.Rates()
 	return sw, nil
 }
 
@@ -97,35 +107,28 @@ func (sw *sweep) plan(i int) uncertainty.ShardPlan {
 	return uncertainty.ShardPlan{Index: i, Size: size, Seed: s.Seed, Quantiles: s.Quantiles}
 }
 
-// model builds the per-sample evaluator: rewrite the targeted transition
-// rates with the sampled assignment, solve the single requested measure,
-// return its value. The base document is never mutated — each evaluation
-// works on a fresh transition slice, so concurrent shards share the
-// compiled sweep safely.
+// model builds the per-sample evaluator: write the sampled assignment
+// into a copy of the document's rates and solve the compiled plan at
+// them. The plan is shared by every shard and never written; the rate
+// vector belongs to the call.
 func (sw *sweep) model(ctx context.Context) uncertainty.Model {
-	base := sw.doc.CTMC
 	measure := sw.spec.Measure
 	return func(assign map[string]float64) (float64, error) {
-		clone := *base
-		clone.Transitions = append([]modelio.CTMCTransition(nil), base.Transitions...)
-		clone.Measures = []string{measure}
+		rates := append([]float64(nil), sw.rates...)
 		for _, t := range sw.targets {
 			x := assign[t.name]
 			for _, j := range t.idxs {
 				if t.scale {
-					clone.Transitions[j].Rate = base.Transitions[j].Rate * x
+					rates[j] = sw.rates[j] * x
 				} else {
-					clone.Transitions[j].Rate = x
+					rates[j] = x
 				}
-				if !(clone.Transitions[j].Rate > 0) {
-					return 0, fmt.Errorf("jobs: parameter %q drew non-positive rate %g", t.name, clone.Transitions[j].Rate)
+				if !(rates[j] > 0) {
+					return 0, fmt.Errorf("jobs: parameter %q drew non-positive rate %g", t.name, rates[j])
 				}
 			}
 		}
-		results, err := modelio.SolveWithOptions(
-			&modelio.Spec{Type: "ctmc", Name: sw.doc.Name, CTMC: &clone},
-			modelio.SolveOptions{Context: ctx},
-		)
+		results, err := sw.ctmc.Solve(rates, modelio.SolveOptions{Context: ctx})
 		if err != nil {
 			return 0, err
 		}

@@ -90,13 +90,33 @@ func (m *CSR) NNZ() int { return len(m.vals) }
 
 // At returns the element at (i, j) (zero if not stored). O(row nnz).
 func (m *CSR) At(i, j int) float64 {
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	for k := lo; k < hi; k++ {
-		if m.colIdx[k] == j {
-			return m.vals[k]
-		}
+	if k := m.Slot(i, j); k >= 0 {
+		return m.vals[k]
 	}
 	return 0
+}
+
+// Slot returns the position of entry (i, j) in the matrix's value array,
+// or -1 when the pattern does not store it. O(row nnz).
+func (m *CSR) Slot(i, j int) int {
+	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+		if m.colIdx[k] == j {
+			return k
+		}
+	}
+	return -1
+}
+
+// WithValues returns a matrix with m's sparsity pattern and the given
+// values, one per stored entry in value-array order (see Slot). The
+// pattern is shared, not copied: no CSR is modified after construction,
+// so any number of matrices may share one. vals becomes the new
+// matrix's.
+func (m *CSR) WithValues(vals []float64) (*CSR, error) {
+	if len(vals) != len(m.vals) {
+		return nil, fmt.Errorf("csr with values: %d values for %d entries: %w", len(vals), len(m.vals), ErrDimensionMismatch)
+	}
+	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, vals: vals}, nil
 }
 
 // RowRange calls fn(col, val) for every stored entry of row i.

@@ -63,14 +63,40 @@ func (c *CTMC) State(name string) int {
 // AddRate adds a transition with the given rate from one state to another,
 // creating the states as needed. Multiple calls accumulate.
 func (c *CTMC) AddRate(from, to string, rate float64) error {
-	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return fmt.Errorf("%w: %q -> %q rate %g", ErrBadRate, from, to, rate)
+	if err := checkRate(from, to, rate); err != nil {
+		return err
 	}
 	if from == to {
 		return fmt.Errorf("markov: self-transition %q has no effect in a CTMC", from)
 	}
 	c.trans = append(c.trans, transition{from: c.State(from), to: c.State(to), rate: rate})
 	return nil
+}
+
+// checkRate rejects a rate that is not positive and finite.
+func checkRate(from, to string, rate float64) error {
+	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return fmt.Errorf("%w: %q -> %q rate %g", ErrBadRate, from, to, rate)
+	}
+	return nil
+}
+
+// WithRates returns a chain over c's states and transitions whose k-th
+// transition, in AddRate order, has rate rates[k]. Each rate is checked
+// as AddRate checks it. The two chains share one state table, so add no
+// states to either afterwards.
+func (c *CTMC) WithRates(rates []float64) (*CTMC, error) {
+	if len(rates) != len(c.trans) {
+		return nil, fmt.Errorf("markov: %d rates for %d transitions", len(rates), len(c.trans))
+	}
+	trans := make([]transition, len(c.trans))
+	for k, t := range c.trans {
+		if err := checkRate(c.names[t.from], c.names[t.to], rates[k]); err != nil {
+			return nil, err
+		}
+		trans[k] = transition{from: t.from, to: t.to, rate: rates[k]}
+	}
+	return &CTMC{names: c.names, index: c.index, trans: trans}, nil
 }
 
 // NumStates returns the number of states created so far.
@@ -150,6 +176,12 @@ func (c *CTMC) SteadyStateWithOptions(opts SteadyStateOptions) ([]float64, error
 	if err != nil {
 		return nil, err
 	}
+	return c.SteadyStateFrom(q, opts)
+}
+
+// SteadyStateFrom is SteadyStateWithOptions on c's generator q, which
+// the caller has already built (by Generator, or on a Pattern).
+func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float64, error) {
 	method := opts.Method
 	switch method {
 	case "", "auto":
@@ -269,6 +301,14 @@ func (c *CTMC) SteadyStateMapWithOptions(opts SteadyStateOptions) (map[string]fl
 	pi, err := c.SteadyStateWithOptions(opts)
 	if err != nil {
 		return nil, err
+	}
+	return c.ProbMap(pi)
+}
+
+// ProbMap keys a probability vector by state name.
+func (c *CTMC) ProbMap(pi []float64) (map[string]float64, error) {
+	if len(pi) != len(c.names) {
+		return nil, fmt.Errorf("markov: vector len %d for %d states", len(pi), len(c.names))
 	}
 	out := make(map[string]float64, len(pi))
 	for i, name := range c.names {

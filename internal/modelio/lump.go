@@ -35,17 +35,22 @@ func lumpEligible(spec *CTMCSpec) bool {
 	return true
 }
 
-// structInput builds the relstruct input for a ctmc spec, seeded so any
-// refinement keeps the up and absorbing sets (the sets the measures
-// distinguish) in separate blocks. Transitions with empty endpoints are
-// skipped — the basic lint checks reject them before anything solves.
-func structInput(spec *CTMCSpec) relstruct.Input {
+// structInput builds the relstruct input for a ctmc spec at the given
+// rates (nil: the spec's own), seeded so any refinement keeps the up and
+// absorbing sets (the sets the measures distinguish) in separate blocks.
+// Transitions with empty endpoints are skipped — the basic lint checks
+// reject them before anything solves.
+func structInput(spec *CTMCSpec, rates []float64) relstruct.Input {
 	nts := make([]relstruct.NamedTransition, 0, len(spec.Transitions))
-	for _, tr := range spec.Transitions {
+	for k, tr := range spec.Transitions {
 		if tr.From == "" || tr.To == "" {
 			continue
 		}
-		nts = append(nts, relstruct.NamedTransition{From: tr.From, To: tr.To, Weight: tr.Rate})
+		w := tr.Rate
+		if rates != nil {
+			w = rates[k]
+		}
+		nts = append(nts, relstruct.NamedTransition{From: tr.From, To: tr.To, Weight: w})
 	}
 	in := relstruct.FromNamed(nts, false)
 	if in.States > 0 {
@@ -62,18 +67,19 @@ func StructReport(spec *CTMCSpec) (*relstruct.StructReport, error) {
 	if spec == nil {
 		return nil, relstruct.ErrEmpty
 	}
-	return relstruct.Analyze(structInput(spec))
+	return relstruct.Analyze(structInput(spec, nil))
 }
 
-// autoLump analyzes the chain and, when it is exactly lumpable under a
-// partition separating the up and absorbing sets, returns the aggregated
-// chain and the state→block-representative mapping. A nil chain means
-// "no reduction" (not lumpable, analysis failed, or markov.Lump vetoed
-// the partition) and the caller solves the original. An applied lump is
+// autoLump analyzes the chain c, the spec's at the given rates (nil: the
+// spec's own), and, when it is exactly lumpable under a partition
+// separating the up and absorbing sets, returns the aggregated chain and
+// the state→block-representative mapping. A nil chain means "no
+// reduction" (not lumpable, analysis failed, or markov.Lump vetoed the
+// partition) and the caller solves the original. An applied lump is
 // announced on a "relstruct.lump" span whose lump_ratio attribute feeds
 // the relscope lump metrics (obs.SolveMetrics).
-func autoLump(c *markov.CTMC, spec *CTMCSpec, rec obs.Recorder) (*markov.CTMC, map[string]string) {
-	in := structInput(spec)
+func autoLump(c *markov.CTMC, spec *CTMCSpec, rates []float64, rec obs.Recorder) (*markov.CTMC, map[string]string) {
+	in := structInput(spec, rates)
 	if in.States == 0 {
 		return nil, nil
 	}

@@ -107,7 +107,15 @@ func wrapConvergence(err error) error {
 // solver telemetry (see SolveOptions.Recorder). Panics escaping a solver
 // are converted into a *guard.InternalError rather than crashing the
 // caller.
-func SolveWithOptions(s *Spec, opts SolveOptions) (results []Result, err error) {
+func SolveWithOptions(s *Spec, opts SolveOptions) ([]Result, error) {
+	return solveWith(s, opts, func(rec obs.Recorder, env solveEnv) ([]Result, error) {
+		return solve(s, rec, env)
+	})
+}
+
+// solveWith runs one solve of s under opts: preflight lint, guard-rail
+// mode, the modelio.solve span, panic recovery, and the timeout.
+func solveWith(s *Spec, opts SolveOptions, run func(obs.Recorder, solveEnv) ([]Result, error)) (results []Result, err error) {
 	if opts.Preflight {
 		var errs []lint.Diagnostic
 		for _, d := range Lint(s) {
@@ -139,7 +147,7 @@ func SolveWithOptions(s *Spec, opts SolveOptions) (results []Result, err error) 
 		defer cancel()
 	}
 	env := solveEnv{ctx: ctx, rails: guard.Rails{Mode: mode, Recorder: rec}}
-	results, err = solve(s, rec, env)
+	results, err = run(rec, env)
 	return results, wrapConvergence(err)
 }
 
@@ -150,11 +158,17 @@ func Solve(s *Spec) (results []Result, err error) {
 	return results, wrapConvergence(err)
 }
 
-func solve(s *Spec, rec obs.Recorder, env solveEnv) ([]Result, error) {
+// enter is the gate every solve passes before building its model: an
+// already-interrupted context and the model-build failpoint.
+func enter(env solveEnv) error {
 	if err := guard.Ctx(env.ctx, "modelio.solve", 0, math.NaN()); err != nil {
-		return nil, err
+		return err
 	}
-	if err := failpoint.InjectCtx(env.ctx, fpBuild); err != nil {
+	return failpoint.InjectCtx(env.ctx, fpBuild)
+}
+
+func solve(s *Spec, rec obs.Recorder, env solveEnv) ([]Result, error) {
+	if err := enter(env); err != nil {
 		return nil, err
 	}
 	switch s.Type {
@@ -163,7 +177,7 @@ func solve(s *Spec, rec obs.Recorder, env solveEnv) ([]Result, error) {
 	case "faulttree":
 		return solveFaultTree(s.FaultTree, rec, env)
 	case "ctmc":
-		return solveCTMC(s.CTMC, rec, env)
+		return solveCTMC(s, rec, env)
 	case "relgraph":
 		return solveRelGraph(s.RelGraph, rec)
 	case "spn":
@@ -479,115 +493,6 @@ func buildGate(g *GateSpec, pool map[string]*faulttree.Event) (*faulttree.Node, 
 	default:
 		return nil, fmt.Errorf("%w: unknown gate op %q", ErrBadSpec, g.Op)
 	}
-}
-
-func solveCTMC(spec *CTMCSpec, rec obs.Recorder, env solveEnv) ([]Result, error) {
-	c := markov.NewCTMC()
-	for _, tr := range spec.Transitions {
-		if err := c.AddRate(tr.From, tr.To, tr.Rate); err != nil {
-			return nil, err
-		}
-	}
-	if rec.Enabled() {
-		rec.Set(obs.I("states", c.NumStates()), obs.I("transitions", len(spec.Transitions)))
-	}
-	initial, upStates, absorbing := spec.Initial, spec.UpStates, spec.Absorbing
-	if lumpEligible(spec) {
-		if lumped, toBlock := autoLump(c, spec, rec); lumped != nil {
-			c = lumped
-			upStates = mapToBlocks(upStates, toBlock)
-			absorbing = mapToBlocks(absorbing, toBlock)
-			if b, ok := toBlock[initial]; ok {
-				initial = b
-			}
-		}
-	}
-	ssOpts := func(sp obs.Recorder) markov.SteadyStateOptions {
-		return markov.SteadyStateOptions{
-			Method: spec.Solver,
-			SOR: linalg.SOROptions{
-				Tol:     spec.SolverTol,
-				MaxIter: spec.SolverMaxIter,
-				Omega:   spec.SolverOmega,
-			},
-			Recorder: sp,
-			Ctx:      env.ctx,
-		}
-	}
-	var out []Result
-	for _, meas := range spec.Measures {
-		sp := measureSpan(rec, meas)
-		switch meas {
-		case "steadystate":
-			pi, err := c.SteadyStateMapWithOptions(ssOpts(sp))
-			if err != nil {
-				return nil, err
-			}
-			probs := make([]float64, 0, len(pi))
-			for _, v := range pi {
-				probs = append(probs, v)
-			}
-			if err := env.rails.CheckProbVector("ctmc.steadystate", probs); err != nil {
-				return nil, err
-			}
-			out = append(out, Result{Measure: meas, Detail: pi})
-		case "availability":
-			if len(upStates) == 0 {
-				return nil, fmt.Errorf("%w: availability needs upStates", ErrBadSpec)
-			}
-			pi, err := c.SteadyStateWithOptions(ssOpts(sp))
-			if err != nil {
-				return nil, err
-			}
-			if err := env.rails.CheckProbVector("ctmc.availability", pi); err != nil {
-				return nil, err
-			}
-			v, err := c.ProbSum(pi, upStates...)
-			if err != nil {
-				return nil, err
-			}
-			if err := env.rails.CheckUnitInterval("ctmc.availability", v); err != nil {
-				return nil, err
-			}
-			out = append(out, Result{Measure: meas, Value: v})
-		case "transient":
-			if spec.Initial == "" || spec.Time <= 0 {
-				return nil, fmt.Errorf("%w: transient needs initial and positive time", ErrBadSpec)
-			}
-			p0, err := c.InitialAt(spec.Initial)
-			if err != nil {
-				return nil, err
-			}
-			p, err := c.Transient(spec.Time, p0, markov.TransientOptions{Recorder: sp, Ctx: env.ctx})
-			if err != nil {
-				return nil, err
-			}
-			if err := env.rails.CheckProbVector("ctmc.transient", p); err != nil {
-				return nil, err
-			}
-			detail := make(map[string]float64, len(p))
-			for i, name := range c.StateNames() {
-				detail[name] = p[i]
-			}
-			out = append(out, Result{Measure: meas, Detail: detail})
-		case "mtta":
-			if initial == "" || len(absorbing) == 0 {
-				return nil, fmt.Errorf("%w: mtta needs initial and absorbing states", ErrBadSpec)
-			}
-			v, err := c.MTTF(initial, absorbing...)
-			if err != nil {
-				return nil, err
-			}
-			if err := env.rails.CheckFiniteScalar("ctmc.mtta", v); err != nil {
-				return nil, err
-			}
-			out = append(out, Result{Measure: meas, Value: v})
-		default:
-			return nil, fmt.Errorf("%w: unknown ctmc measure %q", ErrBadSpec, meas)
-		}
-		sp.End()
-	}
-	return out, nil
 }
 
 func solveRelGraph(spec *RelGraphSpec, rec obs.Recorder) ([]Result, error) {

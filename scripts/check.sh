@@ -31,6 +31,11 @@ go test -race ./...
 echo "== fallback-chain race stress"
 go test -race -run='^TestChainStressRace$' -count=4 ./internal/guard/
 
+# Sweep shards share one compiled CTMC plan; it must never be written
+# after compile.
+echo "== compiled-plan race stress"
+go test -race -run='^TestCTMCPlanConcurrentSolve$' -count=10 ./internal/modelio/
+
 echo "== bench smoke"
 go test -bench=. -benchtime=1x -run='^$' ./...
 
