@@ -145,7 +145,6 @@ func runChaos(args []string, stdout io.Writer) error {
 		BreakerThreshold: 3, BreakerCooldown: 300 * time.Millisecond,
 		SolveTimeout: 5 * time.Second,
 		Failpoints:   sched,
-		UI:           false,
 		SLOObjectives: []slo.Objective{
 			{Name: "chaos-avail", Match: map[string]string{"route": "/solve"}, Target: 0.99},
 		},
@@ -377,7 +376,7 @@ func chaosKillResume(seed uint64, stdout io.Writer) error {
 	done := func(jr *jobResponse) bool { return jr.Job.State != "running" }
 
 	// Reference: the same document, uninterrupted, in memory.
-	_, refMux, err := newSolveServer(serveConfig{Registry: metrics.NewRegistry(), UI: false})
+	_, refMux, err := newSolveServer(serveConfig{Registry: metrics.NewRegistry()})
 	if err != nil {
 		return err
 	}
@@ -410,7 +409,7 @@ func chaosKillResume(seed uint64, stdout io.Writer) error {
 		return err
 	}
 	victim, victimMux, err := newSolveServer(serveConfig{
-		Registry: metrics.NewRegistry(), UI: false, JobsDir: dir, JobWorkers: 2,
+		Registry: metrics.NewRegistry(), JobsDir: dir, JobWorkers: 2,
 	})
 	if err != nil {
 		return err
@@ -438,7 +437,7 @@ func chaosKillResume(seed uint64, stdout io.Writer) error {
 	// Survivor: fresh process over the same checkpoint directory.
 	survivorReg := metrics.NewRegistry()
 	survivor, survivorMux, err := newSolveServer(serveConfig{
-		Registry: survivorReg, UI: false, JobsDir: dir,
+		Registry: survivorReg, JobsDir: dir,
 	})
 	if err != nil {
 		return err

@@ -19,12 +19,10 @@ import (
 func newDashMux(t *testing.T) *http.ServeMux {
 	t.Helper()
 	mux := mustServeMux(t, serveConfig{
-		Registry:       metrics.NewRegistry(),
-		MaxInflight:    2,
-		UI:             true,
-		TraceStoreSize: 8,
-		BenchPath:      filepath.Join("testdata", "dash_bench.json"),
-		CorrSeed:       1, // pinned so corr IDs land in the goldens verbatim
+		Registry:    metrics.NewRegistry(),
+		MaxInflight: 2,
+		BenchPath:   filepath.Join("testdata", "dash_bench.json"),
+		CorrSeed:    1, // pinned so corr IDs land in the goldens verbatim
 	})
 	for _, m := range []string{"repairfarm.json", "lumpable.json"} {
 		if w := postModel(t, mux, filepath.Join("..", "..", "models", m), ""); w.Code != http.StatusOK {
@@ -98,23 +96,6 @@ func TestServeDashboardGolden(t *testing.T) {
 				t.Errorf("GET %s drifted from %s; rerun with -update if intended.\ngot:\n%s", tc.path, golden, got)
 			}
 		})
-	}
-}
-
-// TestServeUIDisabled checks -ui=false keeps the dashboard off the mux
-// while the solve routes keep working.
-func TestServeUIDisabled(t *testing.T) {
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
-	for _, path := range []string{"/ui", "/api/traces", "/api/summary"} {
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, req)
-		if w.Code != http.StatusNotFound {
-			t.Errorf("GET %s with UI disabled: status %d, want 404", path, w.Code)
-		}
-	}
-	if w := postModel(t, mux, filepath.Join("..", "..", "models", "repairfarm.json"), ""); w.Code != http.StatusOK {
-		t.Errorf("solve with UI disabled: status %d", w.Code)
 	}
 }
 

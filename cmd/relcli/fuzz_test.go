@@ -36,7 +36,6 @@ func FuzzSolveBody(f *testing.F) {
 		MaxInflight:  1,
 		MaxBody:      maxBody,
 		SolveTimeout: 2 * time.Second,
-		UI:           false,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -60,7 +60,7 @@ func waitJobDone(t *testing.T, mux *http.ServeMux, id string) jobResponse {
 // TestServeJobLifecycle drives the full happy path over HTTP: submit,
 // poll to completion, list, and verify the folded result is present.
 func TestServeJobLifecycle(t *testing.T) {
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), UI: false})
+	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
 
 	w, resp := jobRequest(t, mux, http.MethodPost, "/jobs", jobDoc, nil)
 	if w.Code != http.StatusCreated {
@@ -93,7 +93,7 @@ func TestServeJobLifecycle(t *testing.T) {
 // TestServeJobIdempotency pins the Idempotency-Key contract: same key →
 // same job with 200, no duplicate started.
 func TestServeJobIdempotency(t *testing.T) {
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), UI: false})
+	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
 	hdr := map[string]string{"Idempotency-Key": "sweep-42"}
 
 	w1, r1 := jobRequest(t, mux, http.MethodPost, "/jobs", jobDoc, hdr)
@@ -115,7 +115,7 @@ func TestServeJobIdempotency(t *testing.T) {
 
 // TestServeJobErrors pins the HTTP error taxonomy of the /jobs routes.
 func TestServeJobErrors(t *testing.T) {
-	s, mux, err := newSolveServer(serveConfig{Registry: metrics.NewRegistry(), UI: false})
+	s, mux, err := newSolveServer(serveConfig{Registry: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestServeJobErrors(t *testing.T) {
 // TestServeJobCancel cancels a running job over HTTP and checks the
 // terminal snapshot comes back canceled.
 func TestServeJobCancel(t *testing.T) {
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), UI: false})
+	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
 	big := strings.Replace(jobDoc, `"samples": 200`, `"samples": 100000`, 1)
 	w, sub := jobRequest(t, mux, http.MethodPost, "/jobs", big, nil)
 	if w.Code != http.StatusCreated {
@@ -177,7 +177,7 @@ func TestServeJobRecoverAcrossServers(t *testing.T) {
 	dir := t.TempDir()
 
 	// Reference: uninterrupted run of the same document, in memory.
-	refMux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), UI: false})
+	refMux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
 	_, refSub := jobRequest(t, refMux, http.MethodPost, "/jobs", jobDoc, nil)
 	ref := waitJobDone(t, refMux, refSub.Job.ID)
 	if ref.Job.State != jobs.StateDone {
@@ -186,7 +186,7 @@ func TestServeJobRecoverAcrossServers(t *testing.T) {
 
 	// Victim: durable server, killed immediately after submission.
 	victim, victimMux, err := newSolveServer(serveConfig{
-		Registry: metrics.NewRegistry(), UI: false, JobsDir: dir, JobWorkers: 1,
+		Registry: metrics.NewRegistry(), JobsDir: dir, JobWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestServeJobRecoverAcrossServers(t *testing.T) {
 
 	// Survivor: fresh server over the same dir resumes and finishes.
 	survivor, survivorMux, err := newSolveServer(serveConfig{
-		Registry: metrics.NewRegistry(), UI: false, JobsDir: dir,
+		Registry: metrics.NewRegistry(), JobsDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,10 +7,8 @@
 //	relcli solve [-timeout 30s] [-rails strict|warn|off] model.json
 //	relcli solve [-log text|json] [-log-level debug] model.json
 //	relcli serve [-addr 127.0.0.1:8080] [-log json] [-max-inflight 8] [-timeout 30s]
-//	relcli serve [-ui=false] [-trace-store-size 256] [-bench BENCH_solvers.json]
-//	relcli serve [-queue-depth 16] [-queue-wait 1s] [-breaker-threshold 5]
-//	relcli serve [-breaker-cooldown 15s] [-failpoints 'name:spec;name:spec']
-//	relcli serve [-max-body 8388608]
+//	relcli serve [-jobs-dir dir] [-slo objectives.json] [-wide-events file]
+//	relcli serve [-profile-dir dir] [-failpoints 'name:spec;name:spec']
 //	relcli chaos [-requests 200] [-swarm 8] [-seed 42] [-failpoints schedule]
 //	cat system.json | relcli [-json]
 //	relcli lint [-json] model.json [model.json ...]
@@ -47,19 +45,23 @@
 // circuit breakers short-circuit to degraded bounds-only answers for
 // rbd/fault-tree models, and per-request panic isolation turns crashes
 // into typed 500s. The chaos subcommand boots this stack with a seeded
-// failpoint schedule (internal/failpoint, also armable via -failpoints
-// or $RELFAIL) and drives a client swarm through it, asserting typed
+// failpoint schedule (internal/failpoint; serve arms one with
+// -failpoints) and drives a client swarm through it, asserting typed
 // outcomes, finite results, breaker open/re-close, and goroutine
 // hygiene; it prints a JSON report and exits nonzero on any violation.
 //
 // Every completed /solve and /analyze request is retained in a bounded
-// in-memory trace store (-trace-store-size, default 256, oldest
-// evicted first) behind the embedded reldash dashboard: GET /ui lists
-// retained traces with filters and metric highlights, /ui/trace/{id}
-// shows one solve's span tree with residual-convergence sparklines, and
-// the JSON APIs /api/traces, /api/traces/{id}, /api/metrics, /api/bench
-// (the committed baseline named by -bench), and /api/summary back it.
-// Disable the whole surface with -ui=false. See internal/reldash.
+// in-memory trace store (the newest 256) behind the embedded reldash
+// dashboard: GET /ui lists retained traces with filters and metric
+// highlights, /ui/trace/{id} shows one solve's span tree with
+// residual-convergence sparklines, and the JSON APIs /api/traces,
+// /api/traces/{id}, /api/metrics, /api/bench (the committed baseline
+// named by -bench), and /api/summary back it. See internal/reldash.
+//
+// Serve's flags are deployment settings: address, paths, log format,
+// capacity and deadlines. The admission queue (2x -max-inflight deep,
+// 1 s wait), the breakers (5 consecutive failures, 15 s cooldown), the
+// 8 MiB body limit and the sampling cadences are fixed.
 //
 // The lint subcommand statically checks model documents without solving
 // them, printing one diagnostic per line; it exits nonzero when any

@@ -107,7 +107,7 @@ var breakerStateNames = [...]string{"closed", "open", "half-open"}
 // breakerSet holds the per-model-class circuit breakers.
 type breakerSet struct {
 	mu        sync.Mutex
-	threshold int           // consecutive failures to open; <=0 disables
+	threshold int           // consecutive failures to open
 	cooldown  time.Duration // open duration before half-open probing
 	classes   map[string]*breakerClass
 	onOpen    func(class string) // open-transition hook; runs under mu, must not re-enter
@@ -144,9 +144,6 @@ func (b *breakerSet) class(name string) *breakerClass {
 // path. probe marks the single half-open trial request whose outcome
 // decides reopen-vs-close; the caller must pass it back to record.
 func (b *breakerSet) allow(name string) (ok, probe bool) {
-	if b.threshold <= 0 {
-		return true, false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.class(name)
@@ -172,9 +169,6 @@ func (b *breakerSet) allow(name string) (ok, probe bool) {
 // record feeds one exact-path outcome back. failure means a 5xx-class
 // result (the solver itself broke — bad documents do not count).
 func (b *breakerSet) record(name string, probe, failure bool) {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.class(name)
@@ -240,27 +234,15 @@ func modelHash(body []byte) string {
 // solve wall time: a shed request behind queueLen waiters can expect
 // roughly (queueLen+1) x p95 before capacity frees up. A cold histogram
 // (no observations yet — Quantile answers NaN) or a degenerate
-// zero/negative p95 says nothing about capacity, so the configured
-// floor is the answer, and the result is clamped to [floor, 60] so a
-// pathological tail still yields a sane header. floor < 1 means 1.
-func retryAfterSecs(p95 float64, queueLen, floor int) int {
-	if floor < 1 {
-		floor = 1
-	}
-	if floor > 60 {
-		floor = 60
-	}
+// zero/negative p95 says nothing about capacity, so the answer is 1,
+// and the result is clamped to [1, 60] so a pathological tail still
+// yields a sane header.
+func retryAfterSecs(p95 float64, queueLen int) int {
 	if math.IsNaN(p95) || p95 <= 0 {
-		return floor
+		return 1
 	}
 	secs := int(math.Ceil(p95 * float64(queueLen+1)))
-	if secs < floor {
-		secs = floor
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
+	return min(max(secs, 1), 60)
 }
 
 // errorCode maps the typed solve-failure taxonomy onto the stable

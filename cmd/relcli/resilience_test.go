@@ -290,7 +290,7 @@ func TestServePanicIsolation(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
 	var wide bytes.Buffer
 	mux := mustServeMux(t, serveConfig{
-		Registry: metrics.NewRegistry(), UI: true, WideWriter: &wide, WideSample: 1,
+		Registry: metrics.NewRegistry(), WideWriter: &wide,
 	})
 	if err := failpoint.Arm("modelio.parse", "times(1)->panic(parser detonated)"); err != nil {
 		t.Fatal(err)
@@ -388,8 +388,8 @@ func TestServeOversizeBody(t *testing.T) {
 }
 
 // TestRetryAfterSecsColdHistogram: before any solve completes the p95
-// quantile is NaN; the Retry-After derivation must answer the
-// configured floor, never 0 or a NaN-coerced garbage value
+// quantile is NaN; the Retry-After derivation must answer 1, never 0
+// or a NaN-coerced garbage value
 // (regression: a cold histogram used to produce Retry-After: 0,
 // which RFC 9110 clients read as "retry immediately" — exactly wrong
 // while the server is saturated).
@@ -398,30 +398,27 @@ func TestRetryAfterSecsColdHistogram(t *testing.T) {
 		name     string
 		p95      float64
 		queueLen int
-		floor    int
 		want     int
 	}{
-		{"cold histogram NaN", math.NaN(), 0, 1, 1},
-		{"cold histogram NaN with floor", math.NaN(), 5, 3, 3},
-		{"zero p95", 0, 2, 2, 2},
-		{"negative p95", -1, 0, 1, 1},
-		{"warm below floor", 0.1, 0, 4, 4},
-		{"warm above floor", 2.5, 1, 1, 5}, // ceil(2.5*2)
-		{"clamped to 60", 30, 9, 1, 60},
-		{"floor below 1 coerced", math.NaN(), 0, 0, 1},
-		{"floor above 60 clamped", math.NaN(), 0, 120, 60},
+		{"cold histogram NaN", math.NaN(), 0, 1},
+		{"cold histogram NaN, queue", math.NaN(), 5, 1},
+		{"zero p95", 0, 2, 1},
+		{"negative p95", -1, 0, 1},
+		{"warm, rounds up to 1", 0.1, 0, 1},
+		{"warm", 2.5, 1, 5}, // ceil(2.5*2)
+		{"clamped to 60", 30, 9, 60},
 	}
 	for _, tc := range cases {
-		if got := retryAfterSecs(tc.p95, tc.queueLen, tc.floor); got != tc.want {
-			t.Errorf("%s: retryAfterSecs(%g, %d, %d) = %d, want %d",
-				tc.name, tc.p95, tc.queueLen, tc.floor, got, tc.want)
+		if got := retryAfterSecs(tc.p95, tc.queueLen); got != tc.want {
+			t.Errorf("%s: retryAfterSecs(%g, %d) = %d, want %d",
+				tc.name, tc.p95, tc.queueLen, got, tc.want)
 		}
 	}
 }
 
 // TestServeColdRejectRetryAfterFloor drives the integration path: a
 // capacity rejection on a server that has never completed a solve
-// (cold latency histogram) carries the configured Retry-After floor.
+// (cold latency histogram) carries Retry-After: 1.
 func TestServeColdRejectRetryAfterFloor(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
 	if err := failpoint.Arm("linalg.sor.sweep", "times(1)->delay(2s)"); err != nil {
@@ -430,7 +427,6 @@ func TestServeColdRejectRetryAfterFloor(t *testing.T) {
 	mux := mustServeMux(t, serveConfig{
 		Registry:    metrics.NewRegistry(),
 		MaxInflight: 1, QueueDepth: 1, QueueWait: 100 * time.Millisecond,
-		RetryFloor: 7,
 	})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -447,7 +443,7 @@ func TestServeColdRejectRetryAfterFloor(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable && w.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d, want 503 or 429", w.Code)
 	}
-	if got := w.Header().Get("Retry-After"); got != "7" {
-		t.Errorf("cold-histogram rejection Retry-After = %q, want \"7\" (the floor)", got)
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("cold-histogram rejection Retry-After = %q, want \"1\"", got)
 	}
 }

@@ -29,9 +29,28 @@ import (
 	"repro/internal/slo"
 )
 
-// maxSolveBody bounds the accepted model-document size; anything larger
-// is a hostile or mistaken upload, not a reliability model.
-const maxSolveBody = 8 << 20
+// Serve's constants, each value written once. Apart from
+// defaultMaxInflight no caller tunes them. The other serveConfig
+// defaults live in newSolveServer.
+const (
+	// maxSolveBody bounds the accepted model-document size; anything
+	// larger is a hostile or mistaken upload, not a reliability model.
+	maxSolveBody = 8 << 20
+	// defaultMaxInflight is the concurrent-solve bound: the -max-inflight
+	// default, and what a zero cfg.MaxInflight means.
+	defaultMaxInflight = 8
+	// traceStoreSize bounds the completed request traces retained for
+	// the dashboard, oldest evicted first.
+	traceStoreSize = 256
+	// wideSample keeps 1 in wideSample healthy wide events; failed
+	// requests and non-ok outcomes always log.
+	wideSample = 10
+	// profileEvery is the continuous-profiling cadence: each tick takes a
+	// heap snapshot and a CPU profile a quarter of the cadence long.
+	profileEvery = 30 * time.Second
+	// selfModelEvery is the self-model sampling cadence runServe uses.
+	selfModelEvery = 2 * time.Second
+)
 
 // serveConfig wires a solve service together; split from the flag
 // parsing so tests can build handlers directly.
@@ -41,7 +60,8 @@ type serveConfig struct {
 	// Logger receives structured request and solve events (nil disables).
 	Logger *slog.Logger
 	// MaxInflight bounds concurrent solves; excess requests wait in the
-	// admission queue, and past that are shed.
+	// admission queue, and past that are shed (0 means
+	// defaultMaxInflight).
 	MaxInflight int
 	// QueueDepth bounds requests waiting for a solve slot; beyond it the
 	// server sheds load with 429 (0 means 2x MaxInflight).
@@ -50,38 +70,29 @@ type serveConfig struct {
 	// giving up with 503 (0 means 1s).
 	QueueWait time.Duration
 	// BreakerThreshold is the consecutive 5xx-class solve failures per
-	// model class before its circuit breaker opens (0 means 5; negative
-	// disables the breakers).
+	// model class before its circuit breaker opens (0 means 5).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker stays open before a
 	// half-open probe is allowed (0 means 15s).
 	BreakerCooldown time.Duration
 	// MaxBody bounds the accepted model-document size in bytes (0 means
-	// the 8 MiB default).
+	// maxSolveBody).
 	MaxBody int64
 	// Failpoints is a failpoint schedule ("name:spec;name:spec") armed at
 	// construction, for chaos drills against the real handler stack.
 	Failpoints string
 	// SolveTimeout bounds each solve (0 disables).
 	SolveTimeout time.Duration
-	// Rails and Preflight mirror the solve-subcommand flags.
-	Rails     guard.Strictness
-	Preflight bool
-	// UI mounts the reldash dashboard at /ui with its /api/* routes.
-	UI bool
-	// TraceStoreSize bounds the retained completed-solve traces backing
-	// the dashboard (0 means the 256 default).
-	TraceStoreSize int
 	// BenchPath locates the committed bench baseline for /api/bench.
 	BenchPath string
 	// JobsDir is the checkpoint directory for the async sweep job engine
 	// (empty runs jobs in memory only, with no crash recovery).
 	JobsDir string
-	// JobWorkers bounds concurrently running sweep shards (0 means 4).
+	// JobWorkers bounds concurrently running sweep shards (0 means
+	// jobs.DefaultWorkers).
 	JobWorkers int
-	// SLOPath configures declarative objectives: a JSON file path (see
-	// slo.ParseConfig), "" for the built-in defaults, or "off" to disable
-	// the SLO engine entirely.
+	// SLOPath names a declarative objectives JSON file (see
+	// slo.ParseConfig); "" means the built-in defaults.
 	SLOPath string
 	// SLOObjectives, when non-nil, overrides SLOPath with objectives
 	// built in code (tests, chaos driver).
@@ -89,29 +100,18 @@ type serveConfig struct {
 	// WideWriter receives the sampled wide-event log as JSON lines (nil
 	// disables; runServe points it at a file or stderr).
 	WideWriter io.Writer
-	// WideSample keeps 1-in-N healthy wide events (errors and non-ok
-	// outcomes always log; <= 1 keeps everything).
-	WideSample int
 	// CorrSeed seeds the correlation-ID stream; 0 derives a seed from
 	// the clock (tests pin it for deterministic IDs).
 	CorrSeed uint64
-	// RetryFloor is the minimum Retry-After hint in seconds for shed and
-	// capacity-timeout replies — the answer when the latency histogram
-	// is still empty (0 means 1).
-	RetryFloor int
-	// ProfileDir enables the continuous-profiling ring: periodic pprof
-	// CPU/heap captures retained in a bounded on-disk ring (empty
-	// disables).
+	// ProfileDir enables the continuous-profiling ring: pprof CPU/heap
+	// captures every profileEvery, retained in a bounded on-disk ring
+	// (empty disables).
 	ProfileDir string
-	// ProfileEvery is the capture cadence (0 means 30s when ProfileDir
-	// is set).
-	ProfileEvery time.Duration
-	// ProfileMax bounds retained profile files (0 means 32).
-	ProfileMax int
 	// SelfModelEvery is the self-model sampling cadence: every tick the
 	// server classifies its own state (ok / saturated / open) into the
 	// availability CTMC it periodically solves about itself. 0 disables
-	// the background sampler; tests step the model explicitly.
+	// the background sampler; tests step the model explicitly, and
+	// runServe passes selfModelEvery.
 	SelfModelEvery time.Duration
 }
 
@@ -166,7 +166,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		cfg.Registry = metrics.Default()
 	}
 	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 8
+		cfg.MaxInflight = defaultMaxInflight
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.MaxInflight
@@ -174,7 +174,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 	if cfg.QueueWait <= 0 {
 		cfg.QueueWait = time.Second
 	}
-	if cfg.BreakerThreshold == 0 {
+	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 5
 	}
 	if cfg.BreakerCooldown <= 0 {
@@ -182,12 +182,6 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 	}
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = maxSolveBody
-	}
-	if cfg.TraceStoreSize <= 0 {
-		cfg.TraceStoreSize = 256
-	}
-	if cfg.RetryFloor <= 0 {
-		cfg.RetryFloor = 1
 	}
 	if cfg.CorrSeed == 0 {
 		cfg.CorrSeed = uint64(time.Now().UnixNano())
@@ -200,7 +194,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 	s := &solveServer{
 		cfg:   cfg,
 		adm:   newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait),
-		store: obs.NewTraceStore(cfg.TraceStoreSize),
+		store: obs.NewTraceStore(traceStoreSize),
 		win:   metrics.NewSlidingCounter(time.Minute, 0),
 		start: time.Now(),
 		requests: cfg.Registry.NewCounter("relscope_solve_requests_total",
@@ -228,50 +222,43 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 	s.selfModel = slo.NewSelfModel()
 	s.stopBg = make(chan struct{})
 	if cfg.WideWriter != nil {
-		s.wide = obs.NewWideLog(cfg.WideWriter, cfg.WideSample)
+		s.wide = obs.NewWideLog(cfg.WideWriter, wideSample)
 	}
 	objectives := cfg.SLOObjectives
-	if objectives == nil {
-		switch cfg.SLOPath {
-		case "off":
-			// SLO engine disabled.
-		case "":
-			objectives = slo.DefaultObjectives()
-		default:
-			f, err := os.Open(cfg.SLOPath)
-			if err != nil {
-				return nil, nil, err
-			}
-			objectives, err = slo.ParseConfig(f)
-			f.Close()
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if len(objectives) > 0 {
-		eng, err := slo.New(slo.Config{
-			Objectives: objectives,
-			Registry:   cfg.Registry,
-			OnBreach: func(b slo.Breach) {
-				if cfg.Logger != nil {
-					cfg.Logger.Warn("slo breach",
-						"objective", b.Objective, "window", b.Window,
-						"burn_rate", b.BurnRate, "threshold", b.Threshold)
-				}
-			},
-		})
+	switch {
+	case objectives != nil: // built in code
+	case cfg.SLOPath == "":
+		objectives = slo.DefaultObjectives()
+	default:
+		f, err := os.Open(cfg.SLOPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.slo = eng
+		objectives, err = slo.ParseConfig(f)
+		f.Close()
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	var err error
+	s.slo, err = slo.New(slo.Config{
+		Objectives: objectives,
+		Registry:   cfg.Registry,
+		OnBreach: func(b slo.Breach) {
+			if cfg.Logger != nil {
+				cfg.Logger.Warn("slo breach",
+					"objective", b.Objective, "window", b.Window,
+					"burn_rate", b.BurnRate, "threshold", b.Threshold)
+			}
+		},
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if cfg.ProfileDir != "" {
-		ring, err := obs.NewProfileRing(cfg.ProfileDir, cfg.ProfileMax)
-		if err != nil {
+		if s.profiles, err = obs.NewProfileRing(cfg.ProfileDir, obs.DefaultProfileMax); err != nil {
 			return nil, nil, err
 		}
-		s.profiles = ring
 	}
 	jobLogf := func(string, ...any) {}
 	if cfg.Logger != nil {
@@ -279,7 +266,7 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 			cfg.Logger.Warn(fmt.Sprintf(format, args...))
 		}
 	}
-	eng, err := jobs.New(jobs.Config{
+	s.jobs, err = jobs.New(jobs.Config{
 		Dir:      cfg.JobsDir,
 		Workers:  cfg.JobWorkers,
 		Registry: cfg.Registry,
@@ -288,18 +275,15 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s.jobs = eng
 	// Incomplete jobs left behind by a killed process resume here, before
 	// the socket opens — the durability contract of the WAL checkpoints.
-	if s.jobsResumed, err = eng.Recover(); err != nil {
+	if s.jobsResumed, err = s.jobs.Recover(); err != nil {
 		return nil, nil, err
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /solve", s.route("/solve", s.handleSolve))
 	mux.HandleFunc("POST /analyze", s.route("/analyze", s.handleAnalyze))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// SLO status and the profile listing mount unconditionally (like
-	// /healthz): chaos drills and probes need them with the UI off.
 	mux.HandleFunc("GET /api/slo", s.route("/api/slo", s.handleSLO))
 	mux.HandleFunc("GET /api/profiles", s.route("/api/profiles", s.handleProfiles))
 	mux.HandleFunc("POST /jobs", s.route("/jobs", s.handleJobSubmit))
@@ -307,24 +291,22 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 	mux.HandleFunc("GET /jobs/{id}", s.route("/jobs/{id}", s.handleJobGet))
 	mux.HandleFunc("DELETE /jobs/{id}", s.route("/jobs/{id}", s.handleJobCancel))
 	obs.RegisterDebug(mux, cfg.Registry)
-	if cfg.UI {
-		dash, err := reldash.NewHandler(reldash.Config{
-			Store:      s.store,
-			Registry:   cfg.Registry,
-			BenchPath:  cfg.BenchPath,
-			Window:     s.win,
-			InFlight:   func() int { return int(s.inflight.Value()) },
-			Start:      s.start,
-			Resilience: s.resilience,
-			Jobs:       s.jobRows,
-			SLO:        s.sloView,
-			Profiles:   s.profileRows,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		dash.Register(mux)
+	dash, err := reldash.NewHandler(reldash.Config{
+		Store:      s.store,
+		Registry:   cfg.Registry,
+		BenchPath:  cfg.BenchPath,
+		Window:     s.win,
+		InFlight:   func() int { return int(s.inflight.Value()) },
+		Start:      s.start,
+		Resilience: s.resilience,
+		Jobs:       s.jobRows,
+		SLO:        s.sloView,
+		Profiles:   s.profileRows,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	dash.Register(mux)
 	s.startBackground()
 	return s, mux, nil
 }
@@ -386,9 +368,7 @@ func (s *solveServer) route(path string, h handler) http.HandlerFunc {
 		}
 		s.latency.Observe(wall.Seconds(), path)
 		s.win.Record(status >= http.StatusBadRequest)
-		if s.slo != nil {
-			s.slo.Observe(path, status, wall)
-		}
+		s.slo.Observe(path, status, wall)
 		s.wide.Log(*ev)
 		if s.cfg.Logger != nil {
 			level := slog.LevelInfo
@@ -459,9 +439,8 @@ type healthzResponse struct {
 	Store    healthzOccupancy  `json:"trace_store"`
 	Jobs     healthzJobs       `json:"jobs"`
 	// SLO summarizes the objective engine so load balancers can act on
-	// budget exhaustion without scraping /api/slo; omitted when the
-	// engine is disabled (keeping the pre-SLO JSON shape).
-	SLO *healthzSLO `json:"slo,omitempty"`
+	// budget exhaustion without scraping /api/slo.
+	SLO healthzSLO `json:"slo"`
 }
 
 // healthzSLO is the probe-sized SLO summary: the worst burn rate and the
@@ -504,13 +483,9 @@ func (s *solveServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reldash.WriteJSON(w, status, resp)
 }
 
-// sloHealth condenses the objective statuses for /healthz; nil when the
-// SLO engine is off.
-func (s *solveServer) sloHealth() *healthzSLO {
-	if s.slo == nil {
-		return nil
-	}
-	out := &healthzSLO{BudgetRemaining: 1}
+// sloHealth condenses the objective statuses for /healthz.
+func (s *solveServer) sloHealth() healthzSLO {
+	out := healthzSLO{BudgetRemaining: 1}
 	for _, o := range s.slo.Status() {
 		if o.WorstBurn > out.WorstBurn {
 			out.WorstBurn = o.WorstBurn
@@ -545,10 +520,10 @@ type solveResponse struct {
 }
 
 // retryAfter derives the Retry-After seconds from the observed p95
-// solve wall and the current queue depth, bottoming out at the
-// configured floor while the histogram is still cold.
+// solve wall and the current queue depth (1 while the histogram is
+// still cold).
 func (s *solveServer) retryAfter() int {
-	return retryAfterSecs(s.latency.Quantile(0.95, "/solve"), s.adm.queueLen(), s.cfg.RetryFloor)
+	return retryAfterSecs(s.latency.Quantile(0.95, "/solve"), s.adm.queueLen())
 }
 
 // handleSolve runs one model document through the instrumented solve
@@ -633,11 +608,9 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 	solveErr := guard.Isolate("serve.solve", func() error {
 		var err error
 		results, err = modelio.SolveWithOptions(spec, modelio.SolveOptions{
-			Preflight: s.cfg.Preflight,
-			Recorder:  tr,
-			Context:   r.Context(),
-			Timeout:   s.cfg.SolveTimeout,
-			Rails:     s.cfg.Rails,
+			Recorder: tr,
+			Context:  r.Context(),
+			Timeout:  s.cfg.SolveTimeout,
 		})
 		return err
 	})
@@ -785,101 +758,77 @@ func newSlogLogger(format, level string, w io.Writer) (*slog.Logger, error) {
 	return nil, fmt.Errorf("relcli: unknown log format %q (want text or json)", format)
 }
 
+// serveFlags is what the serve command line sets: the server's config
+// plus the process settings runServe applies around it.
+type serveFlags struct {
+	cfg        serveConfig
+	addr       string
+	logFormat  string
+	logLevel   string
+	grace      time.Duration
+	wideEvents string
+}
+
+// serveFlagSet declares the serve flags, bound to f. Every other serve
+// setting is a constant; testdata/serve_flags.golden pins the set.
+func serveFlagSet(f *serveFlags) *flag.FlagSet {
+	fs := flag.NewFlagSet("relcli serve", flag.ContinueOnError)
+	fs.StringVar(&f.addr, "addr", "127.0.0.1:8080", "listen address (\":0\" picks a free port)")
+	fs.StringVar(&f.logFormat, "log", "", "structured request/solve logs on stderr: text or json")
+	fs.StringVar(&f.logLevel, "log-level", "info", "log level for -log (debug adds per-iteration events)")
+	fs.IntVar(&f.cfg.MaxInflight, "max-inflight", defaultMaxInflight, "maximum concurrent solves; excess requests queue, then shed")
+	fs.IntVar(&f.cfg.JobWorkers, "job-workers", jobs.DefaultWorkers, "concurrently running sweep shards across all jobs")
+	fs.DurationVar(&f.cfg.SolveTimeout, "timeout", 30*time.Second, "per-solve deadline (0 disables)")
+	fs.DurationVar(&f.grace, "grace", 5*time.Second, "shutdown drain period before in-flight solves are canceled")
+	fs.StringVar(&f.cfg.JobsDir, "jobs-dir", "", "checkpoint directory for async sweep jobs; killed processes resume incomplete jobs from it (empty disables durability)")
+	fs.StringVar(&f.cfg.BenchPath, "bench", "BENCH_solvers.json", "bench baseline JSON backing /api/bench")
+	fs.StringVar(&f.cfg.SLOPath, "slo", "", "SLO objectives JSON file (empty uses built-in defaults)")
+	fs.StringVar(&f.wideEvents, "wide-events", "", fmt.Sprintf("wide-event log destination: a file path, or \"-\" for stderr (empty disables); logs every failed request and 1 in %d healthy ones", wideSample))
+	fs.StringVar(&f.cfg.ProfileDir, "profile-dir", "", fmt.Sprintf("continuous-profiling ring directory for pprof CPU/heap captures every %s, newest %d kept (empty disables)", profileEvery, obs.DefaultProfileMax))
+	fs.StringVar(&f.cfg.Failpoints, "failpoints", "", "failpoint schedule to arm (name:spec;name:spec), for chaos drills")
+	return fs
+}
+
+// parseServeFlags parses the serve command line.
+func parseServeFlags(args []string) (serveFlags, error) {
+	var f serveFlags
+	err := serveFlagSet(&f).Parse(args)
+	return f, err
+}
+
 // runServe implements the serve subcommand: bind, announce, serve until
 // SIGINT/SIGTERM, then drain gracefully — in-flight solves get the grace
 // period, after which closing the connections cancels them through the
 // guard context plumbing.
 func runServe(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("relcli serve", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "listen address (\":0\" picks a free port)")
-	logFormat := fs.String("log", "", "structured request/solve logs on stderr: text or json")
-	logLevel := fs.String("log-level", "info", "log level for -log (debug adds per-iteration events)")
-	maxInflight := fs.Int("max-inflight", 8, "maximum concurrent solves; excess requests queue, then shed")
-	queueDepth := fs.Int("queue-depth", 0, "admission-queue depth before load shedding with 429 (0 means 2x max-inflight)")
-	queueWait := fs.Duration("queue-wait", time.Second, "longest a queued request waits for a solve slot before 503")
-	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive solver failures per model class before its breaker opens (negative disables)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 15*time.Second, "how long an open breaker waits before a half-open probe")
-	failpoints := fs.String("failpoints", "", "failpoint schedule to arm (name:spec;name:spec), for chaos drills; RELFAIL adds more")
-	maxBody := fs.Int64("max-body", 0, "largest accepted model document in bytes (0 means 8 MiB)")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-solve deadline (0 disables)")
-	rails := fs.String("rails", "", "numerical guard-rail strictness: strict, warn (default), or off")
-	preflight := fs.Bool("preflight", false, "lint each model and refuse to solve on errors")
-	grace := fs.Duration("grace", 5*time.Second, "shutdown drain period before in-flight solves are canceled")
-	ui := fs.Bool("ui", true, "mount the reldash dashboard at /ui (and its /api/* routes)")
-	traceStoreSize := fs.Int("trace-store-size", 256, "completed solve traces retained for the dashboard")
-	benchPath := fs.String("bench", "BENCH_solvers.json", "bench baseline JSON backing /api/bench")
-	jobsDir := fs.String("jobs-dir", "", "checkpoint directory for async sweep jobs; killed processes resume incomplete jobs from it (empty disables durability)")
-	jobWorkers := fs.Int("job-workers", 4, "concurrently running sweep shards across all jobs")
-	sloPath := fs.String("slo", "", "SLO objectives JSON file (empty uses built-in defaults; \"off\" disables the SLO engine)")
-	wideEvents := fs.String("wide-events", "", "wide-event log destination: a file path, or \"-\" for stderr (empty disables)")
-	wideSample := fs.Int("wide-sample", 10, "keep 1-in-N healthy wide events (errors always log; 1 keeps all)")
-	profileDir := fs.String("profile-dir", "", "continuous-profiling ring directory for periodic pprof CPU/heap captures (empty disables)")
-	profileEvery := fs.Duration("profile-every", 30*time.Second, "continuous-profiling capture cadence")
-	profileMax := fs.Int("profile-max", 32, "profile files retained in the ring before the oldest is deleted")
-	retryFloor := fs.Int("retry-floor", 1, "minimum Retry-After seconds hinted on shed/capacity responses")
-	selfModelEvery := fs.Duration("selfmodel-every", 2*time.Second, "self-model sampling cadence: how often serve classifies its own state into the availability CTMC it solves about itself (0 disables)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var wideW io.Writer
-	switch *wideEvents {
-	case "":
-	case "-":
-		wideW = stderr
-	default:
-		f, err := os.OpenFile(*wideEvents, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		wideW = f
-	}
-	if _, err := guard.ParseStrictness(*rails); err != nil {
-		return err
-	}
-	var logger *slog.Logger
-	if *logFormat != "" {
-		var err error
-		if logger, err = newSlogLogger(*logFormat, *logLevel, stderr); err != nil {
-			return err
-		}
-	}
-	if n, err := failpoint.ArmFromEnv(os.Getenv); err != nil {
-		return err
-	} else if n > 0 {
-		fmt.Fprintf(stdout, "relcli: armed %d failpoint(s) from %s\n", n, failpoint.EnvVar)
-	}
-	s, mux, err := newSolveServer(serveConfig{
-		Registry:         metrics.Default(),
-		Logger:           logger,
-		MaxInflight:      *maxInflight,
-		QueueDepth:       *queueDepth,
-		QueueWait:        *queueWait,
-		MaxBody:          *maxBody,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Failpoints:       *failpoints,
-		SolveTimeout:     *timeout,
-		Rails:            guard.Strictness(*rails),
-		Preflight:        *preflight,
-		UI:               *ui,
-		TraceStoreSize:   *traceStoreSize,
-		BenchPath:        *benchPath,
-		JobsDir:          *jobsDir,
-		JobWorkers:       *jobWorkers,
-		SLOPath:          *sloPath,
-		WideWriter:       wideW,
-		WideSample:       *wideSample,
-		ProfileDir:       *profileDir,
-		ProfileEvery:     *profileEvery,
-		ProfileMax:       *profileMax,
-		RetryFloor:       *retryFloor,
-		SelfModelEvery:   *selfModelEvery,
-	})
+	f, err := parseServeFlags(args)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
+	cfg := f.cfg
+	cfg.SelfModelEvery = selfModelEvery
+	switch f.wideEvents {
+	case "":
+	case "-":
+		cfg.WideWriter = stderr
+	default:
+		w, err := os.OpenFile(f.wideEvents, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		defer w.Close()
+		cfg.WideWriter = w
+	}
+	if f.logFormat != "" {
+		if cfg.Logger, err = newSlogLogger(f.logFormat, f.logLevel, stderr); err != nil {
+			return err
+		}
+	}
+	s, mux, err := newSolveServer(cfg)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
@@ -891,7 +840,7 @@ func runServe(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "relcli: serving on http://%s (POST /solve, POST /jobs, /ui, /metrics, /healthz, /debug/pprof/)\n",
 		ln.Addr())
 	if s.jobsResumed > 0 {
-		fmt.Fprintf(stdout, "relcli: resumed %d incomplete sweep job(s) from %s\n", s.jobsResumed, *jobsDir)
+		fmt.Fprintf(stdout, "relcli: resumed %d incomplete sweep job(s) from %s\n", s.jobsResumed, cfg.JobsDir)
 	}
 	select {
 	case err := <-errc:
@@ -903,7 +852,7 @@ func runServe(args []string, stdout io.Writer) error {
 	// the grace period.
 	s.draining.Store(true)
 	s.stopBackground()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), f.grace)
 	defer cancel()
 	// The job engine drains concurrently with the HTTP listener: queued
 	// shards stay queued (their WAL checkpoints carry them to the next

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -127,6 +129,29 @@ func TestServeSolveAndMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestServeFlagsGolden pins the serve command line: the name, default
+// and usage of every flag. A new knob shows up here as a golden diff.
+func TestServeFlagsGolden(t *testing.T) {
+	var b strings.Builder
+	serveFlagSet(&serveFlags{}).VisitAll(func(f *flag.Flag) {
+		fmt.Fprintf(&b, "-%s %q\n\t%s\n", f.Name, f.DefValue, f.Usage)
+	})
+	got := b.String()
+	golden := filepath.Join("testdata", "serve_flags.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("serve flags drifted from %s; rerun with -update if intended.\ngot:\n%s", golden, got)
+	}
+}
+
 // TestServeTraceQuery checks ?trace=1 returns the request-scoped span
 // tree alongside the results.
 func TestServeTraceQuery(t *testing.T) {
@@ -192,7 +217,7 @@ func TestServeTimeout(t *testing.T) {
 // TestServeHealthz checks /healthz reports liveness as JSON with the
 // operational context: uptime, in-flight solves, trace-store occupancy.
 func TestServeHealthz(t *testing.T) {
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), TraceStoreSize: 4})
+	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
 	w := postModel(t, mux, filepath.Join("..", "..", "models", "repairfarm.json"), "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("warm-up solve: status %d", w.Code)
@@ -224,8 +249,8 @@ func TestServeHealthz(t *testing.T) {
 	if h.Status != "ok" || h.UptimeS < 0 || h.InFlight != 0 {
 		t.Errorf("healthz body: %+v", h)
 	}
-	if h.Store.Len != 1 || h.Store.Cap != 4 {
-		t.Errorf("trace_store occupancy = %+v, want 1/4 after one solve", h.Store)
+	if h.Store.Len != 1 || h.Store.Cap != 256 {
+		t.Errorf("trace_store occupancy = %+v, want 1/256 after one solve", h.Store)
 	}
 }
 

@@ -77,16 +77,6 @@ func (s *solveServer) startBackground() {
 		}()
 	}
 	if s.profiles != nil {
-		every := s.cfg.ProfileEvery
-		if every <= 0 {
-			every = 30 * time.Second
-		}
-		// CPU captures block for their duration; keep them well inside
-		// the cadence so the loop never falls behind.
-		cpuD := every / 4
-		if cpuD > 10*time.Second {
-			cpuD = 10 * time.Second
-		}
 		ctx, cancel := context.WithCancel(context.Background())
 		s.bgWG.Add(2)
 		go func() {
@@ -96,7 +86,7 @@ func (s *solveServer) startBackground() {
 		}()
 		go func() {
 			defer s.bgWG.Done()
-			tick := time.NewTicker(every)
+			tick := time.NewTicker(profileEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -106,7 +96,9 @@ func (s *solveServer) startBackground() {
 					if _, err := s.profiles.CaptureHeap(); err != nil && s.cfg.Logger != nil {
 						s.cfg.Logger.Warn("heap profile capture failed", "err", err)
 					}
-					if _, err := s.profiles.CaptureCPU(ctx, cpuD); err != nil && s.cfg.Logger != nil {
+					// CPU captures block for their duration; a quarter of
+					// the cadence keeps the loop from falling behind.
+					if _, err := s.profiles.CaptureCPU(ctx, profileEvery/4); err != nil && s.cfg.Logger != nil {
 						s.cfg.Logger.Warn("cpu profile capture failed", "err", err)
 					}
 				}
@@ -124,6 +116,7 @@ func (s *solveServer) stopBackground() {
 
 // sloPayload is the GET /api/slo reply.
 type sloPayload struct {
+	// Enabled is always true: the engine always runs.
 	Enabled    bool                  `json:"enabled"`
 	Objectives []slo.ObjectiveStatus `json:"objectives,omitempty"`
 	// Measured is the availability-objective good fraction over the
@@ -138,15 +131,12 @@ type sloPayload struct {
 // handleSLO answers GET /api/slo: objective statuses, error budgets,
 // and the modeled-vs-measured availability pair.
 func (s *solveServer) handleSLO(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
-	payload := sloPayload{Enabled: s.slo != nil}
-	if s.slo != nil {
-		payload.Objectives = s.slo.Status()
-		for _, o := range payload.Objectives {
-			if o.Kind == "availability" {
-				m := o.Measured
-				payload.Measured = &m
-				break
-			}
+	payload := sloPayload{Enabled: true, Objectives: s.slo.Status()}
+	for _, o := range payload.Objectives {
+		if o.Kind == "availability" {
+			m := o.Measured
+			payload.Measured = &m
+			break
 		}
 	}
 	if p := s.selfPred.Load(); p != nil {
@@ -185,9 +175,6 @@ func (s *solveServer) handleProfiles(w http.ResponseWriter, r *http.Request, ev 
 
 // sloView flattens the SLO state for the dashboard panel.
 func (s *solveServer) sloView() *reldash.SLOView {
-	if s.slo == nil {
-		return nil
-	}
 	view := &reldash.SLOView{}
 	measuredSet := false
 	for _, o := range s.slo.Status() {

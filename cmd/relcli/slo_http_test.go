@@ -42,8 +42,6 @@ func TestServeCorrWideEventTraceRoundTrip(t *testing.T) {
 		Registry:   metrics.NewRegistry(),
 		CorrSeed:   1,
 		WideWriter: &wide,
-		WideSample: 1,
-		UI:         true, // /api/traces carries the corr join
 	})
 
 	w := postModel(t, mux, filepath.Join("..", "..", "models", "repairfarm.json"), "")
@@ -111,7 +109,6 @@ func TestServeCorrInboundHeader(t *testing.T) {
 		Registry:   metrics.NewRegistry(),
 		CorrSeed:   1,
 		WideWriter: &wide,
-		WideSample: 1,
 	})
 	body, err := os.ReadFile(filepath.Join("..", "..", "models", "repairfarm.json"))
 	if err != nil {
@@ -174,24 +171,6 @@ func TestServeAPISLO(t *testing.T) {
 		if len(o.Windows) == 0 {
 			t.Errorf("objective %s has no windows", o.Name)
 		}
-	}
-}
-
-// TestServeSLOOff: -slo off removes the engine — /api/slo reports
-// disabled and /healthz drops the slo key (backward-compatible JSON).
-func TestServeSLOOff(t *testing.T) {
-	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry(), SLOPath: "off"})
-	req := httptest.NewRequest(http.MethodGet, "/api/slo", nil)
-	w := httptest.NewRecorder()
-	mux.ServeHTTP(w, req)
-	if !strings.Contains(w.Body.String(), `"enabled": false`) {
-		t.Errorf("/api/slo with engine off: %s", w.Body.String())
-	}
-	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	w = httptest.NewRecorder()
-	mux.ServeHTTP(w, req)
-	if strings.Contains(w.Body.String(), `"slo"`) {
-		t.Errorf("/healthz still carries slo with engine off: %s", w.Body.String())
 	}
 }
 

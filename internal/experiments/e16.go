@@ -23,8 +23,8 @@ const e16HoursEnv = "E16_HOURS"
 // absolute gap of the ground-truth up fraction.
 const e16Band = 0.05
 
-// e16Cadence is the sampling interval, matching the serve default for
-// -selfmodel-every.
+// e16Cadence is the sampling interval, matching the 2 s serve sampling
+// cadence.
 const e16Cadence = 2 * time.Second
 
 // e16State is one state of the ground-truth trajectory: an exponential

@@ -19,9 +19,8 @@
 //	                                   runs replay bit-for-bit
 //
 // Multiple failpoints arm at once from a schedule string
-// ("name:spec;name:spec", also accepted via the RELFAIL environment
-// variable), which is how `relcli serve -failpoints` and `relcli chaos`
-// drive the registry.
+// ("name:spec;name:spec"), which is how `relcli serve -failpoints` and
+// `relcli chaos` drive the registry.
 //
 // The error action returns a *Error whose FailureClass is "injected" —
 // guard fallback chains treat it as escalatable, so injection exercises
@@ -107,9 +106,6 @@ var (
 	onTrip     atomic.Value // func(name string)
 )
 
-// EnvVar is the environment variable ArmFromEnv reads.
-const EnvVar = "RELFAIL"
-
 // SetOnTrip installs a hook called with the failpoint name on every trip
 // (nil clears it). The serve layer uses it to count trips in the metrics
 // registry without this package importing it.
@@ -176,20 +172,6 @@ func ArmSchedule(schedule string) error {
 		}
 	}
 	return nil
-}
-
-// ArmFromEnv arms the schedule in $RELFAIL, returning how many failpoints
-// it armed. An unset or empty variable arms nothing.
-func ArmFromEnv(getenv func(string) string) (int, error) {
-	schedule := getenv(EnvVar)
-	if schedule == "" {
-		return 0, nil
-	}
-	before := int(armedCount.Load())
-	if err := ArmSchedule(schedule); err != nil {
-		return 0, err
-	}
-	return int(armedCount.Load()) - before, nil
 }
 
 // Status reports one armed failpoint's configuration and counters.

@@ -181,22 +181,6 @@ func TestArmScheduleAndStats(t *testing.T) {
 	}
 }
 
-func TestArmFromEnv(t *testing.T) {
-	t.Cleanup(Reset)
-	env := map[string]string{EnvVar: "e.one:error;e.two:error"}
-	n, err := ArmFromEnv(func(k string) string { return env[k] })
-	if err != nil || n != 2 {
-		t.Fatalf("ArmFromEnv = %d, %v; want 2, nil", n, err)
-	}
-	if Inject("e.one") == nil || Inject("e.two") == nil {
-		t.Error("env-armed failpoints did not trip")
-	}
-	n, err = ArmFromEnv(func(string) string { return "" })
-	if err != nil || n != 0 {
-		t.Errorf("empty env armed %d, %v", n, err)
-	}
-}
-
 func TestBadSpecs(t *testing.T) {
 	t.Cleanup(Reset)
 	for _, spec := range []string{

@@ -46,20 +46,13 @@ func (t *Tree) MTTF() (float64, error) {
 		}
 	}
 	var inner error
-	g := func(x float64) float64 {
-		if x >= 1 {
-			return 0
-		}
-		tau := x / (1 - x)
+	val := linalg.IntegrateToInf(func(tau float64) float64 {
 		p, err := t.TopAt(tau)
 		if err != nil && inner == nil {
 			inner = err
 		}
-		return (1 - p) / ((1 - x) * (1 - x))
-	}
-	rough := linalg.Simpson(g, 0, 1-1e-9, 200)
-	tol := 1e-9 * (1 + math.Abs(rough))
-	val := linalg.AdaptiveSimpson(g, 0, 1-1e-12, tol)
+		return 1 - p
+	})
 	if inner != nil {
 		return 0, inner
 	}

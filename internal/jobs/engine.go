@@ -25,7 +25,7 @@ type Config struct {
 	// with the process.
 	Dir string
 	// Workers bounds concurrently running shards across all jobs
-	// (default 4).
+	// (default DefaultWorkers).
 	Workers int
 	// MaxRetries bounds retries per shard for escalatable failures
 	// (default 4; a shard therefore runs at most MaxRetries+1 times).
@@ -94,10 +94,13 @@ type job struct {
 	finished     time.Time
 }
 
+// DefaultWorkers is the shard concurrency New uses when cfg.Workers <= 0.
+const DefaultWorkers = 4
+
 // New builds an engine, creating the checkpoint directory when durable.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = DefaultWorkers
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 4

@@ -431,7 +431,7 @@ func TestAdaptiveSimpson(t *testing.T) {
 
 func TestIntegrateToInf(t *testing.T) {
 	// ∫₀^∞ e^{-t} dt = 1.
-	got := IntegrateToInf(func(t float64) float64 { return math.Exp(-t) }, 1e-10)
+	got := IntegrateToInf(func(t float64) float64 { return math.Exp(-t) })
 	if !almostEqual(got, 1, 1e-7) {
 		t.Fatalf("∫e^-t = %g, want 1", got)
 	}
@@ -440,7 +440,7 @@ func TestIntegrateToInf(t *testing.T) {
 		r := math.Exp(-t)
 		return 3*r*r - 2*r*r*r
 	}
-	got = IntegrateToInf(r23, 1e-10)
+	got = IntegrateToInf(r23)
 	if !almostEqual(got, 5.0/6, 1e-6) {
 		t.Fatalf("MTTF 2oo3 = %g, want 5/6", got)
 	}

@@ -52,23 +52,21 @@ func adaptiveAux(f func(float64) float64, a, b, tol, whole, fa, fb, fc float64, 
 		adaptiveAux(f, c, b, tol/2, right, fc, fb, fr, depth-1)
 }
 
-// IntegrateToInf integrates f over [0, ∞) by mapping t = x/(1-x) onto (0,1)
-// and applying adaptive Simpson. f must decay to zero; reliability functions
-// R(t) of systems with finite MTTF qualify.
-func IntegrateToInf(f func(float64) float64, tol float64) float64 {
+// IntegrateToInf integrates f over [0, ∞) by mapping t = x/(1-x) onto
+// (0,1). The tolerance is relative: a 200-panel Simpson pass on
+// [0, 1-1e-9] estimates the magnitude, then adaptive Simpson on
+// [0, 1-1e-12] refines to 1e-9·(1+|estimate|), about nine significant
+// digits. f must decay to zero; survival functions R(t) of systems with
+// finite MTTF qualify. A NaN from f reaches the result.
+func IntegrateToInf(f func(float64) float64) float64 {
 	g := func(x float64) float64 {
 		if x >= 1 {
 			return 0
 		}
-		t := x / (1 - x)
-		jac := 1 / ((1 - x) * (1 - x))
-		v := f(t) * jac
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0
-		}
-		return v
+		return f(x/(1-x)) / ((1 - x) * (1 - x))
 	}
-	return AdaptiveSimpson(g, 0, 1, tol)
+	rough := Simpson(g, 0, 1-1e-9, 200)
+	return AdaptiveSimpson(g, 0, 1-1e-12, 1e-9*(1+math.Abs(rough)))
 }
 
 // Brent finds a root of f in [a, b] using Brent's method. f(a) and f(b)

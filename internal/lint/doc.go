@@ -81,7 +81,7 @@
 // Structural analysis (CheckCTMCStructure, backed by internal/relstruct;
 // only runs when the basic CT checks found no errors):
 //
-//	STR001 warning  chain is reducible with multiple recurrent classes
+//	STR001 retired  reducibility is reported once, as CT006
 //	STR002 warning  transient states under a steady-state measure
 //	STR003 warning  recurrent class unreachable from the initial state
 //	STR004 warning  stiff recurrent class (rate-ratio spread ≥ 1e6)
@@ -164,7 +164,7 @@ const (
 	CodePNBadMult           = "PN008"
 	CodePNDisconnected      = "PN009"
 
-	CodeStructReducible        = "STR001"
+	// STR001 is retired: CT006 reports reducibility.
 	CodeStructTransientMass    = "STR002"
 	CodeStructUnreachableClass = "STR003"
 	CodeStructStiff            = "STR004"

@@ -18,6 +18,29 @@ func TestModelRunsAllAnalyzers(t *testing.T) {
 	wantCode(t, ds, CodeFTProbRange, SevError)
 }
 
+// TestModelReportsReducibilityOnce: a chain with two closed classes and
+// no steady-state measure is one defect, reported once as a CT006
+// warning. The structure pass used to repeat it as STR001.
+func TestModelReportsReducibilityOnce(t *testing.T) {
+	ds := Model(Input{CTMC: &CTMC{
+		Transitions: []Transition{
+			{"start", "a", 1}, {"start", "b", 1},
+			{"a", "a2", 1}, {"a2", "a", 1},
+			{"b", "b2", 1}, {"b2", "b", 1},
+		},
+		Initial: "start",
+	}})
+	var reducible []Diagnostic
+	for _, d := range ds {
+		if d.Code == CodeCTMCReducible || d.Code == "STR001" {
+			reducible = append(reducible, d)
+		}
+	}
+	if len(reducible) != 1 || reducible[0].Code != CodeCTMCReducible || reducible[0].Severity != SevWarning {
+		t.Fatalf("want exactly one CT006 warning, got %v (all findings: %v)", reducible, ds)
+	}
+}
+
 func TestModelCleanInputIsEmpty(t *testing.T) {
 	ds := Model(Input{RelGraph: &RelGraph{
 		Edges:  []RGEdge{{Name: "e", From: "s", To: "t", Rel: 0.9}},

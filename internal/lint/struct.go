@@ -43,38 +43,8 @@ func CheckCTMCStructure(m CTMC) []Diagnostic {
 // diagnostics; CheckCTMCStructure is the usual entry, but callers that
 // already hold a report (discrete chains, relcli analyze) can reuse it.
 func CheckStructReport(rep *relstruct.StructReport, m CTMC) []Diagnostic {
+	// STR001 is retired: reducibility is CheckCTMC's CT006, reported once.
 	var ds []Diagnostic
-	declared := make(map[string]bool, len(m.Absorbing))
-	for _, s := range m.Absorbing {
-		declared[s] = true
-	}
-
-	// STR001: reducible with multiple recurrent classes. Classes made
-	// entirely of declared absorbing states are intended MTTA targets and
-	// do not count, mirroring CT006.
-	var recurrentReps []string
-	undeclared := 0
-	for _, cl := range rep.Classes {
-		if !cl.Recurrent {
-			continue
-		}
-		allDeclared := true
-		for _, s := range cl.States {
-			if !declared[s] {
-				allDeclared = false
-				break
-			}
-		}
-		recurrentReps = append(recurrentReps, cl.States[0])
-		if !allDeclared {
-			undeclared++
-		}
-	}
-	if undeclared > 1 {
-		ds = warnf(ds, CodeStructReducible, "ctmc",
-			"chain is reducible with %d recurrent classes (entered via %s); the long-run distribution depends on the initial state",
-			rep.RecurrentClasses, exampleList(recurrentReps))
-	}
 
 	// STR002: transient mass under a steady-state measure.
 	if m.NeedsSteadyState && rep.TransientStates > 0 {

@@ -37,11 +37,14 @@ type ProfileRing struct {
 	entries []ProfileEntry // oldest first
 }
 
+// DefaultProfileMax is the ring size NewProfileRing uses when max < 1.
+const DefaultProfileMax = 32
+
 // NewProfileRing builds a ring storing at most max profiles (max < 1
-// means 32) under dir, creating the directory if needed.
+// means DefaultProfileMax) under dir, creating the directory if needed.
 func NewProfileRing(dir string, max int) (*ProfileRing, error) {
 	if max < 1 {
-		max = 32
+		max = DefaultProfileMax
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profile ring: %w", err)

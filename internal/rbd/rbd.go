@@ -240,28 +240,17 @@ func (m *Model) ReliabilityAt(t float64) (float64, error) {
 	})
 }
 
-// MTTF returns ∫₀^∞ R(t) dt by adaptive quadrature. The tolerance is
-// relative: a coarse fixed-grid pass estimates the magnitude, then the
-// adaptive pass refines to ~9 significant digits.
+// MTTF returns ∫₀^∞ R(t) dt by linalg.IntegrateToInf, to ~9
+// significant digits.
 func (m *Model) MTTF() (float64, error) {
 	var firstErr error
-	f := func(t float64) float64 {
+	val := linalg.IntegrateToInf(func(t float64) float64 {
 		r, err := m.ReliabilityAt(t)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		return r
-	}
-	g := func(x float64) float64 {
-		if x >= 1 {
-			return 0
-		}
-		t := x / (1 - x)
-		return f(t) / ((1 - x) * (1 - x))
-	}
-	rough := linalg.Simpson(g, 0, 1-1e-9, 200)
-	tol := 1e-9 * (1 + math.Abs(rough))
-	val := linalg.AdaptiveSimpson(g, 0, 1-1e-12, tol)
+	})
 	if firstErr != nil {
 		return 0, firstErr
 	}

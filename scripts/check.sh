@@ -135,7 +135,7 @@ EOF
     go build -o "$SLO_DIR/relcli" ./cmd/relcli
     "$SLO_DIR/relcli" serve -addr 127.0.0.1:0 \
         -slo "$SLO_DIR/objectives.json" \
-        -wide-events "$SLO_DIR/wide.jsonl" -wide-sample 1 \
+        -wide-events "$SLO_DIR/wide.jsonl" \
         -failpoints 'modelio.build:1-in-2->error(injected)' \
         > "$SLO_DIR/serve.out" 2>&1 &
     SLO_PID=$!
