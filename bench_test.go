@@ -64,16 +64,14 @@ func BenchmarkE16SelfModel(b *testing.B)    { benchExperiment(b, "E16") }
 
 // --- solver-kernel micro-benchmarks -----------------------------------
 
-// BenchmarkGTH measures dense GTH steady-state solution across chain sizes.
+// BenchmarkGTH measures dense GTH steady-state solution across chain
+// sizes. The birth-death chains have one nonzero above the diagonal per
+// column, so the reduction's inner axpy barely runs; the 512-state
+// repair farm of nine heterogeneous machines (the size relperf's
+// serve-large steady-state document solves) fills in and exercises it.
 func BenchmarkGTH(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			q := linalg.NewDense(n, n)
-			for i := 0; i < n-1; i++ {
-				q.Set(i, i+1, 1)
-				q.Set(i+1, i, 2)
-			}
-			b.ResetTimer()
+	run := func(name string, q *linalg.Dense) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := linalg.GTH(q); err != nil {
 					b.Fatal(err)
@@ -81,6 +79,28 @@ func BenchmarkGTH(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{16, 64, 256} {
+		q := linalg.NewDense(n, n)
+		for i := 0; i < n-1; i++ {
+			q.Set(i, i+1, 1)
+			q.Set(i+1, i, 2)
+		}
+		run("n="+strconv.Itoa(n), q)
+	}
+	const machines = 9
+	q := linalg.NewDense(1<<machines, 1<<machines)
+	for s := 0; s < 1<<machines; s++ {
+		for i := 0; i < machines; i++ {
+			// Machine i fails at 0.02–0.08 and is repaired at 0.5–1.5,
+			// no two machines alike.
+			rate := 0.02 + 0.06*float64((i*5)%machines)/machines
+			if s>>i&1 == 1 {
+				rate = 0.5 + float64((i*7)%machines)/machines
+			}
+			q.Set(s, s^1<<i, rate)
+		}
+	}
+	run("farm/n=512", q)
 }
 
 // BenchmarkSOR measures sparse SOR steady-state solution on birth-death

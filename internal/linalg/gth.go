@@ -18,12 +18,39 @@ import (
 // reconstructed from the off-diagonal rates, so callers may pass either a
 // full generator or just the rate matrix.
 func GTH(q *Dense) ([]float64, error) {
+	return gth(q.Rows(), q.Cols(), func(a []float64) { copy(a, q.data) })
+}
+
+// GTHCSR runs GTH on a sparse generator, scattering its entries straight
+// into the dense working matrix. GTH fill-in makes a truly sparse variant
+// unprofitable below a few thousand states, which is the regime where GTH
+// is used; larger chains should use SOR.
+func GTHCSR(q *CSR) ([]float64, error) {
+	return gth(q.rows, q.cols, func(a []float64) {
+		for i := 0; i < q.rows; i++ {
+			for k := q.rowPtr[i]; k < q.rowPtr[i+1]; k++ {
+				a[i*q.cols+q.colIdx[k]] = q.vals[k]
+			}
+		}
+	})
+}
+
+// gth evaluates the linalg.gth failpoint once, checks the shape, has fill
+// write the generator row-major into a zeroed n×n working matrix, checks
+// its off-diagonal rates in row-major order, and runs the state reduction
+// and back substitution on it.
+//
+// Neither step reads the diagonal a(i,i), so the reduction's axpy runs
+// over the whole row prefix, diagonal included, with no branch: the term
+// it adds there is never read, and every other entry gets the same
+// operations in the same order as a loop that skips it.
+func gth(rows, cols int, fill func(a []float64)) ([]float64, error) {
 	if err := failpoint.Inject(fpGTH); err != nil {
 		return nil, err
 	}
-	n := q.Rows()
-	if q.Cols() != n {
-		return nil, fmt.Errorf("gth: matrix %dx%d not square: %w", q.Rows(), q.Cols(), ErrDimensionMismatch)
+	n := rows
+	if cols != n {
+		return nil, fmt.Errorf("gth: matrix %dx%d not square: %w", rows, cols, ErrDimensionMismatch)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("gth: empty generator")
@@ -31,26 +58,22 @@ func GTH(q *Dense) ([]float64, error) {
 	if n == 1 {
 		return []float64{1}, nil
 	}
-	// Copy off-diagonal rates; negative off-diagonals are invalid.
 	a := NewDense(n, n)
+	fill(a.data)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := q.At(i, j)
-			if v < 0 {
+		for j, v := range a.Row(i) {
+			if v < 0 && j != i {
 				return nil, fmt.Errorf("gth: negative rate %g at (%d,%d)", v, i, j)
 			}
-			a.Set(i, j, v)
 		}
 	}
 	// State reduction from the last state down to state 1.
 	for k := n - 1; k >= 1; k-- {
+		krow := a.Row(k)[:k]
 		// Total outflow of state k to states 0..k-1.
 		var s float64
-		for j := 0; j < k; j++ {
-			s += a.At(k, j)
+		for _, v := range krow {
+			s += v
 		}
 		if s == 0 { //numvet:allow float-eq exactly-zero sum means a structurally reducible generator
 			return nil, fmt.Errorf("gth: state %d has no transitions to lower-indexed states; generator reducible", k)
@@ -61,11 +84,18 @@ func GTH(q *Dense) ([]float64, error) {
 				continue
 			}
 			f := aik / s
-			row, krow := a.Row(i), a.Row(k)
-			for j := 0; j < k; j++ {
-				if j == i {
-					continue
-				}
+			// Four elements a trip: a scalar axpy is bound by its loop
+			// overhead, not by its arithmetic.
+			row := a.Row(i)[:len(krow)]
+			j := 0
+			for ; j+4 <= len(krow); j += 4 {
+				r, v := row[j:j+4:j+4], krow[j:j+4:j+4]
+				r[0] += f * v[0]
+				r[1] += f * v[1]
+				r[2] += f * v[2]
+				r[3] += f * v[3]
+			}
+			for ; j < len(krow); j++ {
 				row[j] += f * krow[j]
 			}
 		}
@@ -75,8 +105,8 @@ func GTH(q *Dense) ([]float64, error) {
 	pi[0] = 1
 	for k := 1; k < n; k++ {
 		var s float64
-		for j := 0; j < k; j++ {
-			s += a.At(k, j)
+		for _, v := range a.Row(k)[:k] {
+			s += v
 		}
 		var num float64
 		for i := 0; i < k; i++ {
@@ -88,11 +118,4 @@ func GTH(q *Dense) ([]float64, error) {
 		return nil, fmt.Errorf("gth: %w", err)
 	}
 	return pi, nil
-}
-
-// GTHCSR runs GTH on a sparse generator by densifying it. GTH fill-in makes
-// a truly sparse variant unprofitable below a few thousand states, which is
-// the regime where GTH is used; larger chains should use SOR.
-func GTHCSR(q *CSR) ([]float64, error) {
-	return GTH(q.ToDense())
 }

@@ -1,8 +1,9 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Triplet is a single (row, col, value) entry used to assemble a sparse
@@ -39,12 +40,11 @@ func (c *COO) Add(i, j int, v float64) error {
 
 // ToCSR sorts and compresses the accumulated entries.
 func (c *COO) ToCSR() *CSR {
-	sort.Slice(c.entries, func(a, b int) bool {
-		ea, eb := c.entries[a], c.entries[b]
-		if ea.Row != eb.Row {
-			return ea.Row < eb.Row
+	slices.SortFunc(c.entries, func(a, b Triplet) int {
+		if a.Row != b.Row {
+			return cmp.Compare(a.Row, b.Row)
 		}
-		return ea.Col < eb.Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 	m := &CSR{
 		rows:   c.rows,

@@ -3,6 +3,7 @@ package relstruct
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -24,9 +25,17 @@ import (
 // and the block count.
 //
 // Signatures are computed into stamped scratch arrays and grouped by a
-// compact byte key — no per-state maps — so a refinement pass over a
-// block costs O(members + their out-edges) with a handful of
-// allocations, keeping the pre-pass cheap even on 10^4-state chains.
+// compact byte key — no per-state maps — so signing and grouping a
+// block's members costs O(members + their out-edges·log) with a handful
+// of allocations, and the budget below caps the members signed over the
+// whole refinement at 64·states + 1024. Merging a block's G exact groups
+// under the tolerance then costs a binary search and an insertion into a
+// sorted slice per group, plus one signature comparison per
+// representative whose exit lies within tolerance of the group's (see
+// splitBlock). That is a few per group when exit rates are spread out,
+// as in a repair farm of unlike machines, and G²/2 in all only when every
+// exit lies within tolerance of every other, as in a DTMC whose rows all
+// sum to 1.
 func coarsestPartition(in Input) ([]int, int) {
 	n := in.States
 	tol := in.Tol
@@ -290,7 +299,7 @@ func (sc *sigScratch) sigOf(s int, blockOf []int, adj csr, totalOut []float64) s
 		}
 		sc.acc[tb] += ws[k]
 	}
-	sort.Slice(sc.touched, func(a, b int) bool { return sc.touched[a] < sc.touched[b] })
+	slices.Sort(sc.touched)
 	start := len(sc.blocksArena)
 	for _, tb := range sc.touched {
 		sc.blocksArena = append(sc.blocksArena, tb)
@@ -305,8 +314,21 @@ func (sc *sigScratch) sigOf(s int, blockOf []int, adj csr, totalOut []float64) s
 
 // splitBlock partitions one block's members (in state-index order) into
 // groups with matching signatures. Exact-bit grouping handles the common
-// symmetric-model case in O(members); the few surviving group
-// representatives are then pairwise-merged under the relative tolerance.
+// symmetric-model case in O(members + signature entries). The exact
+// groups are then merged under the relative tolerance, first fit: each
+// joins the earliest merged group whose representative matches it.
+//
+// sameSig fails unless the exits are closeEnough, so a group is compared
+// only with the representatives whose exit lies within tolerance of its
+// own exit e. index keeps the representatives sorted by exit. For
+// tol < 1/2, closeEnough(x, e) is monotone in x on each side of e: on the
+// side toward zero it divides by |e| itself, and on the far side x−e is
+// exact (Sterbenz) up to 2e, beyond which the relative gap exceeds 1/2.
+// The representatives within tolerance therefore form one run of index
+// around e's insertion point, and two binary searches find it. Among its
+// matches the group joins the lowest-numbered one, which is the one
+// first fit would pick. A wider tol compares the group with every
+// representative. A NaN exit matches nothing, so it is never indexed.
 func splitBlock(members []int, sigs []sig, tol float64) [][]int {
 	if len(members) <= 1 {
 		return [][]int{members}
@@ -334,24 +356,43 @@ func splitBlock(members []int, sigs []sig, tol float64) [][]int {
 	// the same aggregate rate).
 	var merged [][]int
 	var reps []sig
+	var index []exitRep
 	for gi, g := range groups {
-		placed := false
-		for mi := range merged {
-			if sameSig(reps[mi], groupSig[gi], tol) {
-				merged[mi] = append(merged[mi], g...)
-				placed = true
-				break
+		e := groupSig[gi].exit
+		at := sort.Search(len(index), func(k int) bool { return index[k].exit >= e })
+		lo, hi := 0, len(index)
+		if tol < 0.5 {
+			near := func(k int) bool { return closeEnough(index[k].exit, e, tol) }
+			lo = sort.Search(at, near)
+			hi = at + sort.Search(len(index)-at, func(k int) bool { return !near(at + k) })
+		}
+		best := -1
+		for _, r := range index[lo:hi] {
+			if (best < 0 || r.rep < best) && sameSig(reps[r.rep], groupSig[gi], tol) {
+				best = r.rep
 			}
 		}
-		if !placed {
-			merged = append(merged, g)
-			reps = append(reps, groupSig[gi])
+		if best >= 0 {
+			merged[best] = append(merged[best], g...)
+			continue
 		}
+		if !math.IsNaN(e) {
+			index = slices.Insert(index, at, exitRep{exit: e, rep: len(merged)})
+		}
+		merged = append(merged, g)
+		reps = append(reps, groupSig[gi])
 	}
 	for _, g := range merged {
 		sort.Ints(g)
 	}
 	return merged
+}
+
+// exitRep is one entry of splitBlock's exit-sorted representative index:
+// a merged group's number and its representative's exit.
+type exitRep struct {
+	exit float64
+	rep  int
 }
 
 // appendKey renders the signature as an exact, order-independent byte

@@ -1,7 +1,8 @@
 // Package relstruct statically analyzes the structure of Markov chain
 // generators — the model-level analogue of cmd/numvet's source hygiene
-// pass. Without solving anything it computes, in one O(states +
-// transitions·log) sweep over the transition graph:
+// pass. Without solving anything it computes, from O(states +
+// transitions·log) sweeps over the transition graph plus a budgeted
+// partition refinement whose cost coarsestPartition spells out:
 //
 //   - the SCC condensation with every communicating class labeled
 //     recurrent (closed) or transient, absorbing states called out, and —

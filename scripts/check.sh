@@ -91,8 +91,9 @@ echo "== suite baseline gate"
 go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs)$' . ./cmd/relcli
 
 # Fuzz smoke is opt-in (CHECK_FUZZ=1): ten seconds per target over the
-# modelio JSON parser, seeded from models/*.json. Go allows one -fuzz
-# target per invocation, hence the loop.
+# modelio JSON parser, seeded from models/*.json, the serve request body,
+# and relstruct's tolerance merge against its first-fit oracle. Go allows
+# one -fuzz target per invocation, hence the loop.
 if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     for target in FuzzLoadDocument FuzzLint; do
         echo "== fuzz smoke: $target"
@@ -100,6 +101,8 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     done
     echo "== fuzz smoke: FuzzSolveBody"
     go test -run='^$' -fuzz='^FuzzSolveBody$' -fuzztime=10s ./cmd/relcli/
+    echo "== fuzz smoke: FuzzSplitBlock"
+    go test -run='^$' -fuzz='^FuzzSplitBlock$' -fuzztime=10s ./internal/relstruct/
 fi
 
 # Chaos smoke is opt-in (CHECK_CHAOS=1): the seeded fault-injection
