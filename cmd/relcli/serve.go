@@ -392,12 +392,16 @@ func (s *solveServer) route(path string, h handler) http.HandlerFunc {
 
 // readBody reads the request body up to MaxBody. A failed read returns
 // the reply's error text and code instead: too-large past the limit
-// (doc names the document in the message), body-read otherwise.
+// (doc names the document in the message), body-read otherwise. The
+// buffer doubles as it fills, so a body costs about twice its size in
+// allocations. It is not sized from Content-Length, which would let a
+// client that sends only headers pin MaxBody bytes.
 func (s *solveServer) readBody(w http.ResponseWriter, r *http.Request, doc string) (body []byte, msg, code string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	switch {
 	case err == nil:
-		return body, "", ""
+		return buf.Bytes(), "", ""
 	case maxBytesError(err):
 		return nil, fmt.Sprintf("%s document exceeds the %d-byte limit", doc, s.cfg.MaxBody), "too-large"
 	default:

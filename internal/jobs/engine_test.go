@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,6 +153,9 @@ func TestBadSpecsRejected(t *testing.T) {
 		func(s *Spec) { s.Params[1].Name = "lambda" }, // duplicate
 		func(s *Spec) { s.Samples = 0 },
 		func(s *Spec) { s.Quantiles = []float64{1.5} },
+		func(s *Spec) { // unknown model field, which relcli solve refuses
+			s.Model = json.RawMessage(strings.Replace(testModelJSON, `"upStates"`, `"upstatez":["down"],"upStates"`, 1))
+		},
 	}
 	for i, mutate := range bad {
 		s := testSpec(40, 20, 1)

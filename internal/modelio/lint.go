@@ -1,7 +1,6 @@
 package modelio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -14,21 +13,20 @@ import (
 // hook, so the reverse import would cycle); the conversion here is the
 // single place where document paths and formalism inputs meet.
 
-// LintDocument parses a model document and lints it, folding parse-level
-// failures (invalid JSON, unknown model type, missing section) into
-// SPEC-coded diagnostics instead of bare errors. The returned spec is nil
-// when the document could not be decoded at all.
+// LintDocument reads a model document to EOF, decodes it as Parse does
+// and lints it, folding parse-level failures (invalid JSON, unknown
+// model type, missing section) into SPEC-coded diagnostics instead of
+// bare errors. The returned spec is nil when the document could not be
+// decoded at all.
 func LintDocument(r io.Reader) (*Spec, []lint.Diagnostic) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	s, err := decode(r)
+	if err != nil {
 		return nil, []lint.Diagnostic{{
 			Code: lint.CodeSpecParse, Severity: lint.SevError,
 			Msg: fmt.Sprintf("document is not a valid model description: %v", err),
 		}}
 	}
-	return &s, Lint(&s)
+	return s, Lint(s)
 }
 
 // Lint statically checks a parsed model document and returns the sorted

@@ -3,10 +3,15 @@
 // user describe an RBD, fault tree, CTMC, or reliability graph in a file
 // and request measures without writing Go — the "software package"
 // interface the tutorial's lineage of tools (SHARPE, SPNP) provided.
+//
+// Documents are decoded by encoding/json with unknown fields refused,
+// except that a ctmc document in plain JSON (no escapes, no null, keys
+// spelled exactly) takes a one-pass decoder that builds the same Spec
+// without reflection. Generated chains run to megabytes of transitions,
+// and through reflection they cost more to decode than to solve.
 package modelio
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -224,15 +229,20 @@ type RGEdge struct {
 	Rel  float64 `json:"rel"`
 }
 
-// Parse reads and validates a model document.
+// Parse reads a model document from r to EOF, decodes it and checks
+// that its type names a section it carries. A ctmc document in plain
+// JSON (no string escapes, no null, each key spelled exactly and given
+// once) decodes in one pass without reflection; every other document,
+// and every invalid one, decodes through encoding/json with unknown
+// fields disallowed. Both paths give the same Spec, bit for bit, and
+// every decode error comes from encoding/json. A read or decode failure
+// wraps ErrBadSpec.
 func Parse(r io.Reader) (*Spec, error) {
 	if err := failpoint.Inject(fpParse); err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	s, err := decode(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	switch s.Type {
@@ -259,5 +269,5 @@ func Parse(r io.Reader) (*Spec, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown type %q", ErrBadSpec, s.Type)
 	}
-	return &s, nil
+	return s, nil
 }

@@ -51,19 +51,22 @@ go run ./cmd/relcli analyze $(ls models/*.json | grep -v broken_)
 # through it, and assert the dashboard renders and the trace store
 # retained the request. This is the only check that exercises the
 # binary end to end over TCP rather than httptest.
+# Its binary and log live in a fresh temporary directory, so two
+# checkouts can run the gate at once.
 echo "== serve smoke"
-go build -o /tmp/relcli-smoke ./cmd/relcli
-/tmp/relcli-smoke serve -addr 127.0.0.1:0 > /tmp/relcli-smoke.out 2>&1 &
+SMOKE_DIR=$(mktemp -d /tmp/relcli-smoke.XXXXXX)
+trap 'kill "${SMOKE_PID:-0}" 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
+go build -o "$SMOKE_DIR/relcli" ./cmd/relcli
+"$SMOKE_DIR/relcli" serve -addr 127.0.0.1:0 > "$SMOKE_DIR/serve.out" 2>&1 &
 SMOKE_PID=$!
-trap 'kill "$SMOKE_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 50); do
-    grep -q "serving on" /tmp/relcli-smoke.out && break
+    grep -q "serving on" "$SMOKE_DIR/serve.out" && break
     sleep 0.1
 done
-SMOKE_ADDR=$(sed -n 's|.*http://\([0-9.:]*\).*|\1|p' /tmp/relcli-smoke.out | head -n1)
+SMOKE_ADDR=$(sed -n 's|.*http://\([0-9.:]*\).*|\1|p' "$SMOKE_DIR/serve.out" | head -n1)
 if [[ -z "$SMOKE_ADDR" ]]; then
     echo "serve smoke: server never announced an address" >&2
-    cat /tmp/relcli-smoke.out >&2
+    cat "$SMOKE_DIR/serve.out" >&2
     exit 1
 fi
 curl -sSf -X POST --data-binary @models/repairfarm.json "http://$SMOKE_ADDR/solve" > /dev/null
@@ -77,6 +80,8 @@ if ! curl -sSf "http://$SMOKE_ADDR/api/traces" | grep -q '"endpoint": "solve"'; 
     exit 1
 fi
 kill "$SMOKE_PID" 2>/dev/null || true
+wait "$SMOKE_PID" 2>/dev/null || true
+rm -rf "$SMOKE_DIR"
 trap - EXIT
 
 # Performance gate: run E1-E16 once each and one round of the ten clean
@@ -91,11 +96,12 @@ echo "== suite baseline gate"
 go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs)$' . ./cmd/relcli
 
 # Fuzz smoke is opt-in (CHECK_FUZZ=1): ten seconds per target over the
-# modelio JSON parser, seeded from models/*.json, the serve request body,
-# and relstruct's tolerance merge against its first-fit oracle. Go allows
-# one -fuzz target per invocation, hence the loop.
+# modelio JSON parser, seeded from models/*.json, the one-pass ctmc
+# decoder against encoding/json, the serve request body, and relstruct's
+# tolerance merge against its first-fit oracle. Go allows one -fuzz
+# target per invocation, hence the loop.
 if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
-    for target in FuzzLoadDocument FuzzLint; do
+    for target in FuzzLoadDocument FuzzLint FuzzDecodeCTMC; do
         echo "== fuzz smoke: $target"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime=10s ./internal/modelio/
     done
