@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/lint"
@@ -24,8 +23,8 @@ type analyzeFileReport struct {
 	// Report is the static structural analysis of the chain.
 	Report *relstruct.StructReport `json:"report,omitempty"`
 	// Diagnostics are the full lint findings for the document (the STR
-	// codes plus everything else the linter reports), sorted by code then
-	// path for deterministic output.
+	// codes plus everything else the linter reports), in lint.Sort order:
+	// by code, then path.
 	Diagnostics []lint.Diagnostic `json:"diagnostics"`
 }
 
@@ -79,27 +78,21 @@ func runAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // analyzeDocument lints one document and, for ctmc models, attaches the
-// structural report. It also returns the decoded spec (nil when the
-// document did not decode) so callers can name the model without
-// parsing it again.
+// structural report the linter read. It also returns the decoded spec
+// (nil when the document did not decode) so callers can name the model
+// without parsing it again.
 func analyzeDocument(name string, r io.Reader) (analyzeFileReport, *modelio.Spec) {
-	spec, ds := modelio.LintDocument(r)
-	sortByCodePath(ds)
-	out := analyzeFileReport{File: name, Diagnostics: ds}
-	if spec == nil {
+	spec, ds, rep := modelio.LintDocument(r)
+	out := analyzeFileReport{File: name, Report: rep, Diagnostics: ds}
+	switch {
+	case spec == nil:
 		out.Skipped = "document did not parse"
-		return out, nil
-	}
-	if spec.Type != "ctmc" || spec.CTMC == nil {
+	case spec.Type != "ctmc" || spec.CTMC == nil:
 		out.Skipped = fmt.Sprintf("structural analysis applies to ctmc models (type %q)", spec.Type)
-		return out, spec
+	case rep == nil:
+		// The linter analyzes every chain that has a state.
+		out.Skipped = fmt.Sprintf("analysis failed: %v", relstruct.ErrEmpty)
 	}
-	rep, err := modelio.StructReport(spec.CTMC)
-	if err != nil {
-		out.Skipped = fmt.Sprintf("analysis failed: %v", err)
-		return out, spec
-	}
-	out.Report = rep
 	return out, spec
 }
 
@@ -149,15 +142,4 @@ func hintLine(h relstruct.Hint) string {
 		parts = append(parts, "("+h.Reason+")")
 	}
 	return strings.Join(parts, " ")
-}
-
-// sortByCodePath orders diagnostics by code then path, the deterministic
-// ordering contract of the lint and analyze subcommands' output.
-func sortByCodePath(ds []lint.Diagnostic) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].Code != ds[j].Code {
-			return ds[i].Code < ds[j].Code
-		}
-		return ds[i].Path < ds[j].Path
-	})
 }

@@ -68,10 +68,10 @@
 // document has an error-severity finding. See internal/lint for the
 // diagnostic code table.
 //
-// The analyze subcommand computes the static structural report of ctmc
+// The analyze subcommand prints the static structural report of ctmc
 // documents (SCC condensation, stiffness, lumpability, solver hint — see
-// internal/relstruct) alongside the lint findings; -json emits the full
-// StructReport. Non-ctmc documents are reported as skipped. The serve
+// internal/relstruct) alongside the lint findings, which read that same
+// report; -json emits the full StructReport. Non-ctmc documents are reported as skipped. The serve
 // subcommand exposes the same analysis as POST /analyze.
 package main
 
@@ -249,8 +249,7 @@ func runLint(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	var reports []lintFileReport
 	if len(files) == 0 {
-		_, ds := modelio.LintDocument(stdin)
-		sortByCodePath(ds)
+		_, ds, _ := modelio.LintDocument(stdin)
 		reports = append(reports, lintFileReport{File: "<stdin>", Diagnostics: ds})
 	}
 	for _, path := range files {
@@ -258,9 +257,8 @@ func runLint(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, ds := modelio.LintDocument(f)
+		_, ds, _ := modelio.LintDocument(f)
 		f.Close()
-		sortByCodePath(ds)
 		reports = append(reports, lintFileReport{File: path, Diagnostics: ds})
 	}
 

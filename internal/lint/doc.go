@@ -10,12 +10,12 @@
 // The analyzers operate on small formalism-specific input structs (CTMC,
 // FaultTree, RBD, RelGraph, SPN) rather than on the modelio spec types, so
 // the modelio package can depend on lint for its pre-flight hook without
-// creating an import cycle; modelio.Lint adapts a parsed spec into a
-// lint.Input and calls Model.
+// creating an import cycle; modelio.Lint converts a parsed spec into the
+// input of its formalism and calls that formalism's check directly.
 //
 // # Diagnostic codes
 //
-// Markov chains (CheckCTMC, CheckGenerator, CheckStochastic):
+// Markov chains (CheckCTMC):
 //
 //	CT001  error    transition rate is not a positive finite number
 //	CT002  warning  self-loop transition (dropped by the solver)
@@ -26,12 +26,12 @@
 //	                unless a steady-state measure is requested)
 //	CT007  warning  absorbing state in a steady-state/availability model
 //	CT008  error    transition with an empty endpoint name
-//	GEN001 error    generator row does not sum to zero
-//	GEN002 error    negative off-diagonal generator entry
-//	GEN003 error    generator matrix is not square
-//	STO001 error    stochastic row does not sum to one
-//	STO002 error    probability entry outside [0,1]
-//	STO003 error    stochastic matrix is not square
+//	GEN001 retired  raw generator checks: no document type, CLI path
+//	GEN002 retired  or solver hands lint a raw matrix
+//	GEN003 retired
+//	STO001 retired  raw one-step probability checks, likewise
+//	STO002 retired
+//	STO003 retired
 //
 // Fault trees (CheckFaultTree):
 //
@@ -78,8 +78,9 @@
 //	PN008  error    nonpositive arc multiplicity
 //	PN009  warning  place or transition with no arcs
 //
-// Structural analysis (CheckCTMCStructure, backed by internal/relstruct;
-// only runs when the basic CT checks found no errors):
+// Structural analysis (also CheckCTMC, read off the same
+// internal/relstruct report as CT005–CT007; only runs when the CT checks
+// found no errors):
 //
 //	STR001 retired  reducibility is reported once, as CT006
 //	STR002 warning  transient states under a steady-state measure
@@ -120,13 +121,8 @@ const (
 	CodeCTMCAbsorbing    = "CT007"
 	CodeCTMCEmptyState   = "CT008"
 
-	CodeGenRowSum    = "GEN001"
-	CodeGenNegative  = "GEN002"
-	CodeGenNotSquare = "GEN003"
-
-	CodeStoRowSum    = "STO001"
-	CodeStoRange     = "STO002"
-	CodeStoNotSquare = "STO003"
+	// GEN001–GEN003 and STO001–STO003 are retired: no input reached the
+	// raw-matrix checks that issued them.
 
 	CodeFTUnknownEvent   = "FT001"
 	CodeFTArity          = "FT002"

@@ -69,7 +69,7 @@ func CheckRelGraph(g RelGraph) []Diagnostic {
 		ds = errf(ds, CodeRGUnreachable, "relgraph",
 			"target %q is unreachable from source %q; reliability is identically 0", g.Target, g.Source)
 	}
-	for n := range nodes {
+	for _, n := range sortedKeys(nodes) {
 		if n == g.Source || n == g.Target {
 			continue
 		}

@@ -78,18 +78,27 @@ func HasErrors(ds []Diagnostic) bool {
 	return false
 }
 
-// Sort orders diagnostics by severity (errors first), then path, then code,
-// giving deterministic reports.
+// Sort orders diagnostics by code, then path: the order relcli lint and
+// relcli analyze print. The sort is stable, and every check emits in an
+// order fixed by its input, so diagnostics that tie keep that order.
 func Sort(ds []Diagnostic) {
 	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].Severity != ds[j].Severity {
-			return ds[i].Severity > ds[j].Severity
+		if ds[i].Code != ds[j].Code {
+			return ds[i].Code < ds[j].Code
 		}
-		if ds[i].Path != ds[j].Path {
-			return ds[i].Path < ds[j].Path
-		}
-		return ds[i].Code < ds[j].Code
+		return ds[i].Path < ds[j].Path
 	})
+}
+
+// sortedKeys returns m's keys in increasing order, for checks that
+// report once per map entry.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Error aggregates lint errors into a single error value; the solvers'
@@ -107,44 +116,4 @@ func (e *Error) Error() string {
 		sb.WriteString(d.String())
 	}
 	return sb.String()
-}
-
-// Input bundles the per-formalism views of one model. Exactly one field is
-// normally set; Model runs every analyzer whose input is present.
-type Input struct {
-	CTMC      *CTMC
-	FaultTree *FaultTree
-	RBD       *RBD
-	RelGraph  *RelGraph
-	SPN       *SPN
-}
-
-// Model runs all applicable analyzers over the input and returns the
-// sorted findings. An empty slice means the model is clean.
-func Model(in Input) []Diagnostic {
-	var ds []Diagnostic
-	if in.CTMC != nil {
-		cds := CheckCTMC(*in.CTMC)
-		if !HasErrors(cds) {
-			// Structural analysis over a chain whose basic shape is broken
-			// (bad rates, dangling states) would mislead; run it only on
-			// otherwise-clean chains.
-			cds = append(cds, CheckCTMCStructure(*in.CTMC)...)
-		}
-		ds = append(ds, cds...)
-	}
-	if in.FaultTree != nil {
-		ds = append(ds, CheckFaultTree(*in.FaultTree)...)
-	}
-	if in.RBD != nil {
-		ds = append(ds, CheckRBD(*in.RBD)...)
-	}
-	if in.RelGraph != nil {
-		ds = append(ds, CheckRelGraph(*in.RelGraph)...)
-	}
-	if in.SPN != nil {
-		ds = append(ds, CheckSPN(*in.SPN)...)
-	}
-	Sort(ds)
-	return ds
 }

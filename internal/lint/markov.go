@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/relstruct"
 )
-
-// rowSumTol is the tolerance for generator/stochastic row-sum checks.
-const rowSumTol = 1e-9
 
 // Transition is one named-state rate entry of a CTMC under lint.
 type Transition struct {
@@ -32,8 +29,17 @@ type CTMC struct {
 	NeedsSteadyState bool
 }
 
-// CheckCTMC runs the structural checks on a CTMC description.
-func CheckCTMC(m CTMC) []Diagnostic {
+// CheckCTMC runs the CT checks on a CTMC description and, when none of
+// them reports an error, the STR checks (structure computed over bad
+// rates or dangling states would mislead).
+//
+// It numbers the states in order of first appearance and analyzes the
+// chain once with relstruct.Analyze: every transition that names both
+// endpoints, in document order, self-loops, repeats and bad rates
+// included, seeded with the up and absorbing sets. That report answers
+// CT005–CT007 and every STR code, and CheckCTMC returns it whatever the
+// diagnostics say; it is nil only when no transition names both states.
+func CheckCTMC(m CTMC) ([]Diagnostic, *relstruct.StructReport) {
 	var ds []Diagnostic
 	states := map[string]int{} // name -> index in order of first appearance
 	var names []string
@@ -46,31 +52,30 @@ func CheckCTMC(m CTMC) []Diagnostic {
 		names = append(names, name)
 		return i
 	}
-	adj := map[int][]int{}
-	seen := map[[2]string]bool{}
+	trans := make([]relstruct.Transition, 0, len(m.Transitions))
+	seen := make(map[[2]int]bool, len(m.Transitions))
 	for i, tr := range m.Transitions {
-		path := fmt.Sprintf("ctmc.transitions[%d]", i)
 		if tr.From == "" || tr.To == "" {
-			ds = errf(ds, CodeCTMCEmptyState, path, "transition must name both endpoint states")
+			ds = errf(ds, CodeCTMCEmptyState, transitionPath(i), "transition must name both endpoint states")
 			continue
 		}
 		from, to := intern(tr.From), intern(tr.To)
+		trans = append(trans, relstruct.Transition{From: from, To: to, Weight: tr.Rate})
 		if tr.Rate <= 0 || math.IsNaN(tr.Rate) || math.IsInf(tr.Rate, 0) {
-			ds = errf(ds, CodeCTMCBadRate, path+".rate",
+			ds = errf(ds, CodeCTMCBadRate, transitionPath(i)+".rate",
 				"rate %g is not a positive finite number", tr.Rate)
 		}
-		if tr.From == tr.To {
-			ds = warnf(ds, CodeCTMCSelfLoop, path,
+		if from == to {
+			ds = warnf(ds, CodeCTMCSelfLoop, transitionPath(i),
 				"self-loop on state %q has no effect in a CTMC and is dropped by the solver", tr.From)
 			continue
 		}
-		key := [2]string{tr.From, tr.To}
+		key := [2]int{from, to}
 		if seen[key] {
-			ds = warnf(ds, CodeCTMCDuplicate, path,
+			ds = warnf(ds, CodeCTMCDuplicate, transitionPath(i),
 				"duplicate transition %s -> %s; rates will be summed", tr.From, tr.To)
 		}
 		seen[key] = true
-		adj[from] = append(adj[from], to)
 	}
 
 	known := func(name, path string) {
@@ -89,26 +94,24 @@ func CheckCTMC(m CTMC) []Diagnostic {
 		known(s, fmt.Sprintf("ctmc.absorbing[%d]", i))
 	}
 
-	n := len(names)
-	if n == 0 {
-		return ds
+	if len(names) == 0 {
+		return ds, nil
+	}
+	rep, err := relstruct.Analyze(relstruct.Input{
+		States: len(names),
+		Names:  names,
+		Trans:  trans,
+		Seed:   relstruct.SeedSets(names, m.UpStates, m.Absorbing),
+	})
+	if err != nil {
+		// Analyze rejects only malformed input, and this is well formed.
+		return ds, nil
 	}
 
-	// Reachability from the initial state.
-	if _, ok := states[m.Initial]; m.Initial != "" && ok {
-		reach := make([]bool, n)
-		stack := []int{states[m.Initial]}
-		reach[states[m.Initial]] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[v] {
-				if !reach[w] {
-					reach[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
+	// Reachability from the initial state ("" is never a state).
+	var reach []bool
+	if init, ok := states[m.Initial]; ok {
+		reach = rep.Reachable(init)
 		for i, r := range reach {
 			if !r {
 				ds = warnf(ds, CodeCTMCUnreachable, "ctmc",
@@ -122,187 +125,58 @@ func CheckCTMC(m CTMC) []Diagnostic {
 		declared[s] = true
 	}
 
-	// Absorbing states (no outgoing transitions).
-	hasOut := make([]bool, n)
-	for v, ws := range adj {
-		if len(ws) > 0 {
-			hasOut[v] = true
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !hasOut[i] && !declared[names[i]] && m.NeedsSteadyState {
-			ds = warnf(ds, CodeCTMCAbsorbing, "ctmc",
-				"state %q is absorbing; the steady-state/availability result will concentrate all probability in it", names[i])
+	// Absorbing states: single-state closed classes, which are exactly
+	// the states with no transition to another state.
+	if m.NeedsSteadyState {
+		for _, s := range rep.AbsorbingStates {
+			if !declared[s] {
+				ds = warnf(ds, CodeCTMCAbsorbing, "ctmc",
+					"state %q is absorbing; the steady-state/availability result will concentrate all probability in it", s)
+			}
 		}
 	}
 
-	// Closed communicating classes via Tarjan SCC: more than one closed
-	// class means the steady-state distribution depends on the initial
-	// state and the linear solve is singular in a way availability models
-	// do not expect.
-	comp := tarjan(n, adj)
-	closed := map[int]bool{}
-	for c := range comp.members {
-		closed[c] = true
-	}
-	for v, ws := range adj {
-		for _, w := range ws {
-			if comp.of[v] != comp.of[w] {
-				closed[comp.of[v]] = false
-			}
+	// More than one closed communicating class means the steady-state
+	// distribution depends on the initial state and the linear solve is
+	// singular in a way availability models do not expect. Classes made
+	// entirely of declared absorbing states are the intended targets of
+	// MTTA-style measures.
+	closed := 0
+	for _, cl := range rep.Classes {
+		if cl.Recurrent && !allDeclared(cl.States, declared) {
+			closed++
 		}
 	}
-	var closedClasses [][]int
-	for c, isClosed := range closed {
-		if !isClosed {
-			continue
-		}
-		// Classes made entirely of declared absorbing states are the
-		// intended targets of MTTA-style measures.
-		allDeclared := true
-		for _, v := range comp.members[c] {
-			if !declared[names[v]] {
-				allDeclared = false
-				break
-			}
-		}
-		if !allDeclared {
-			closedClasses = append(closedClasses, comp.members[c])
-		}
-	}
-	if len(closedClasses) > 1 {
+	if closed > 1 {
 		sev := warnf
 		if m.NeedsSteadyState {
 			sev = errf
 		}
 		ds = sev(ds, CodeCTMCReducible, "ctmc",
-			"chain has %d closed communicating classes; the long-run distribution is not unique", len(closedClasses))
+			"chain has %d closed communicating classes; the long-run distribution is not unique", closed)
 	}
-	return ds
+
+	if !HasErrors(ds) {
+		var unreachable []string
+		if reach != nil {
+			unreachable = unreachableRecurrent(rep, reach)
+		}
+		ds = append(ds, checkStructReport(rep, m, unreachable)...)
+	}
+	return ds, rep
 }
 
-// sccResult maps vertices to strongly connected components.
-type sccResult struct {
-	of      []int         // vertex -> component id
-	members map[int][]int // component id -> vertices
+// transitionPath locates the i-th transition; checks build it only when
+// they report.
+func transitionPath(i int) string {
+	return fmt.Sprintf("ctmc.transitions[%d]", i)
 }
 
-// tarjan computes strongly connected components of the directed graph with
-// n vertices and adjacency adj.
-func tarjan(n int, adj map[int][]int) sccResult {
-	res := sccResult{of: make([]int, n), members: map[int][]int{}}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	next, comps := 0, 0
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] < 0 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			id := comps
-			comps++
-			for { //numvet:allow unbounded-loop pops a finite stack; v is guaranteed on it by Tarjan's invariant
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				res.of[w] = id
-				res.members[id] = append(res.members[id], w)
-				if w == v {
-					break
-				}
-			}
+func allDeclared(states []string, declared map[string]bool) bool {
+	for _, s := range states {
+		if !declared[s] {
+			return false
 		}
 	}
-	for v := 0; v < n; v++ {
-		if index[v] < 0 {
-			strongconnect(v)
-		}
-	}
-	return res
-}
-
-// CheckGenerator validates a raw CTMC infinitesimal generator matrix:
-// square shape, rows summing to zero, and nonnegative off-diagonals.
-// names labels the states and may be nil.
-func CheckGenerator(names []string, q [][]float64) []Diagnostic {
-	var ds []Diagnostic
-	n := len(q)
-	label := func(i int) string {
-		if i < len(names) {
-			return fmt.Sprintf("state %q", names[i])
-		}
-		return fmt.Sprintf("state %d", i)
-	}
-	for i, row := range q {
-		if len(row) != n {
-			ds = errf(ds, CodeGenNotSquare, fmt.Sprintf("Q[%d]", i),
-				"row has %d entries for %d states", len(row), n)
-			continue
-		}
-		sum := 0.0
-		for j, v := range row {
-			sum += v
-			if i != j && v < 0 {
-				ds = errf(ds, CodeGenNegative, fmt.Sprintf("Q[%d][%d]", i, j),
-					"off-diagonal rate %g of %s is negative", v, label(i))
-			}
-		}
-		if !core.AlmostEqual(sum, 0, rowSumTol) {
-			ds = errf(ds, CodeGenRowSum, fmt.Sprintf("Q[%d]", i),
-				"row of %s sums to %g, want 0", label(i), sum)
-		}
-	}
-	return ds
-}
-
-// CheckStochastic validates a DTMC one-step probability matrix: square
-// shape, entries in [0,1], and rows summing to one. names labels the
-// states and may be nil.
-func CheckStochastic(names []string, p [][]float64) []Diagnostic {
-	var ds []Diagnostic
-	n := len(p)
-	label := func(i int) string {
-		if i < len(names) {
-			return fmt.Sprintf("state %q", names[i])
-		}
-		return fmt.Sprintf("state %d", i)
-	}
-	for i, row := range p {
-		if len(row) != n {
-			ds = errf(ds, CodeStoNotSquare, fmt.Sprintf("P[%d]", i),
-				"row has %d entries for %d states", len(row), n)
-			continue
-		}
-		sum := 0.0
-		for j, v := range row {
-			sum += v
-			if v < 0 || v > 1 || math.IsNaN(v) {
-				ds = errf(ds, CodeStoRange, fmt.Sprintf("P[%d][%d]", i, j),
-					"probability %g of %s is outside [0,1]", v, label(i))
-			}
-		}
-		if !core.AlmostEqual(sum, 1, rowSumTol) {
-			ds = errf(ds, CodeStoRowSum, fmt.Sprintf("P[%d]", i),
-				"row of %s sums to %g, want 1", label(i), sum)
-		}
-	}
-	return ds
+	return true
 }

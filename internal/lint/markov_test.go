@@ -14,6 +14,12 @@ func codes(ds []Diagnostic) map[string]int {
 	return m
 }
 
+// ctmcDiags returns CheckCTMC's diagnostics without its report.
+func ctmcDiags(m CTMC) []Diagnostic {
+	ds, _ := CheckCTMC(m)
+	return ds
+}
+
 // wantCode asserts the report contains the code at the given severity.
 func wantCode(t *testing.T, ds []Diagnostic, code string, sev Severity) Diagnostic {
 	t.Helper()
@@ -40,7 +46,7 @@ func wantNoCode(t *testing.T, ds []Diagnostic, code string) {
 }
 
 func TestCheckCTMCBadRate(t *testing.T) {
-	ds := CheckCTMC(CTMC{Transitions: []Transition{
+	ds := ctmcDiags(CTMC{Transitions: []Transition{
 		{From: "up", To: "down", Rate: -0.5},
 		{From: "down", To: "up", Rate: 1},
 	}})
@@ -51,7 +57,7 @@ func TestCheckCTMCBadRate(t *testing.T) {
 }
 
 func TestCheckCTMCSelfLoopAndDuplicate(t *testing.T) {
-	ds := CheckCTMC(CTMC{Transitions: []Transition{
+	ds := ctmcDiags(CTMC{Transitions: []Transition{
 		{From: "a", To: "a", Rate: 1},
 		{From: "a", To: "b", Rate: 1},
 		{From: "a", To: "b", Rate: 2},
@@ -62,7 +68,7 @@ func TestCheckCTMCSelfLoopAndDuplicate(t *testing.T) {
 }
 
 func TestCheckCTMCUnknownState(t *testing.T) {
-	ds := CheckCTMC(CTMC{
+	ds := ctmcDiags(CTMC{
 		Transitions: []Transition{{From: "a", To: "b", Rate: 1}, {From: "b", To: "a", Rate: 1}},
 		Initial:     "nope",
 		UpStates:    []string{"a", "ghost"},
@@ -74,12 +80,12 @@ func TestCheckCTMCUnknownState(t *testing.T) {
 }
 
 func TestCheckCTMCEmptyState(t *testing.T) {
-	ds := CheckCTMC(CTMC{Transitions: []Transition{{From: "", To: "b", Rate: 1}}})
+	ds := ctmcDiags(CTMC{Transitions: []Transition{{From: "", To: "b", Rate: 1}}})
 	wantCode(t, ds, CodeCTMCEmptyState, SevError)
 }
 
 func TestCheckCTMCUnreachable(t *testing.T) {
-	ds := CheckCTMC(CTMC{
+	ds := ctmcDiags(CTMC{
 		Transitions: []Transition{
 			{From: "a", To: "b", Rate: 1},
 			{From: "b", To: "a", Rate: 1},
@@ -102,9 +108,9 @@ func TestCheckCTMCReducible(t *testing.T) {
 		},
 	}
 	m.NeedsSteadyState = true
-	wantCode(t, CheckCTMC(m), CodeCTMCReducible, SevError)
+	wantCode(t, ctmcDiags(m), CodeCTMCReducible, SevError)
 	m.NeedsSteadyState = false
-	wantCode(t, CheckCTMC(m), CodeCTMCReducible, SevWarning)
+	wantCode(t, ctmcDiags(m), CodeCTMCReducible, SevWarning)
 }
 
 func TestCheckCTMCAbsorbingInAvailabilityModel(t *testing.T) {
@@ -112,16 +118,16 @@ func TestCheckCTMCAbsorbingInAvailabilityModel(t *testing.T) {
 		Transitions:      []Transition{{From: "up", To: "dead", Rate: 0.01}},
 		NeedsSteadyState: true,
 	}
-	wantCode(t, CheckCTMC(m), CodeCTMCAbsorbing, SevWarning)
+	wantCode(t, ctmcDiags(m), CodeCTMCAbsorbing, SevWarning)
 
 	// Declaring the state absorbing (an MTTA model) silences the warning.
 	m.NeedsSteadyState = false
 	m.Absorbing = []string{"dead"}
-	wantNoCode(t, CheckCTMC(m), CodeCTMCAbsorbing)
+	wantNoCode(t, ctmcDiags(m), CodeCTMCAbsorbing)
 }
 
 func TestCheckCTMCCleanModel(t *testing.T) {
-	ds := CheckCTMC(CTMC{
+	ds := ctmcDiags(CTMC{
 		Transitions: []Transition{
 			{From: "2up", To: "1up", Rate: 0.002},
 			{From: "1up", To: "0up", Rate: 0.001},
@@ -135,41 +141,4 @@ func TestCheckCTMCCleanModel(t *testing.T) {
 	if len(ds) != 0 {
 		t.Errorf("clean CTMC produced diagnostics: %v", ds)
 	}
-}
-
-func TestCheckGenerator(t *testing.T) {
-	q := [][]float64{
-		{-2, 2, 0},
-		{1, -0.5, 0}, // row sums to 0.5
-		{0, -1, 1},   // negative off-diagonal
-	}
-	ds := CheckGenerator([]string{"a", "b", "c"}, q)
-	wantCode(t, ds, CodeGenRowSum, SevError)
-	wantCode(t, ds, CodeGenNegative, SevError)
-
-	ds = CheckGenerator(nil, [][]float64{{-1, 1}, {2}})
-	wantCode(t, ds, CodeGenNotSquare, SevError)
-
-	ok := [][]float64{{-2, 2}, {3, -3}}
-	if ds := CheckGenerator(nil, ok); len(ds) != 0 {
-		t.Errorf("valid generator produced diagnostics: %v", ds)
-	}
-}
-
-func TestCheckStochastic(t *testing.T) {
-	p := [][]float64{
-		{0.5, 0.5},
-		{1.2, -0.2}, // entries out of range (row still sums to 1)
-	}
-	ds := CheckStochastic(nil, p)
-	if got := codes(ds)[CodeStoRange]; got != 2 {
-		t.Errorf("want 2 STO002, got %d: %v", got, ds)
-	}
-	wantNoCode(t, ds, CodeStoRowSum)
-
-	ds = CheckStochastic([]string{"a", "b"}, [][]float64{{0.5, 0.4}, {0, 1}})
-	wantCode(t, ds, CodeStoRowSum, SevError)
-
-	ds = CheckStochastic(nil, [][]float64{{1, 0}})
-	wantCode(t, ds, CodeStoNotSquare, SevError)
 }

@@ -142,7 +142,8 @@ func CheckSPN(n SPN) []Diagnostic {
 		}
 		// Structurally dead: needs ≥ mult tokens in a place while an
 		// inhibitor on the same place forbids ≥ inhibMult ≤ mult tokens.
-		for place, need := range set.in {
+		for _, place := range sortedKeys(set.in) {
+			need := set.in[place]
 			if bound, ok := set.inhib[place]; ok && bound <= need {
 				ds = errf(ds, CodePNDeadTransition, path,
 					"transition %q needs %d token(s) in %q but its inhibitor arc disables it at %d; it can never fire", t.Name, need, place, bound)

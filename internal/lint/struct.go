@@ -8,41 +8,16 @@ import (
 )
 
 // This file translates internal/relstruct's static structural analysis
-// into STR-coded diagnostics. The checks only run when the basic CT
-// checks found no errors (structure computed over garbage rates would
-// mislead), and none of them is error severity: structure is advice —
-// the CT006-style escalation for genuinely unsolvable shapes stays in
-// CheckCTMC.
+// into STR-coded diagnostics. CheckCTMC runs the translation on the one
+// report it builds, and only when the basic CT checks found no errors
+// (structure computed over garbage rates would mislead). None of the
+// findings is error severity: structure is advice — the CT006-style
+// escalation for genuinely unsolvable shapes stays in CheckCTMC.
 
-// CheckCTMCStructure analyzes the chain's transition graph (SCC
-// condensation, stiffness, lumpability) and reports the structural
-// findings. The lumpability seed separates the up states and the
-// declared absorbing states, matching what the automatic lumping
-// pre-pass in modelio preserves.
-func CheckCTMCStructure(m CTMC) []Diagnostic {
-	var nts []relstruct.NamedTransition
-	for _, tr := range m.Transitions {
-		if tr.From == "" || tr.To == "" {
-			continue
-		}
-		nts = append(nts, relstruct.NamedTransition{From: tr.From, To: tr.To, Weight: tr.Rate})
-	}
-	if len(nts) == 0 {
-		return nil
-	}
-	in := relstruct.FromNamed(nts, false)
-	in.Seed = relstruct.SeedSets(in.Names, m.UpStates, m.Absorbing)
-	rep, err := relstruct.Analyze(in)
-	if err != nil {
-		return nil
-	}
-	return CheckStructReport(rep, m)
-}
-
-// CheckStructReport turns a precomputed structural report into STR
-// diagnostics; CheckCTMCStructure is the usual entry, but callers that
-// already hold a report (discrete chains, relcli analyze) can reuse it.
-func CheckStructReport(rep *relstruct.StructReport, m CTMC) []Diagnostic {
+// checkStructReport turns a chain's structural report into STR
+// diagnostics. unreachable names the first state of each recurrent class
+// the initial state cannot reach (nil without a known initial state).
+func checkStructReport(rep *relstruct.StructReport, m CTMC, unreachable []string) []Diagnostic {
 	// STR001 is retired: reducibility is CheckCTMC's CT006, reported once.
 	var ds []Diagnostic
 
@@ -54,12 +29,10 @@ func CheckStructReport(rep *relstruct.StructReport, m CTMC) []Diagnostic {
 	}
 
 	// STR003: a recurrent class the initial state can never enter.
-	if m.Initial != "" {
-		if unreachable := unreachableRecurrent(rep, m); len(unreachable) > 0 {
-			ds = warnf(ds, CodeStructUnreachableClass, "ctmc",
-				"%d recurrent class(es) (entered via %s) are unreachable from initial state %q and can never accumulate probability",
-				len(unreachable), exampleList(unreachable), m.Initial)
-		}
+	if len(unreachable) > 0 {
+		ds = warnf(ds, CodeStructUnreachableClass, "ctmc",
+			"%d recurrent class(es) (entered via %s) are unreachable from initial state %q and can never accumulate probability",
+			len(unreachable), exampleList(unreachable), m.Initial)
 	}
 
 	// STR004: stiffness, per recurrent class.
@@ -149,55 +122,18 @@ func transientExamples(rep *relstruct.StructReport) []string {
 	return out
 }
 
-// unreachableRecurrent lists a representative of every recurrent class
-// with no path from the initial state.
-func unreachableRecurrent(rep *relstruct.StructReport, m CTMC) []string {
-	adj := map[string][]string{}
-	for _, tr := range m.Transitions {
-		if tr.From == "" || tr.To == "" {
-			continue
-		}
-		adj[tr.From] = append(adj[tr.From], tr.To)
-	}
-	if _, ok := adj[m.Initial]; !ok {
-		// The initial state may still be a sink that appears only as a
-		// target; reachability then covers just itself.
-		found := false
-		for _, tr := range m.Transitions {
-			if tr.To == m.Initial || tr.From == m.Initial {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
-	reach := map[string]bool{m.Initial: true}
-	stack := []string{m.Initial}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !reach[w] {
-				reach[w] = true
-				stack = append(stack, w)
-			}
+// unreachableRecurrent lists the first state of every recurrent class
+// with no member in reach.
+func unreachableRecurrent(rep *relstruct.StructReport, reach []bool) []string {
+	hit := make([]bool, len(rep.Classes))
+	for s, c := range rep.ClassOf() {
+		if reach[s] {
+			hit[c] = true
 		}
 	}
 	var out []string
-	for _, cl := range rep.Classes {
-		if !cl.Recurrent {
-			continue
-		}
-		hit := false
-		for _, s := range cl.States {
-			if reach[s] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+	for i, cl := range rep.Classes {
+		if cl.Recurrent && !hit[i] {
 			out = append(out, cl.States[0])
 		}
 	}

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// structDiags runs the STR translation on the report of m's chain, as
+// CheckCTMC numbers and seeds it, whatever the CT checks would say.
+func structDiags(m CTMC) []Diagnostic {
+	rep, err := refReport(m)
+	if err != nil {
+		return nil
+	}
+	var unreachable []string
+	for i, name := range rep.StateNames() {
+		if name == m.Initial {
+			unreachable = unreachableRecurrent(rep, rep.Reachable(i))
+		}
+	}
+	return checkStructReport(rep, m, unreachable)
+}
+
 // codesOf extracts the codes of a diagnostic list.
 func codesOf(ds []Diagnostic) map[string]int {
 	m := map[string]int{}
@@ -15,7 +31,7 @@ func codesOf(ds []Diagnostic) map[string]int {
 }
 
 func TestStructCleanChainNoFindings(t *testing.T) {
-	ds := CheckCTMCStructure(CTMC{
+	ds := structDiags(CTMC{
 		Transitions: []Transition{
 			{"up", "down", 0.01},
 			{"down", "up", 1.0},
@@ -36,7 +52,7 @@ func TestStructReducibleAndTransientMass(t *testing.T) {
 		},
 		NeedsSteadyState: true,
 	}
-	ds := CheckCTMCStructure(m)
+	ds := structDiags(m)
 	codes := codesOf(ds)
 	if codes[CodeStructTransientMass] != 1 {
 		t.Fatalf("want one STR002, got %v", ds)
@@ -55,7 +71,7 @@ func TestStructDeclaredAbsorbingNotReducible(t *testing.T) {
 		Initial:   "ok",
 		Absorbing: []string{"failed"},
 	}
-	ds := CheckCTMCStructure(m)
+	ds := structDiags(m)
 	codes := codesOf(ds)
 	if codes[CodeStructTransientInitial] != 1 {
 		t.Fatalf("want STR007 for transient initial, got %v", ds)
@@ -73,7 +89,7 @@ func TestStructUnreachableRecurrentClass(t *testing.T) {
 		},
 		Initial: "a",
 	}
-	ds := CheckCTMCStructure(m)
+	ds := structDiags(m)
 	codes := codesOf(ds)
 	if codes[CodeStructUnreachableClass] != 1 {
 		t.Fatalf("want STR003, got %v", ds)
@@ -90,7 +106,7 @@ func TestStructStiffAndRateSpan(t *testing.T) {
 			{"down", "up", 5e6},
 		},
 	}
-	ds := CheckCTMCStructure(m)
+	ds := structDiags(m)
 	codes := codesOf(ds)
 	if codes[CodeStructStiff] != 1 {
 		t.Fatalf("want STR004, got %v", ds)
@@ -119,7 +135,7 @@ func TestStructLumpableInfo(t *testing.T) {
 		},
 		UpStates: []string{"00", "01", "10"},
 	}
-	ds := CheckCTMCStructure(m)
+	ds := structDiags(m)
 	codes := codesOf(ds)
 	if codes[CodeStructLumpable] != 1 {
 		t.Fatalf("want STR005, got %v", ds)
@@ -143,7 +159,7 @@ func TestStructOnlyAdvisorySeverities(t *testing.T) {
 		Initial:          "start",
 		NeedsSteadyState: true,
 	}
-	ds := CheckCTMCStructure(m)
+	ds := structDiags(m)
 	if len(ds) == 0 {
 		t.Fatal("expected findings")
 	}
@@ -155,11 +171,11 @@ func TestStructOnlyAdvisorySeverities(t *testing.T) {
 }
 
 func TestStructEmptyAndBrokenInputs(t *testing.T) {
-	if ds := CheckCTMCStructure(CTMC{}); len(ds) != 0 {
+	if ds := structDiags(CTMC{}); len(ds) != 0 {
 		t.Fatalf("empty chain produced findings: %v", ds)
 	}
 	// Transitions with empty endpoints are skipped rather than crashing.
-	if ds := CheckCTMCStructure(CTMC{Transitions: []Transition{{"", "x", 1}}}); len(ds) != 0 {
+	if ds := structDiags(CTMC{Transitions: []Transition{{"", "x", 1}}}); len(ds) != 0 {
 		t.Fatalf("broken transitions produced findings: %v", ds)
 	}
 }

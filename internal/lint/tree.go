@@ -113,8 +113,8 @@ func CheckFaultTree(ft FaultTree) []Diagnostic {
 	}
 	walk(ft.Top, "faulttree.top")
 
-	for name, n := range used {
-		if n > 1 {
+	for _, name := range sortedKeys(used) {
+		if n := used[name]; n > 1 {
 			ds = warnf(ds, CodeFTSharedSubtree, "faulttree.top",
 				"basic event %q appears %d times in the tree; min-cut based bounds are safer than naive bottom-up evaluation here", name, n)
 		}
@@ -228,8 +228,8 @@ func CheckRBD(m RBD) []Diagnostic {
 	}
 	walk(m.Structure, "rbd.structure")
 
-	for name, n := range used {
-		if n > 1 {
+	for _, name := range sortedKeys(used) {
+		if n := used[name]; n > 1 {
 			ds = warnf(ds, CodeRBDSharedBlock, "rbd.structure",
 				"component %q appears %d times in the structure; the copies are treated as statistically independent", name, n)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/lint"
@@ -77,11 +78,13 @@ func FuzzLoadDocument(f *testing.F) {
 
 // FuzzLint fuzzes the combined parse+lint path: LintDocument must never
 // panic, must always return at least one diagnostic for undecodable input,
-// and its diagnostics must be well-formed (coded, sorted severity set).
+// and its diagnostics must be well-formed (coded, sorted severity set), in
+// lint.Sort order, and the same when the same bytes are linted again. A
+// structural report comes back only for ctmc documents.
 func FuzzLint(f *testing.F) {
 	seedModels(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, ds := LintDocument(bytes.NewReader(data))
+		spec, ds, rep := LintDocument(bytes.NewReader(data))
 		if spec == nil && len(ds) == 0 {
 			t.Fatal("undecodable document produced no diagnostics")
 		}
@@ -92,6 +95,17 @@ func FuzzLint(f *testing.F) {
 			if d.Severity != lint.SevError && d.Severity != lint.SevWarning && d.Severity != lint.SevInfo {
 				t.Errorf("diagnostic with unknown severity %q: %+v", d.Severity, d)
 			}
+		}
+		sorted := append([]lint.Diagnostic(nil), ds...)
+		lint.Sort(sorted)
+		if !reflect.DeepEqual(sorted, ds) {
+			t.Errorf("diagnostics not in lint.Sort order:\n%v", ds)
+		}
+		if _, again, _ := LintDocument(bytes.NewReader(data)); !reflect.DeepEqual(again, ds) {
+			t.Errorf("linting the same bytes twice disagrees:\n%v\n%v", ds, again)
+		}
+		if rep != nil && (spec == nil || spec.Type != "ctmc") {
+			t.Errorf("structural report for a non-ctmc document: %+v", spec)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/lint"
+	"repro/internal/relstruct"
 )
 
 // This file adapts parsed model documents into the inputs of the
@@ -17,49 +18,52 @@ import (
 // and lints it, folding parse-level failures (invalid JSON, unknown
 // model type, missing section) into SPEC-coded diagnostics instead of
 // bare errors. The returned spec is nil when the document could not be
-// decoded at all.
-func LintDocument(r io.Reader) (*Spec, []lint.Diagnostic) {
+// decoded at all; the structural report is Lint's.
+func LintDocument(r io.Reader) (*Spec, []lint.Diagnostic, *relstruct.StructReport) {
 	s, err := decode(r)
 	if err != nil {
 		return nil, []lint.Diagnostic{{
 			Code: lint.CodeSpecParse, Severity: lint.SevError,
 			Msg: fmt.Sprintf("document is not a valid model description: %v", err),
-		}}
+		}}, nil
 	}
-	return s, Lint(s)
+	ds, rep := Lint(s)
+	return s, ds, rep
 }
 
-// Lint statically checks a parsed model document and returns the sorted
-// findings. It validates the document shape (type, section, measures and
-// their required fields) and then runs the formalism analyzers of
-// internal/lint over the model structure.
-func Lint(s *Spec) []lint.Diagnostic {
+// Lint statically checks a parsed model document and returns the findings
+// in lint.Sort order. It validates the document shape (type, section,
+// measures and their required fields) and then runs the formalism's
+// analyzer from internal/lint over the model structure. For a ctmc
+// document it also returns the structural report that analyzer read (nil
+// for other types, and for a chain without states).
+func Lint(s *Spec) ([]lint.Diagnostic, *relstruct.StructReport) {
 	ds := checkShape(s)
 	if lint.HasErrors(ds) {
-		lint.Sort(ds)
-		return ds
+		return ds, nil
 	}
-	var in lint.Input
+	var rep *relstruct.StructReport
 	switch s.Type {
 	case "rbd":
 		ds = append(ds, checkRBDMeasures(s.RBD)...)
-		in.RBD = convRBD(s.RBD)
+		ds = append(ds, lint.CheckRBD(convRBD(s.RBD))...)
 	case "faulttree":
 		ds = append(ds, checkFTMeasures(s.FaultTree)...)
-		in.FaultTree = convFaultTree(s.FaultTree)
+		ds = append(ds, lint.CheckFaultTree(convFaultTree(s.FaultTree))...)
 	case "ctmc":
 		ds = append(ds, checkCTMCMeasures(s.CTMC)...)
-		in.CTMC = convCTMC(s.CTMC)
+		var cds []lint.Diagnostic
+		cds, rep = lint.CheckCTMC(convCTMC(s.CTMC))
+		ds = append(ds, cds...)
 	case "relgraph":
 		ds = append(ds, checkRGMeasures(s.RelGraph)...)
-		in.RelGraph = convRelGraph(s.RelGraph)
+		ds = append(ds, lint.CheckRelGraph(convRelGraph(s.RelGraph))...)
 	case "spn":
 		ds = append(ds, checkSPNMeasures(s.SPN)...)
-		in.SPN = convSPN(s.SPN)
+		ds = append(ds, lint.CheckSPN(convSPN(s.SPN))...)
 	}
-	ds = append(ds, lint.Model(in)...)
 	lint.Sort(ds)
-	return ds
+	return ds, rep
 }
 
 // checkShape validates the type/section pairing of the document.
@@ -260,8 +264,8 @@ func convDist(d *DistSpec) *lint.Dist {
 	}
 }
 
-func convRBD(spec *RBDSpec) *lint.RBD {
-	out := &lint.RBD{}
+func convRBD(spec *RBDSpec) lint.RBD {
+	var out lint.RBD
 	for _, c := range spec.Components {
 		out.Components = append(out.Components, lint.RBDComponent{
 			Name: c.Name, Lifetime: convDist(c.Lifetime), Repair: convDist(c.Repair),
@@ -288,8 +292,8 @@ func convBlock(b *BlockSpec, memo map[*BlockSpec]*lint.Block) *lint.Block {
 	return out
 }
 
-func convFaultTree(spec *FaultTreeSpec) *lint.FaultTree {
-	out := &lint.FaultTree{}
+func convFaultTree(spec *FaultTreeSpec) lint.FaultTree {
+	var out lint.FaultTree
 	for _, e := range spec.Events {
 		out.Events = append(out.Events, lint.FTEvent{
 			Name: e.Name, Prob: e.Prob, Lifetime: convDist(e.Lifetime),
@@ -316,11 +320,12 @@ func convGate(g *GateSpec, memo map[*GateSpec]*lint.Gate) *lint.Gate {
 	return out
 }
 
-func convCTMC(spec *CTMCSpec) *lint.CTMC {
-	out := &lint.CTMC{
-		Initial:   spec.Initial,
-		UpStates:  spec.UpStates,
-		Absorbing: spec.Absorbing,
+func convCTMC(spec *CTMCSpec) lint.CTMC {
+	out := lint.CTMC{
+		Transitions: make([]lint.Transition, 0, len(spec.Transitions)),
+		Initial:     spec.Initial,
+		UpStates:    spec.UpStates,
+		Absorbing:   spec.Absorbing,
 	}
 	for _, tr := range spec.Transitions {
 		out.Transitions = append(out.Transitions, lint.Transition{From: tr.From, To: tr.To, Rate: tr.Rate})
@@ -333,16 +338,16 @@ func convCTMC(spec *CTMCSpec) *lint.CTMC {
 	return out
 }
 
-func convRelGraph(spec *RelGraphSpec) *lint.RelGraph {
-	out := &lint.RelGraph{Source: spec.Source, Target: spec.Target}
+func convRelGraph(spec *RelGraphSpec) lint.RelGraph {
+	out := lint.RelGraph{Source: spec.Source, Target: spec.Target}
 	for _, e := range spec.Edges {
 		out.Edges = append(out.Edges, lint.RGEdge{Name: e.Name, From: e.From, To: e.To, Rel: e.Rel})
 	}
 	return out
 }
 
-func convSPN(spec *SPNSpec) *lint.SPN {
-	out := &lint.SPN{}
+func convSPN(spec *SPNSpec) lint.SPN {
+	var out lint.SPN
 	for _, p := range spec.Places {
 		out.Places = append(out.Places, lint.SPNPlace{Name: p.Name, Tokens: p.Tokens})
 	}

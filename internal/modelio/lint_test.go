@@ -1,6 +1,10 @@
 package modelio
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,7 +25,7 @@ func findCode(t *testing.T, ds []lint.Diagnostic, code string) lint.Diagnostic {
 }
 
 func TestLintDocumentMalformedJSON(t *testing.T) {
-	spec, ds := LintDocument(strings.NewReader(`{"type": "ctmc",`))
+	spec, ds, _ := LintDocument(strings.NewReader(`{"type": "ctmc",`))
 	if spec != nil {
 		t.Error("malformed document should not yield a spec")
 	}
@@ -32,12 +36,12 @@ func TestLintDocumentMalformedJSON(t *testing.T) {
 }
 
 func TestLintDocumentUnknownField(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{"type": "ctmc", "ctmc": {"transitions": [], "measures": []}, "typo": 1}`))
+	_, ds, _ := LintDocument(strings.NewReader(`{"type": "ctmc", "ctmc": {"transitions": [], "measures": []}, "typo": 1}`))
 	findCode(t, ds, lint.CodeSpecParse)
 }
 
 func TestLintDocumentUnknownKind(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{"type": "petri"}`))
+	_, ds, _ := LintDocument(strings.NewReader(`{"type": "petri"}`))
 	d := findCode(t, ds, lint.CodeSpecType)
 	if d.Path != "type" {
 		t.Errorf("SPEC002 path = %q, want \"type\"", d.Path)
@@ -48,12 +52,12 @@ func TestLintDocumentUnknownKind(t *testing.T) {
 }
 
 func TestLintDocumentMissingType(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{"name": "anonymous"}`))
+	_, ds, _ := LintDocument(strings.NewReader(`{"name": "anonymous"}`))
 	findCode(t, ds, lint.CodeSpecType)
 }
 
 func TestLintDocumentMissingSection(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{"type": "rbd"}`))
+	_, ds, _ := LintDocument(strings.NewReader(`{"type": "rbd"}`))
 	d := findCode(t, ds, lint.CodeSpecSection)
 	if d.Path != "rbd" {
 		t.Errorf("SPEC003 path = %q, want \"rbd\"", d.Path)
@@ -61,7 +65,7 @@ func TestLintDocumentMissingSection(t *testing.T) {
 }
 
 func TestLintUnknownMeasure(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{
+	_, ds, _ := LintDocument(strings.NewReader(`{
 		"type": "relgraph",
 		"relgraph": {
 			"edges": [{"name": "e", "from": "s", "to": "t", "rel": 0.9}],
@@ -77,7 +81,7 @@ func TestLintUnknownMeasure(t *testing.T) {
 
 func TestLintMissingMeasureField(t *testing.T) {
 	// reliability without a mission time.
-	_, ds := LintDocument(strings.NewReader(`{
+	_, ds, _ := LintDocument(strings.NewReader(`{
 		"type": "rbd",
 		"rbd": {
 			"components": [{"name": "a", "lifetime": {"kind": "exponential", "rate": 0.1}}],
@@ -92,7 +96,7 @@ func TestLintMissingMeasureField(t *testing.T) {
 }
 
 func TestLintCTMCMeasureFields(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{
+	_, ds, _ := LintDocument(strings.NewReader(`{
 		"type": "ctmc",
 		"ctmc": {
 			"transitions": [
@@ -115,7 +119,7 @@ func TestLintCTMCMeasureFields(t *testing.T) {
 
 func TestLintFindsStructuralProblems(t *testing.T) {
 	// Bad rate and an unreachable state, through the document interface.
-	_, ds := LintDocument(strings.NewReader(`{
+	_, ds, _ := LintDocument(strings.NewReader(`{
 		"type": "ctmc",
 		"ctmc": {
 			"transitions": [
@@ -135,7 +139,7 @@ func TestLintFindsStructuralProblems(t *testing.T) {
 }
 
 func TestLintSPNMeasureReferences(t *testing.T) {
-	_, ds := LintDocument(strings.NewReader(`{
+	_, ds, _ := LintDocument(strings.NewReader(`{
 		"type": "spn",
 		"spn": {
 			"places": [{"name": "p", "tokens": 1}],
@@ -169,9 +173,73 @@ func TestLintCleanModelsAreClean(t *testing.T) {
 			"measures": ["top", "mincuts"]
 		}
 	}`
-	_, ds := LintDocument(strings.NewReader(doc))
+	_, ds, _ := LintDocument(strings.NewReader(doc))
 	if len(ds) != 0 {
 		t.Errorf("clean document produced diagnostics: %v", ds)
+	}
+}
+
+// TestLintRunsEachFormalismCheck: Lint hands each document type to its
+// formalism's check, and only a ctmc document comes back with the
+// structural report that check read.
+func TestLintRunsEachFormalismCheck(t *testing.T) {
+	cases := []struct {
+		doc, code string
+	}{
+		{`{"type": "ctmc", "ctmc": {"transitions": [
+			{"from": "a", "to": "b", "rate": -1}, {"from": "b", "to": "a", "rate": 1}]}}`, lint.CodeCTMCBadRate},
+		{`{"type": "faulttree", "faulttree": {"events": [{"name": "e", "prob": 2}],
+			"top": {"event": "e"}}}`, lint.CodeFTProbRange},
+		{`{"type": "rbd", "rbd": {"components": [{"name": "a"}],
+			"structure": {"comp": "ghost"}}}`, lint.CodeRBDUnknownComp},
+		{`{"type": "relgraph", "relgraph": {"edges": [{"name": "e", "from": "s", "to": "t", "rel": 1.5}],
+			"source": "s", "target": "t"}}`, lint.CodeRGRelRange},
+		{`{"type": "spn", "spn": {"places": [{"name": "p", "tokens": 1}],
+			"transitions": [{"name": "t", "kind": "timed", "rate": 0}],
+			"arcs": [{"kind": "input", "place": "p", "transition": "t"}]}}`, lint.CodePNBadRate},
+	}
+	for _, tc := range cases {
+		spec, ds, rep := LintDocument(strings.NewReader(tc.doc))
+		if spec == nil {
+			t.Fatalf("%s: document did not decode: %v", tc.code, ds)
+		}
+		findCode(t, ds, tc.code)
+		if (rep != nil) != (spec.Type == "ctmc") {
+			t.Errorf("%s document: structural report %v", spec.Type, rep)
+		}
+	}
+}
+
+// TestLintDocumentReportIsStructReport: the report lint reads off a
+// bundled ctmc model is the one StructReport computes on its own.
+func TestLintDocumentReportIsStructReport(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "models", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctmcs := 0
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _, rep := LintDocument(bytes.NewReader(raw))
+		if spec == nil || spec.Type != "ctmc" {
+			continue
+		}
+		ctmcs++
+		want, err := StructReport(spec.CTMC)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		got, _ := json.Marshal(rep)
+		wantJSON, _ := json.Marshal(want)
+		if !bytes.Equal(got, wantJSON) {
+			t.Errorf("%s: lint's report differs from StructReport:\n%s\n%s", p, got, wantJSON)
+		}
+	}
+	if ctmcs == 0 {
+		t.Fatal("no ctmc models found")
 	}
 }
 

@@ -173,7 +173,7 @@ func TestAutoLumpOffByRequest(t *testing.T) {
 // TestLumpModeValidation: an unknown lump mode is a lint error.
 func TestLumpModeValidation(t *testing.T) {
 	spec := farmSpec(2, 0.01, 1.0, 1, []string{"availability"}, "sometimes")
-	ds := Lint(spec)
+	ds, _ := Lint(spec)
 	found := false
 	for _, d := range ds {
 		if d.Path == "ctmc.lump" {

@@ -118,7 +118,8 @@ func SolveWithOptions(s *Spec, opts SolveOptions) ([]Result, error) {
 func solveWith(s *Spec, opts SolveOptions, run func(obs.Recorder, solveEnv) ([]Result, error)) (results []Result, err error) {
 	if opts.Preflight {
 		var errs []lint.Diagnostic
-		for _, d := range Lint(s) {
+		ds, _ := Lint(s)
+		for _, d := range ds {
 			if d.Severity == lint.SevError {
 				errs = append(errs, d)
 			}

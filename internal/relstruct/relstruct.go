@@ -183,6 +183,7 @@ type StructReport struct {
 
 	names   []string
 	classOf []int
+	adj     [][]int // out-neighbours per state, self-loops and repeats kept
 }
 
 // StateNames returns the (possibly synthesized) state names in index order.
@@ -197,6 +198,26 @@ func (r *StructReport) ClassOf() []int {
 	out := make([]int, len(r.classOf))
 	copy(out, r.classOf)
 	return out
+}
+
+// Reachable reports, per state, whether a path of transitions leads to it
+// from state index from; from itself always counts.
+func (r *StructReport) Reachable(from int) []bool {
+	reach := make([]bool, len(r.adj))
+	reach[from] = true
+	// Each state is pushed at most once.
+	stack := append(make([]int, 0, len(r.adj)), from)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range r.adj[v] {
+			if !reach[w] {
+				reach[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return reach
 }
 
 // RecurrentMembers returns the state indices of the i-th recurrent class
@@ -259,6 +280,7 @@ func Analyze(in Input) (*StructReport, error) {
 		Transitions: len(in.Trans),
 		Discrete:    in.Discrete,
 		names:       names,
+		adj:         adj,
 	}
 
 	rep.classOf, rep.Classes = condense(n, adj, names)

@@ -242,6 +242,32 @@ func TestWeakComponents(t *testing.T) {
 	}
 }
 
+// TestReachable: reachability follows transitions forward only, counts
+// the start state, and is not fooled by self-loops or repeated pairs.
+func TestReachable(t *testing.T) {
+	rep, err := Analyze(chain(false,
+		NamedTransition{"a", "b", 1},
+		NamedTransition{"b", "b", 1},
+		NamedTransition{"b", "c", 1},
+		NamedTransition{"b", "c", 2},
+		NamedTransition{"d", "a", 1},
+		NamedTransition{"e", "e", 1},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from, want := range map[int][]bool{
+		0: {true, true, true, false, false},
+		2: {false, false, true, false, false},
+		3: {true, true, true, true, false},
+		4: {false, false, false, false, true},
+	} {
+		if got := rep.Reachable(from); !reflect.DeepEqual(got, want) {
+			t.Errorf("Reachable(%s) = %v, want %v", rep.StateNames()[from], got, want)
+		}
+	}
+}
+
 func TestInputValidation(t *testing.T) {
 	if _, err := Analyze(Input{}); err == nil {
 		t.Fatal("empty input did not error")

@@ -97,9 +97,10 @@ go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs)$' . ./cmd/relcl
 
 # Fuzz smoke is opt-in (CHECK_FUZZ=1): ten seconds per target over the
 # modelio JSON parser, seeded from models/*.json, the one-pass ctmc
-# decoder against encoding/json, the serve request body, and relstruct's
-# tolerance merge against its first-fit oracle. Go allows one -fuzz
-# target per invocation, hence the loop.
+# decoder against encoding/json, the serve request body, relstruct's
+# tolerance merge against its first-fit oracle, and lint's one-report
+# CheckCTMC against the checks it replaced. Go allows one -fuzz target
+# per invocation, hence the loop.
 if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     for target in FuzzLoadDocument FuzzLint FuzzDecodeCTMC; do
         echo "== fuzz smoke: $target"
@@ -109,6 +110,8 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     go test -run='^$' -fuzz='^FuzzSolveBody$' -fuzztime=10s ./cmd/relcli/
     echo "== fuzz smoke: FuzzSplitBlock"
     go test -run='^$' -fuzz='^FuzzSplitBlock$' -fuzztime=10s ./internal/relstruct/
+    echo "== fuzz smoke: FuzzCheckCTMC"
+    go test -run='^$' -fuzz='^FuzzCheckCTMC$' -fuzztime=10s ./internal/lint/
 fi
 
 # Chaos smoke is opt-in (CHECK_CHAOS=1): the seeded fault-injection
