@@ -23,6 +23,7 @@ const (
 	ruleStrayRecover   = "stray-recover"
 	ruleNondet         = "nondeterminism"
 	ruleSlogCorr       = "slog-corr"
+	ruleMapOrder       = "map-order"
 )
 
 // shardExecPkgs are the packages whose results must be pure functions of
@@ -180,6 +181,7 @@ func (v *visitor) inspect(n ast.Node) bool {
 		v.checkDeferInLoop(n.Body)
 	case *ast.RangeStmt:
 		v.checkDeferInLoop(n.Body)
+		v.checkMapOrderFloat(n)
 	case *ast.GoStmt:
 		// A goroutine launched from library code with no context.Context in
 		// reach cannot be canceled; solver fan-out must thread one through
@@ -266,6 +268,76 @@ func (v *visitor) checkDeferInLoop(body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// checkMapOrderFloat flags a float +=, -=, *= or /= made inside a range
+// over a map on a variable declared outside that loop: the reduction
+// runs in Go's random map order, so its bits change from run to run, and
+// no later sort can mend it. A per-key update (out[k] += v) is not a
+// reduction across keys and is not flagged. Function literals are
+// skipped, and a nested map range reports its own body.
+func (v *visitor) checkMapOrderFloat(rs *ast.RangeStmt) {
+	if v.pkgName == "main" || !v.isMap(rs.X) {
+		return
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.RangeStmt:
+			return !v.isMap(n.X)
+		case *ast.AssignStmt:
+			switch n.Tok {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+			default:
+				return true
+			}
+			if len(n.Lhs) != 1 || !v.isFloat(n.Lhs[0]) {
+				return true
+			}
+			root := rootIdent(n.Lhs[0])
+			if root == nil {
+				return true
+			}
+			obj := v.info.ObjectOf(root)
+			if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
+				return true
+			}
+			v.report(n.TokPos, ruleMapOrder,
+				"float %s on %s inside a range over a map in function %s runs in random map order; range over sorted keys or an indexed slice", n.Tok, types.ExprString(n.Lhs[0]), v.funcName)
+		}
+		return true
+	})
+}
+
+// isMap reports whether the expression's type is a map.
+func (v *visitor) isMap(e ast.Expr) bool {
+	t := v.info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// rootIdent returns the variable an assignment target is rooted in (x
+// for x, x.f and (*x).f), or nil for an indexed element, which is a
+// per-key update.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // mentionsContext reports whether any expression in the launched call —

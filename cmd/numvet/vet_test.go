@@ -72,6 +72,83 @@ func Allowed(a, b float64) bool {
 	}
 }
 
+func TestMapOrderFloatRule(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"lib/lib.go": `package lib
+
+import "sort"
+
+type acc struct{ total float64 }
+
+func Sum(m map[string]float64) float64 {
+	var total float64
+	for _, v := range m {
+		total += v
+	}
+	return total
+}
+
+func Product(m map[int]float64, a *acc) float64 {
+	p := 1.0
+	for _, v := range m {
+		p *= v
+		a.total -= v
+	}
+	return p
+}
+
+func SortedSum(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var total float64
+	for _, k := range keys {
+		total += m[k]
+	}
+	return total
+}
+
+func PerKey(m map[string]float64, out map[string]float64) {
+	for k, v := range m {
+		out[k] += v
+		local := 0.0
+		local += v
+		out[k] *= local
+	}
+}
+
+func Counts(m map[string]float64) int {
+	n := 0
+	for range m {
+		n += 1
+	}
+	return n
+}
+`,
+		"cmd/tool/main.go": `package main
+
+func main() {
+	var total float64
+	for _, v := range map[string]float64{"a": 1, "b": 2} {
+		total += v
+	}
+	println(total)
+}
+`,
+	})
+	fs := vetFixture(t, root, "./lib", "./cmd/tool")
+	if got := rules(fs)[ruleMapOrder]; got != 3 {
+		t.Fatalf("want 3 map-order findings (a sum, a product, a field), got %d: %v", got, fs)
+	}
+	for i, line := range []int{10, 18, 19} {
+		if fs[i].Pos.Line != line {
+			t.Errorf("finding %d at line %d, want %d: %v", i, fs[i].Pos.Line, line, fs[i])
+		}
+	}
+}
+
 func TestPanicRule(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"lib/lib.go": `package lib

@@ -82,7 +82,7 @@ func runAnalyze(args []string, stdin io.Reader, stdout io.Writer) error {
 // (nil when the document did not decode) so callers can name the model
 // without parsing it again.
 func analyzeDocument(name string, r io.Reader) (analyzeFileReport, *modelio.Spec) {
-	spec, ds, rep := modelio.LintDocument(r)
+	spec, ds, rep := lint.CheckDocument(r)
 	out := analyzeFileReport{File: name, Report: rep, Diagnostics: ds}
 	switch {
 	case spec == nil:

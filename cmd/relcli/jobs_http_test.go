@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 )
@@ -184,7 +185,15 @@ func TestServeJobRecoverAcrossServers(t *testing.T) {
 		t.Fatalf("reference run: %s (%s)", ref.Job.State, ref.Job.Error)
 	}
 
-	// Victim: durable server, killed immediately after submission.
+	// Victim: durable server, killed right after submission. Every shard
+	// attempt blocks on an interruptible delay, so the kill always lands
+	// mid-job: an interrupted job writes no terminal record, and the
+	// survivor has it to resume. Armed after the reference run, because
+	// the failpoint registry is process-global.
+	t.Cleanup(failpoint.Reset)
+	if err := failpoint.Arm("jobs.shard", "delay(30s)"); err != nil {
+		t.Fatal(err)
+	}
 	victim, victimMux, err := newSolveServer(serveConfig{
 		Registry: metrics.NewRegistry(), JobsDir: dir, JobWorkers: 1,
 	})
@@ -196,6 +205,7 @@ func TestServeJobRecoverAcrossServers(t *testing.T) {
 		t.Fatalf("victim submit: status %d", w.Code)
 	}
 	victim.jobs.Abort()
+	failpoint.Reset()
 
 	// Survivor: fresh server over the same dir resumes and finishes.
 	survivor, survivorMux, err := newSolveServer(serveConfig{

@@ -4,6 +4,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
+	"repro/internal/modelio"
 )
 
 func TestLintCleanBundledModels(t *testing.T) {
@@ -99,5 +102,60 @@ func TestPreflightFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "availability") {
 		t.Errorf("missing results:\n%s", out.String())
+	}
+}
+
+// TestSolveSpecPreflight: with preflight, solveSpec refuses a model with
+// an error-severity finding, returning the *lint.Error that lists it,
+// and solves a clean one.
+func TestSolveSpecPreflight(t *testing.T) {
+	bad := &modelio.Spec{
+		Type: "ctmc",
+		CTMC: &modelio.CTMCSpec{
+			Transitions: []modelio.CTMCTransition{
+				{From: "up", To: "down", Rate: -1},
+				{From: "down", To: "up", Rate: 1},
+			},
+			Measures: []string{"steadystate"},
+		},
+	}
+	if _, err := solveSpec(bad, modelio.SolveOptions{}, true); err == nil {
+		t.Fatal("preflight should reject the negative rate")
+	} else if lerr, ok := err.(*lint.Error); !ok {
+		t.Fatalf("want *lint.Error, got %T: %v", err, err)
+	} else if len(lerr.Diags) == 0 || lerr.Diags[0].Code != lint.CodeCTMCBadRate {
+		t.Fatalf("unexpected preflight report: %v", lerr.Diags)
+	}
+
+	good := &modelio.Spec{
+		Type: "ctmc",
+		CTMC: &modelio.CTMCSpec{
+			Transitions: []modelio.CTMCTransition{
+				{From: "up", To: "down", Rate: 0.01},
+				{From: "down", To: "up", Rate: 1},
+			},
+			Measures: []string{"steadystate"},
+		},
+	}
+	if _, err := solveSpec(good, modelio.SolveOptions{}, true); err != nil {
+		t.Fatalf("preflight rejected a clean model: %v", err)
+	}
+}
+
+func TestPreflightWarningsDoNotBlock(t *testing.T) {
+	// A duplicate transition is only a warning; solving must proceed.
+	s := &modelio.Spec{
+		Type: "ctmc",
+		CTMC: &modelio.CTMCSpec{
+			Transitions: []modelio.CTMCTransition{
+				{From: "up", To: "down", Rate: 0.01},
+				{From: "up", To: "down", Rate: 0.02},
+				{From: "down", To: "up", Rate: 1},
+			},
+			Measures: []string{"steadystate"},
+		},
+	}
+	if _, err := solveSpec(s, modelio.SolveOptions{}, true); err != nil {
+		t.Fatalf("warning-only model blocked: %v", err)
 	}
 }

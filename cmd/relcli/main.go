@@ -161,9 +161,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stderr, "relcli: pprof/expvar at http://%s/debug/pprof/\n", srv.Addr)
 	}
 	opts := modelio.SolveOptions{
-		Preflight: *preflight,
-		Timeout:   *timeout,
-		Rails:     guard.Strictness(*rails),
+		Timeout: *timeout,
+		Rails:   guard.Strictness(*rails),
 	}
 	rootName := spec.Name
 	if rootName == "" {
@@ -182,7 +181,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		tr = obs.NewTrace(rootName)
 		opts.Recorder = tr
 	}
-	results, err := modelio.SolveWithOptions(spec, opts)
+	results, err := solveSpec(spec, opts, *preflight)
 	if tr != nil {
 		// Emit whatever was traced even when the solve failed — the partial
 		// trace is exactly what diagnoses a non-converging solver.
@@ -231,6 +230,27 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return err
 }
 
+// solveSpec solves spec under opts. With preflight it lints spec first
+// and refuses a model with error-severity findings, returning a
+// *lint.Error that lists them; warnings never block the solve. It runs
+// where the solve runs, so a refused model still reports its (empty)
+// trace and metrics.
+func solveSpec(spec *modelio.Spec, opts modelio.SolveOptions, preflight bool) ([]modelio.Result, error) {
+	if preflight {
+		ds, _ := lint.Check(spec)
+		var errs []lint.Diagnostic
+		for _, d := range ds {
+			if d.Severity == lint.SevError {
+				errs = append(errs, d)
+			}
+		}
+		if len(errs) > 0 {
+			return nil, &lint.Error{Diags: errs}
+		}
+	}
+	return modelio.SolveWithOptions(spec, opts)
+}
+
 // lintFileReport is one document's findings in the -json output.
 type lintFileReport struct {
 	File        string            `json:"file"`
@@ -249,7 +269,7 @@ func runLint(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	var reports []lintFileReport
 	if len(files) == 0 {
-		_, ds, _ := modelio.LintDocument(stdin)
+		_, ds, _ := lint.CheckDocument(stdin)
 		reports = append(reports, lintFileReport{File: "<stdin>", Diagnostics: ds})
 	}
 	for _, path := range files {
@@ -257,7 +277,7 @@ func runLint(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, ds, _ := modelio.LintDocument(f)
+		_, ds, _ := lint.CheckDocument(f)
 		f.Close()
 		reports = append(reports, lintFileReport{File: path, Diagnostics: ds})
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/guard"
-	"repro/internal/lint"
 	"repro/internal/modelio"
 )
 
@@ -250,7 +249,6 @@ func retryAfterSecs(p95 float64, queueLen int) int {
 // the contract chaos assertions and clients key on — human-readable
 // messages stay free to change.
 func errorCode(err error) string {
-	var lerr *lint.Error
 	var ferr *failpoint.Error
 	var ierr *guard.InternalError
 	switch {
@@ -262,7 +260,7 @@ func errorCode(err error) string {
 		return "canceled"
 	case errors.As(err, &ferr):
 		return "injected"
-	case errors.As(err, &lerr), errors.Is(err, modelio.ErrBadSpec):
+	case errors.Is(err, modelio.ErrBadSpec):
 		return "bad-spec"
 	case errors.As(err, &ierr):
 		return "internal"

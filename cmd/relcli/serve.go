@@ -714,13 +714,12 @@ func solveOutcome(err error) string {
 
 // solveErrorStatus maps the typed solve-failure taxonomy onto HTTP.
 func solveErrorStatus(err error) int {
-	var lerr *lint.Error
 	switch {
 	case errors.Is(err, guard.ErrDeadline):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, guard.ErrCanceled):
 		return http.StatusServiceUnavailable
-	case errors.As(err, &lerr), errors.Is(err, modelio.ErrBadSpec):
+	case errors.Is(err, modelio.ErrBadSpec):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

@@ -173,15 +173,18 @@ func (cs *CutSystem) Bonferroni(order int) (float64, error) {
 		var rec func(start, depth int)
 		rec = func(start, depth int) {
 			if depth == ord {
-				union := make(map[int]bool)
+				// The union's product runs in component order.
+				union := make([]bool, len(cs.FailP))
 				for _, ci := range idx[:ord] {
 					for _, v := range cs.Cuts[ci] {
 						union[v] = true
 					}
 				}
 				p := 1.0
-				for v := range union {
-					p *= cs.FailP[v]
+				for v, in := range union {
+					if in {
+						p *= cs.FailP[v]
+					}
 				}
 				sum += p
 				return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"time"
 
@@ -132,9 +133,14 @@ func E16SelfModel(rec obs.Recorder) (*core.Table, error) {
 			}
 		}
 
+		states := make([]string, 0, len(truth))
+		for s := range truth {
+			states = append(states, s)
+		}
+		sort.Strings(states)
 		var total float64
-		for _, d := range truth {
-			total += d
+		for _, s := range states {
+			total += truth[s]
 		}
 		measured := (truth["ok"] + truth["saturated"]) / total
 

@@ -125,15 +125,18 @@ func (t *Tree) InclusionExclusion(maxOrder int) (float64, error) {
 		var orderSum float64
 		rec = func(start, depth int) {
 			if depth == order {
-				union := make(map[int]bool)
+				// The union's product runs in event order.
+				union := make([]bool, len(p))
 				for _, ci := range idx {
 					for _, v := range cuts[ci] {
 						union[v] = true
 					}
 				}
 				prod := 1.0
-				for v := range union {
-					prod *= p[v]
+				for v, in := range union {
+					if in {
+						prod *= p[v]
+					}
 				}
 				orderSum += prod
 				return

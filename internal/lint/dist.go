@@ -4,52 +4,24 @@ import (
 	"errors"
 
 	"repro/internal/dist"
+	"repro/internal/modelio"
 )
 
-// Dist is the linter's view of a distribution parameter set; it mirrors
-// the JSON model format's distribution object field-for-field.
-type Dist struct {
-	Kind   string
-	Rate   float64
-	Shape  float64
-	Scale  float64
-	Mu     float64
-	Sigma  float64
-	Value  float64
-	Lo, Hi float64
-	Stages int
-}
-
-// CheckDist validates a distribution's parameters by running the same
-// constructors the solvers use, so the lint verdict can never drift from
-// what Solve would accept. path locates the distribution in the document.
-func CheckDist(path string, d Dist) []Diagnostic {
-	var err error
-	switch d.Kind {
-	case "exponential":
-		_, err = dist.NewExponential(d.Rate)
-	case "weibull":
-		_, err = dist.NewWeibull(d.Shape, d.Scale)
-	case "lognormal":
-		_, err = dist.NewLognormal(d.Mu, d.Sigma)
-	case "gamma":
-		_, err = dist.NewGamma(d.Shape, d.Rate)
-	case "deterministic":
-		_, err = dist.NewDeterministic(d.Value)
-	case "uniform":
-		_, err = dist.NewUniform(d.Lo, d.Hi)
-	case "erlang":
-		_, err = dist.NewErlang(d.Stages, d.Rate)
-	default:
+// CheckDist validates a distribution's parameters by building it with
+// DistSpec.Distribution, the constructor the solvers use, so the lint
+// verdict is Solve's. path locates the distribution in the document.
+func CheckDist(path string, d *modelio.DistSpec) []Diagnostic {
+	_, err := d.Distribution()
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, modelio.ErrBadSpec):
+		// Distribution's own refusal: the kind names no constructor.
 		return errf(nil, CodeDistUnknownKind, path, "unknown distribution kind %q", d.Kind)
-	}
-	if err != nil {
+	case errors.Is(err, dist.ErrBadParam):
 		// The constructor error already names the bad parameter value.
-		msg := err.Error()
-		if errors.Is(err, dist.ErrBadParam) {
-			return errf(nil, CodeDistBadParam, path, "%s", msg)
-		}
-		return errf(nil, CodeDistBadParam, path, "invalid parameters: %s", msg)
+		return errf(nil, CodeDistBadParam, path, "%s", err)
+	default:
+		return errf(nil, CodeDistBadParam, path, "invalid parameters: %s", err)
 	}
-	return nil
 }

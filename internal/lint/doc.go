@@ -7,11 +7,13 @@
 // package turns each of those into a Diagnostic with a stable code, a
 // JSON-ish path into the offending document, and an actionable message.
 //
-// The analyzers operate on small formalism-specific input structs (CTMC,
-// FaultTree, RBD, RelGraph, SPN) rather than on the modelio spec types, so
-// the modelio package can depend on lint for its pre-flight hook without
-// creating an import cycle; modelio.Lint converts a parsed spec into the
-// input of its formalism and calls that formalism's check directly.
+// The checks read the model documents themselves: CheckDocument decodes a
+// document with modelio.Decode, Check validates a decoded modelio.Spec
+// (its shape and measures) and hands each section to its formalism's
+// check, which takes the modelio section type (CheckCTMC a CTMCSpec,
+// CheckFaultTree a FaultTreeSpec, and so on). modelio does not import
+// lint; callers that lint before solving, such as relcli solve
+// -preflight, call Check themselves.
 //
 // # Diagnostic codes
 //
@@ -98,8 +100,7 @@
 //	DIST001 error   invalid distribution parameter
 //	DIST002 error   unknown distribution kind
 //
-// Documents (issued by modelio.Lint, listed here so the code space stays
-// in one place):
+// Documents (Check and CheckDocument):
 //
 //	SPEC001 error   document is not valid JSON for the model schema
 //	SPEC002 error   unknown or missing model type

@@ -3,25 +3,14 @@ package lint
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/modelio"
 )
-
-// RGEdge is one edge of a reliability graph under lint.
-type RGEdge struct {
-	Name     string
-	From, To string
-	Rel      float64
-}
-
-// RelGraph is the linter's view of an s–t reliability graph.
-type RelGraph struct {
-	Edges          []RGEdge
-	Source, Target string
-}
 
 // CheckRelGraph runs the structural checks on a reliability graph:
 // terminal declarations, edge reliability ranges, s–t connectivity, and
 // edges that can never matter because they lie on no source-to-target path.
-func CheckRelGraph(g RelGraph) []Diagnostic {
+func CheckRelGraph(g *modelio.RelGraphSpec) []Diagnostic {
 	var ds []Diagnostic
 	nodes := map[string]bool{}
 	fwd := map[string][]string{}

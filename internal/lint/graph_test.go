@@ -3,25 +3,27 @@ package lint
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/modelio"
 )
 
 func TestCheckRelGraphBadTerminals(t *testing.T) {
-	ds := CheckRelGraph(RelGraph{
-		Edges:  []RGEdge{{Name: "e1", From: "s", To: "t", Rel: 0.9}},
+	ds := CheckRelGraph(&modelio.RelGraphSpec{
+		Edges:  []modelio.RGEdge{{Name: "e1", From: "s", To: "t", Rel: 0.9}},
 		Source: "s",
 		Target: "elsewhere",
 	})
 	wantCode(t, ds, CodeRGBadTerminal, SevError)
 
-	ds = CheckRelGraph(RelGraph{Edges: []RGEdge{{Name: "e1", From: "s", To: "t", Rel: 0.9}}})
+	ds = CheckRelGraph(&modelio.RelGraphSpec{Edges: []modelio.RGEdge{{Name: "e1", From: "s", To: "t", Rel: 0.9}}})
 	if got := codes(ds)[CodeRGBadTerminal]; got != 2 {
 		t.Errorf("want 2 RG001 (source and target undeclared), got %d: %v", got, ds)
 	}
 }
 
 func TestCheckRelGraphRelRange(t *testing.T) {
-	ds := CheckRelGraph(RelGraph{
-		Edges:  []RGEdge{{Name: "e1", From: "s", To: "t", Rel: 1.25}},
+	ds := CheckRelGraph(&modelio.RelGraphSpec{
+		Edges:  []modelio.RGEdge{{Name: "e1", From: "s", To: "t", Rel: 1.25}},
 		Source: "s", Target: "t",
 	})
 	d := wantCode(t, ds, CodeRGRelRange, SevError)
@@ -32,16 +34,16 @@ func TestCheckRelGraphRelRange(t *testing.T) {
 
 func TestCheckRelGraphUnreachable(t *testing.T) {
 	// Edge points t -> s, so t is not reachable from s.
-	ds := CheckRelGraph(RelGraph{
-		Edges:  []RGEdge{{Name: "e1", From: "t", To: "s", Rel: 0.9}},
+	ds := CheckRelGraph(&modelio.RelGraphSpec{
+		Edges:  []modelio.RGEdge{{Name: "e1", From: "t", To: "s", Rel: 0.9}},
 		Source: "s", Target: "t",
 	})
 	wantCode(t, ds, CodeRGUnreachable, SevError)
 }
 
 func TestCheckRelGraphDuplicateEdgeAndOffPath(t *testing.T) {
-	ds := CheckRelGraph(RelGraph{
-		Edges: []RGEdge{
+	ds := CheckRelGraph(&modelio.RelGraphSpec{
+		Edges: []modelio.RGEdge{
 			{Name: "e1", From: "s", To: "t", Rel: 0.9},
 			{Name: "e1", From: "s", To: "stub", Rel: 0.9},
 		},
@@ -55,8 +57,8 @@ func TestCheckRelGraphDuplicateEdgeAndOffPath(t *testing.T) {
 }
 
 func TestCheckRelGraphSelfLoop(t *testing.T) {
-	ds := CheckRelGraph(RelGraph{
-		Edges: []RGEdge{
+	ds := CheckRelGraph(&modelio.RelGraphSpec{
+		Edges: []modelio.RGEdge{
 			{Name: "e1", From: "s", To: "t", Rel: 0.9},
 			{Name: "loop", From: "s", To: "s", Rel: 0.5},
 		},
@@ -66,8 +68,8 @@ func TestCheckRelGraphSelfLoop(t *testing.T) {
 }
 
 func TestCheckRelGraphClean(t *testing.T) {
-	ds := CheckRelGraph(RelGraph{
-		Edges: []RGEdge{
+	ds := CheckRelGraph(&modelio.RelGraphSpec{
+		Edges: []modelio.RGEdge{
 			{Name: "e1", From: "s", To: "a", Rel: 0.95},
 			{Name: "e2", From: "s", To: "b", Rel: 0.9},
 			{Name: "e3", From: "a", To: "b", Rel: 0.8},

@@ -101,8 +101,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Error aggregates lint errors into a single error value; the solvers'
-// pre-flight hook returns it when a model fails to lint.
+// Error aggregates lint errors into a single error value; relcli solve
+// -preflight returns it when a model fails to lint.
 type Error struct {
 	Diags []Diagnostic
 }

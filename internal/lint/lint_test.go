@@ -5,17 +5,19 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/modelio"
 )
 
 // TestModelReportsReducibilityOnce: a chain with two closed classes and
 // no steady-state measure is one defect, reported once as a CT006
 // warning. The structure pass used to repeat it as STR001.
 func TestModelReportsReducibilityOnce(t *testing.T) {
-	ds := ctmcDiags(CTMC{
-		Transitions: []Transition{
-			{"start", "a", 1}, {"start", "b", 1},
-			{"a", "a2", 1}, {"a2", "a", 1},
-			{"b", "b2", 1}, {"b2", "b", 1},
+	ds := ctmcDiags(&modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "start", To: "a", Rate: 1}, {From: "start", To: "b", Rate: 1},
+			{From: "a", To: "a2", Rate: 1}, {From: "a2", To: "a", Rate: 1},
+			{From: "b", To: "b2", Rate: 1}, {From: "b2", To: "b", Rate: 1},
 		},
 		Initial: "start",
 	})
@@ -33,28 +35,28 @@ func TestModelReportsReducibilityOnce(t *testing.T) {
 // TestModelCleanInputIsEmpty: a clean model of each formalism yields no
 // diagnostics at all, STR advice included.
 func TestModelCleanInputIsEmpty(t *testing.T) {
-	exp := &Dist{Kind: "exponential", Rate: 0.1}
+	exp := &modelio.DistSpec{Kind: "exponential", Rate: 0.1}
 	for name, ds := range map[string][]Diagnostic{
-		"ctmc": ctmcDiags(CTMC{
-			Transitions: []Transition{{"up", "down", 0.01}, {"down", "up", 1}},
-			Initial:     "up", UpStates: []string{"up"}, NeedsSteadyState: true,
+		"ctmc": ctmcDiags(&modelio.CTMCSpec{
+			Transitions: []modelio.CTMCTransition{{From: "up", To: "down", Rate: 0.01}, {From: "down", To: "up", Rate: 1}},
+			Initial:     "up", UpStates: []string{"up"}, Measures: []string{"steadystate"},
 		}),
-		"faulttree": CheckFaultTree(FaultTree{
-			Events: []FTEvent{{Name: "a", Prob: 0.1}, {Name: "b", Prob: 0.2}},
-			Top:    &Gate{Op: "and", Children: []*Gate{{Event: "a"}, {Event: "b"}}},
+		"faulttree": CheckFaultTree(&modelio.FaultTreeSpec{
+			Events: []modelio.FTEvent{{Name: "a", Prob: 0.1}, {Name: "b", Prob: 0.2}},
+			Top:    &modelio.GateSpec{Op: "and", Children: []*modelio.GateSpec{{Event: "a"}, {Event: "b"}}},
 		}),
-		"rbd": CheckRBD(RBD{
-			Components: []RBDComponent{{Name: "a", Lifetime: exp}, {Name: "b", Lifetime: exp}},
-			Structure:  &Block{Op: "parallel", Children: []*Block{{Comp: "a"}, {Comp: "b"}}},
+		"rbd": CheckRBD(&modelio.RBDSpec{
+			Components: []modelio.RBDComponent{{Name: "a", Lifetime: exp}, {Name: "b", Lifetime: exp}},
+			Structure:  &modelio.BlockSpec{Op: "parallel", Children: []*modelio.BlockSpec{{Comp: "a"}, {Comp: "b"}}},
 		}),
-		"relgraph": CheckRelGraph(RelGraph{
-			Edges:  []RGEdge{{Name: "e", From: "s", To: "t", Rel: 0.9}},
+		"relgraph": CheckRelGraph(&modelio.RelGraphSpec{
+			Edges:  []modelio.RGEdge{{Name: "e", From: "s", To: "t", Rel: 0.9}},
 			Source: "s", Target: "t",
 		}),
-		"spn": CheckSPN(SPN{
-			Places:      []SPNPlace{{Name: "up", Tokens: 1}, {Name: "down"}},
-			Transitions: []SPNTransition{{Name: "fail", Kind: "timed", Rate: 0.1}, {Name: "repair", Kind: "timed", Rate: 1}},
-			Arcs: []SPNArc{
+		"spn": CheckSPN(&modelio.SPNSpec{
+			Places:      []modelio.SPNPlace{{Name: "up", Tokens: 1}, {Name: "down"}},
+			Transitions: []modelio.SPNTransition{{Name: "fail", Kind: "timed", Rate: 0.1}, {Name: "repair", Kind: "timed", Rate: 1}},
+			Arcs: []modelio.SPNArc{
 				{Kind: "input", Place: "up", Transition: "fail"}, {Kind: "output", Place: "down", Transition: "fail"},
 				{Kind: "input", Place: "down", Transition: "repair"}, {Kind: "output", Place: "up", Transition: "repair"},
 			},
@@ -95,35 +97,35 @@ func TestSortOrdersByCodeThenPath(t *testing.T) {
 // every loop, so 20 runs would show a map-order emission.
 func TestTiedDiagnosticsComeOutInOneOrder(t *testing.T) {
 	names := []string{"e", "d", "a", "c", "b"}
-	var events []FTEvent
-	var comps []RBDComponent
-	var gates []*Gate
-	var blocks []*Block
-	edges := []RGEdge{{Name: "st", From: "s", To: "t", Rel: 0.9}}
-	spn := SPN{Transitions: []SPNTransition{{Name: "t", Kind: "timed", Rate: 1}}}
+	var events []modelio.FTEvent
+	var comps []modelio.RBDComponent
+	var gates []*modelio.GateSpec
+	var blocks []*modelio.BlockSpec
+	edges := []modelio.RGEdge{{Name: "st", From: "s", To: "t", Rel: 0.9}}
+	spn := &modelio.SPNSpec{Transitions: []modelio.SPNTransition{{Name: "t", Kind: "timed", Rate: 1}}}
 	for _, n := range names {
-		events = append(events, FTEvent{Name: n, Prob: 0.1})
-		comps = append(comps, RBDComponent{Name: n, Lifetime: &Dist{Kind: "exponential", Rate: 0.1}})
-		gates = append(gates, &Gate{Event: n}, &Gate{Event: n})
-		blocks = append(blocks, &Block{Comp: n}, &Block{Comp: n})
-		edges = append(edges, RGEdge{Name: "s" + n, From: "s", To: n, Rel: 0.9})
-		spn.Places = append(spn.Places, SPNPlace{Name: n, Tokens: 1})
+		events = append(events, modelio.FTEvent{Name: n, Prob: 0.1})
+		comps = append(comps, modelio.RBDComponent{Name: n, Lifetime: &modelio.DistSpec{Kind: "exponential", Rate: 0.1}})
+		gates = append(gates, &modelio.GateSpec{Event: n}, &modelio.GateSpec{Event: n})
+		blocks = append(blocks, &modelio.BlockSpec{Comp: n}, &modelio.BlockSpec{Comp: n})
+		edges = append(edges, modelio.RGEdge{Name: "s" + n, From: "s", To: n, Rel: 0.9})
+		spn.Places = append(spn.Places, modelio.SPNPlace{Name: n, Tokens: 1})
 		spn.Arcs = append(spn.Arcs,
-			SPNArc{Kind: "input", Place: n, Transition: "t"},
-			SPNArc{Kind: "inhibitor", Place: n, Transition: "t"})
+			modelio.SPNArc{Kind: "input", Place: n, Transition: "t"},
+			modelio.SPNArc{Kind: "inhibitor", Place: n, Transition: "t"})
 	}
 	shapes := []struct {
 		code string
 		lint func() []Diagnostic
 	}{
 		{CodeFTSharedSubtree, func() []Diagnostic {
-			return CheckFaultTree(FaultTree{Events: events, Top: &Gate{Op: "or", Children: gates}})
+			return CheckFaultTree(&modelio.FaultTreeSpec{Events: events, Top: &modelio.GateSpec{Op: "or", Children: gates}})
 		}},
 		{CodeRBDSharedBlock, func() []Diagnostic {
-			return CheckRBD(RBD{Components: comps, Structure: &Block{Op: "series", Children: blocks}})
+			return CheckRBD(&modelio.RBDSpec{Components: comps, Structure: &modelio.BlockSpec{Op: "series", Children: blocks}})
 		}},
 		{CodeRGOffPath, func() []Diagnostic {
-			return CheckRelGraph(RelGraph{Edges: edges, Source: "s", Target: "t"})
+			return CheckRelGraph(&modelio.RelGraphSpec{Edges: edges, Source: "s", Target: "t"})
 		}},
 		{CodePNDeadTransition, func() []Diagnostic { return CheckSPN(spn) }},
 	}

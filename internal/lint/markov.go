@@ -4,34 +4,14 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/modelio"
 	"repro/internal/relstruct"
 )
 
-// Transition is one named-state rate entry of a CTMC under lint.
-type Transition struct {
-	From, To string
-	Rate     float64
-}
-
-// CTMC is the linter's view of a continuous-time Markov chain model.
-type CTMC struct {
-	Transitions []Transition
-	// Initial is the declared initial state ("" if none).
-	Initial string
-	// UpStates are the states counted as up for availability.
-	UpStates []string
-	// Absorbing are the states the modeler declared absorbing (e.g. the
-	// targets of an MTTA measure); closed classes made of these states
-	// are intentional and not reported.
-	Absorbing []string
-	// NeedsSteadyState is true when a steady-state or availability
-	// measure was requested, which strengthens the structural checks.
-	NeedsSteadyState bool
-}
-
 // CheckCTMC runs the CT checks on a CTMC description and, when none of
 // them reports an error, the STR checks (structure computed over bad
-// rates or dangling states would mislead).
+// rates or dangling states would mislead). A steadystate or availability
+// measure strengthens the structural checks.
 //
 // It numbers the states in order of first appearance and analyzes the
 // chain once with relstruct.Analyze: every transition that names both
@@ -39,7 +19,7 @@ type CTMC struct {
 // included, seeded with the up and absorbing sets. That report answers
 // CT005–CT007 and every STR code, and CheckCTMC returns it whatever the
 // diagnostics say; it is nil only when no transition names both states.
-func CheckCTMC(m CTMC) ([]Diagnostic, *relstruct.StructReport) {
+func CheckCTMC(m *modelio.CTMCSpec) ([]Diagnostic, *relstruct.StructReport) {
 	var ds []Diagnostic
 	states := map[string]int{} // name -> index in order of first appearance
 	var names []string
@@ -127,7 +107,8 @@ func CheckCTMC(m CTMC) ([]Diagnostic, *relstruct.StructReport) {
 
 	// Absorbing states: single-state closed classes, which are exactly
 	// the states with no transition to another state.
-	if m.NeedsSteadyState {
+	steady := needsSteadyState(m)
+	if steady {
 		for _, s := range rep.AbsorbingStates {
 			if !declared[s] {
 				ds = warnf(ds, CodeCTMCAbsorbing, "ctmc",
@@ -149,7 +130,7 @@ func CheckCTMC(m CTMC) ([]Diagnostic, *relstruct.StructReport) {
 	}
 	if closed > 1 {
 		sev := warnf
-		if m.NeedsSteadyState {
+		if steady {
 			sev = errf
 		}
 		ds = sev(ds, CodeCTMCReducible, "ctmc",
@@ -164,6 +145,17 @@ func CheckCTMC(m CTMC) ([]Diagnostic, *relstruct.StructReport) {
 		ds = append(ds, checkStructReport(rep, m, unreachable)...)
 	}
 	return ds, rep
+}
+
+// needsSteadyState reports whether m requests a steadystate or
+// availability measure, whose answer the long-run structure decides.
+func needsSteadyState(m *modelio.CTMCSpec) bool {
+	for _, meas := range m.Measures {
+		if meas == "steadystate" || meas == "availability" {
+			return true
+		}
+	}
+	return false
 }
 
 // transitionPath locates the i-th transition; checks build it only when

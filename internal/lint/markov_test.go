@@ -3,6 +3,8 @@ package lint
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/modelio"
 )
 
 // codes extracts the set of diagnostic codes from a report.
@@ -15,7 +17,7 @@ func codes(ds []Diagnostic) map[string]int {
 }
 
 // ctmcDiags returns CheckCTMC's diagnostics without its report.
-func ctmcDiags(m CTMC) []Diagnostic {
+func ctmcDiags(m *modelio.CTMCSpec) []Diagnostic {
 	ds, _ := CheckCTMC(m)
 	return ds
 }
@@ -46,7 +48,7 @@ func wantNoCode(t *testing.T, ds []Diagnostic, code string) {
 }
 
 func TestCheckCTMCBadRate(t *testing.T) {
-	ds := ctmcDiags(CTMC{Transitions: []Transition{
+	ds := ctmcDiags(&modelio.CTMCSpec{Transitions: []modelio.CTMCTransition{
 		{From: "up", To: "down", Rate: -0.5},
 		{From: "down", To: "up", Rate: 1},
 	}})
@@ -57,7 +59,7 @@ func TestCheckCTMCBadRate(t *testing.T) {
 }
 
 func TestCheckCTMCSelfLoopAndDuplicate(t *testing.T) {
-	ds := ctmcDiags(CTMC{Transitions: []Transition{
+	ds := ctmcDiags(&modelio.CTMCSpec{Transitions: []modelio.CTMCTransition{
 		{From: "a", To: "a", Rate: 1},
 		{From: "a", To: "b", Rate: 1},
 		{From: "a", To: "b", Rate: 2},
@@ -68,8 +70,8 @@ func TestCheckCTMCSelfLoopAndDuplicate(t *testing.T) {
 }
 
 func TestCheckCTMCUnknownState(t *testing.T) {
-	ds := ctmcDiags(CTMC{
-		Transitions: []Transition{{From: "a", To: "b", Rate: 1}, {From: "b", To: "a", Rate: 1}},
+	ds := ctmcDiags(&modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{{From: "a", To: "b", Rate: 1}, {From: "b", To: "a", Rate: 1}},
 		Initial:     "nope",
 		UpStates:    []string{"a", "ghost"},
 		Absorbing:   []string{"b"},
@@ -80,13 +82,13 @@ func TestCheckCTMCUnknownState(t *testing.T) {
 }
 
 func TestCheckCTMCEmptyState(t *testing.T) {
-	ds := ctmcDiags(CTMC{Transitions: []Transition{{From: "", To: "b", Rate: 1}}})
+	ds := ctmcDiags(&modelio.CTMCSpec{Transitions: []modelio.CTMCTransition{{From: "", To: "b", Rate: 1}}})
 	wantCode(t, ds, CodeCTMCEmptyState, SevError)
 }
 
 func TestCheckCTMCUnreachable(t *testing.T) {
-	ds := ctmcDiags(CTMC{
-		Transitions: []Transition{
+	ds := ctmcDiags(&modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
 			{From: "a", To: "b", Rate: 1},
 			{From: "b", To: "a", Rate: 1},
 			{From: "orphan", To: "a", Rate: 1},
@@ -101,42 +103,42 @@ func TestCheckCTMCUnreachable(t *testing.T) {
 
 func TestCheckCTMCReducible(t *testing.T) {
 	// Two disjoint recurrent classes {a,b} and {c,d}.
-	m := CTMC{
-		Transitions: []Transition{
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
 			{From: "a", To: "b", Rate: 1}, {From: "b", To: "a", Rate: 1},
 			{From: "c", To: "d", Rate: 1}, {From: "d", To: "c", Rate: 1},
 		},
 	}
-	m.NeedsSteadyState = true
+	m.Measures = []string{"steadystate"}
 	wantCode(t, ctmcDiags(m), CodeCTMCReducible, SevError)
-	m.NeedsSteadyState = false
+	m.Measures = nil
 	wantCode(t, ctmcDiags(m), CodeCTMCReducible, SevWarning)
 }
 
 func TestCheckCTMCAbsorbingInAvailabilityModel(t *testing.T) {
-	m := CTMC{
-		Transitions:      []Transition{{From: "up", To: "dead", Rate: 0.01}},
-		NeedsSteadyState: true,
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{{From: "up", To: "dead", Rate: 0.01}},
+		Measures:    []string{"steadystate"},
 	}
 	wantCode(t, ctmcDiags(m), CodeCTMCAbsorbing, SevWarning)
 
 	// Declaring the state absorbing (an MTTA model) silences the warning.
-	m.NeedsSteadyState = false
+	m.Measures = nil
 	m.Absorbing = []string{"dead"}
 	wantNoCode(t, ctmcDiags(m), CodeCTMCAbsorbing)
 }
 
 func TestCheckCTMCCleanModel(t *testing.T) {
-	ds := ctmcDiags(CTMC{
-		Transitions: []Transition{
+	ds := ctmcDiags(&modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
 			{From: "2up", To: "1up", Rate: 0.002},
 			{From: "1up", To: "0up", Rate: 0.001},
 			{From: "1up", To: "2up", Rate: 0.5},
 			{From: "0up", To: "1up", Rate: 0.5},
 		},
-		Initial:          "2up",
-		UpStates:         []string{"2up", "1up"},
-		NeedsSteadyState: true,
+		Initial:  "2up",
+		UpStates: []string{"2up", "1up"},
+		Measures: []string{"steadystate"},
 	})
 	if len(ds) != 0 {
 		t.Errorf("clean CTMC produced diagnostics: %v", ds)

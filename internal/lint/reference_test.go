@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/modelio"
 	"repro/internal/relstruct"
 )
 
@@ -18,9 +19,20 @@ import (
 // oracle for CheckCTMC, which must give the same diagnostics and the
 // report that modelio.StructReport computes.
 
+// refNeedsSteadyState says whether m requests a measure the long-run
+// distribution answers, as the linter's old CTMC input recorded it.
+func refNeedsSteadyState(m *modelio.CTMCSpec) bool {
+	for _, meas := range m.Measures {
+		if meas == "steadystate" || meas == "availability" {
+			return true
+		}
+	}
+	return false
+}
+
 // refCheckCTMC is CheckCTMC before it read the relstruct report: its own
 // map adjacency, reachability walk and recursive Tarjan.
-func refCheckCTMC(m CTMC) []Diagnostic {
+func refCheckCTMC(m *modelio.CTMCSpec) []Diagnostic {
 	var ds []Diagnostic
 	states := map[string]int{} // name -> index in order of first appearance
 	var names []string
@@ -117,7 +129,7 @@ func refCheckCTMC(m CTMC) []Diagnostic {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if !hasOut[i] && !declared[names[i]] && m.NeedsSteadyState {
+		if !hasOut[i] && !declared[names[i]] && refNeedsSteadyState(m) {
 			ds = warnf(ds, CodeCTMCAbsorbing, "ctmc",
 				"state %q is absorbing; the steady-state/availability result will concentrate all probability in it", names[i])
 		}
@@ -159,7 +171,7 @@ func refCheckCTMC(m CTMC) []Diagnostic {
 	}
 	if len(closedClasses) > 1 {
 		sev := warnf
-		if m.NeedsSteadyState {
+		if refNeedsSteadyState(m) {
 			sev = errf
 		}
 		ds = sev(ds, CodeCTMCReducible, "ctmc",
@@ -229,7 +241,7 @@ func refTarjan(n int, adj map[int][]int) refSCC {
 // refCheckCTMCStructure is the structure pass that ran after
 // refCheckCTMC on chains it found no error in: a second numbering of the
 // states, its own relstruct.Analyze, and the string-keyed STR003 walk.
-func refCheckCTMCStructure(m CTMC) []Diagnostic {
+func refCheckCTMCStructure(m *modelio.CTMCSpec) []Diagnostic {
 	var nts []relstruct.NamedTransition
 	for _, tr := range m.Transitions {
 		if tr.From == "" || tr.To == "" {
@@ -255,7 +267,7 @@ func refCheckCTMCStructure(m CTMC) []Diagnostic {
 
 // refUnreachableRecurrent lists a representative of every recurrent class
 // with no path from the initial state.
-func refUnreachableRecurrent(rep *relstruct.StructReport, m CTMC) []string {
+func refUnreachableRecurrent(rep *relstruct.StructReport, m *modelio.CTMCSpec) []string {
 	adj := map[string][]string{}
 	for _, tr := range m.Transitions {
 		if tr.From == "" || tr.To == "" {
@@ -310,7 +322,7 @@ func refUnreachableRecurrent(rep *relstruct.StructReport, m CTMC) []string {
 
 // refLint is the old lint of one chain: refCheckCTMC, then the structure
 // pass when it found no error, in Sort order.
-func refLint(m CTMC) []Diagnostic {
+func refLint(m *modelio.CTMCSpec) []Diagnostic {
 	ds := refCheckCTMC(m)
 	if !HasErrors(ds) {
 		ds = append(ds, refCheckCTMCStructure(m)...)
@@ -322,7 +334,7 @@ func refLint(m CTMC) []Diagnostic {
 // refReport is the report modelio.StructReport computes for the chain:
 // FromNamed over the transitions that name both endpoints, seeded with
 // the up and absorbing sets.
-func refReport(m CTMC) (*relstruct.StructReport, error) {
+func refReport(m *modelio.CTMCSpec) (*relstruct.StructReport, error) {
 	var nts []relstruct.NamedTransition
 	for _, tr := range m.Transitions {
 		if tr.From != "" && tr.To != "" {
@@ -340,7 +352,7 @@ func refReport(m CTMC) (*relstruct.StructReport, error) {
 // or returns "": the diagnostics must be the same once sorted, and the
 // report must marshal, name, class and lump like refReport's (and be nil
 // exactly when that fails).
-func referenceMismatch(m CTMC) string {
+func referenceMismatch(m *modelio.CTMCSpec) string {
 	got, rep := CheckCTMC(m)
 	Sort(got)
 	if want := refLint(m); !reflect.DeepEqual(got, want) {
@@ -380,7 +392,7 @@ var oddRates = []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-9, 1e9
 // bytes 6–10 the sparser absorbing set, each possibly with an unknown or
 // empty name; then three bytes per transition: from, to (255 is the
 // empty name) and rate (1, 2 or 0.5, or 1 time in 32 an odd rate).
-func chainFromBytes(b []byte) CTMC {
+func chainFromBytes(b []byte) *modelio.CTMCSpec {
 	next := func() byte {
 		if len(b) == 0 {
 			return 0
@@ -389,9 +401,11 @@ func chainFromBytes(b []byte) CTMC {
 		b = b[1:]
 		return c
 	}
-	var m CTMC
+	m := &modelio.CTMCSpec{}
 	h := next()
-	m.NeedsSteadyState = h&1 == 1
+	if h&1 == 1 {
+		m.Measures = []string{"steadystate"}
+	}
 	k := 1 + int(h>>1)%len(chainNames)
 	name := func(c byte) string {
 		if c == 255 {
@@ -425,7 +439,7 @@ func chainFromBytes(b []byte) CTMC {
 	m.UpStates = set(next(), next(), next())
 	m.Absorbing = set(next()&next(), next()&next(), next())
 	for i := 0; i < nt; i++ {
-		tr := Transition{From: name(next()), To: name(next())}
+		tr := modelio.CTMCTransition{From: name(next()), To: name(next())}
 		switch c := next(); {
 		case c >= 248:
 			tr.Rate = oddRates[c-248]
@@ -459,7 +473,7 @@ func TestCheckCTMCMatchesReference(t *testing.T) {
 		for _, d := range ds {
 			seen[d.Code]++
 		}
-		if m.NeedsSteadyState {
+		if refNeedsSteadyState(m) {
 			seen["steady-state"]++
 		}
 		if rep == nil {
@@ -492,7 +506,7 @@ func TestCheckCTMCMatchesReference(t *testing.T) {
 	}
 }
 
-func declaredSet(m CTMC) map[string]bool {
+func declaredSet(m *modelio.CTMCSpec) map[string]bool {
 	out := map[string]bool{}
 	for _, s := range m.Absorbing {
 		out[s] = true
@@ -501,7 +515,7 @@ func declaredSet(m CTMC) map[string]bool {
 }
 
 // sinkOnly reports whether s is a transition target but never a source.
-func sinkOnly(m CTMC, s string) bool {
+func sinkOnly(m *modelio.CTMCSpec, s string) bool {
 	target := false
 	for _, tr := range m.Transitions {
 		if tr.From == s {

@@ -5,45 +5,15 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/modelio"
 )
-
-// SPNPlace is one place declaration under lint.
-type SPNPlace struct {
-	Name   string
-	Tokens int
-}
-
-// SPNTransition is one transition declaration under lint.
-type SPNTransition struct {
-	Name string
-	// Kind is "timed" or "immediate".
-	Kind string
-	// Rate is the exponential rate (timed) or weight (immediate).
-	Rate float64
-}
-
-// SPNArc is one arc declaration under lint.
-type SPNArc struct {
-	// Kind is "input", "output", or "inhibitor".
-	Kind       string
-	Place      string
-	Transition string
-	// Mult is the multiplicity; 0 means the default of 1.
-	Mult int
-}
-
-// SPN is the linter's view of a stochastic Petri net.
-type SPN struct {
-	Places      []SPNPlace
-	Transitions []SPNTransition
-	Arcs        []SPNArc
-}
 
 // CheckSPN runs the structural checks on a stochastic Petri net: dangling
 // arc references, invalid rates and multiplicities, structurally dead
 // transitions, and source transitions that make their output places
 // obviously unbounded.
-func CheckSPN(n SPN) []Diagnostic {
+func CheckSPN(n *modelio.SPNSpec) []Diagnostic {
 	var ds []Diagnostic
 	places := map[string]bool{}
 	for i, p := range n.Places {

@@ -3,16 +3,18 @@ package lint
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/modelio"
 )
 
-func mm1kNet() SPN {
-	return SPN{
-		Places: []SPNPlace{{Name: "queue", Tokens: 0}, {Name: "slots", Tokens: 5}},
-		Transitions: []SPNTransition{
+func mm1kNet() *modelio.SPNSpec {
+	return &modelio.SPNSpec{
+		Places: []modelio.SPNPlace{{Name: "queue", Tokens: 0}, {Name: "slots", Tokens: 5}},
+		Transitions: []modelio.SPNTransition{
 			{Name: "arrive", Kind: "timed", Rate: 3},
 			{Name: "serve", Kind: "timed", Rate: 4},
 		},
-		Arcs: []SPNArc{
+		Arcs: []modelio.SPNArc{
 			{Kind: "input", Place: "slots", Transition: "arrive"},
 			{Kind: "output", Place: "queue", Transition: "arrive"},
 			{Kind: "input", Place: "queue", Transition: "serve"},
@@ -30,8 +32,8 @@ func TestCheckSPNClean(t *testing.T) {
 func TestCheckSPNUnknownReferences(t *testing.T) {
 	n := mm1kNet()
 	n.Arcs = append(n.Arcs,
-		SPNArc{Kind: "input", Place: "ghost", Transition: "serve"},
-		SPNArc{Kind: "output", Place: "queue", Transition: "phantom"},
+		modelio.SPNArc{Kind: "input", Place: "ghost", Transition: "serve"},
+		modelio.SPNArc{Kind: "output", Place: "queue", Transition: "phantom"},
 	)
 	ds := CheckSPN(n)
 	wantCode(t, ds, CodePNUnknownPlace, SevError)
@@ -52,7 +54,7 @@ func TestCheckSPNDeadTransition(t *testing.T) {
 	// can never be enabled.
 	n := mm1kNet()
 	n.Arcs[2].Mult = 2
-	n.Arcs = append(n.Arcs, SPNArc{Kind: "inhibitor", Place: "queue", Transition: "serve", Mult: 1})
+	n.Arcs = append(n.Arcs, modelio.SPNArc{Kind: "inhibitor", Place: "queue", Transition: "serve", Mult: 1})
 	ds := CheckSPN(n)
 	d := wantCode(t, ds, CodePNDeadTransition, SevError)
 	if !strings.Contains(d.Msg, "serve") {
@@ -61,10 +63,10 @@ func TestCheckSPNDeadTransition(t *testing.T) {
 }
 
 func TestCheckSPNUnboundedSource(t *testing.T) {
-	n := SPN{
-		Places:      []SPNPlace{{Name: "pool", Tokens: 0}},
-		Transitions: []SPNTransition{{Name: "gen", Kind: "timed", Rate: 1}},
-		Arcs:        []SPNArc{{Kind: "output", Place: "pool", Transition: "gen"}},
+	n := &modelio.SPNSpec{
+		Places:      []modelio.SPNPlace{{Name: "pool", Tokens: 0}},
+		Transitions: []modelio.SPNTransition{{Name: "gen", Kind: "timed", Rate: 1}},
+		Arcs:        []modelio.SPNArc{{Kind: "output", Place: "pool", Transition: "gen"}},
 	}
 	d := wantCode(t, CheckSPN(n), CodePNUnbounded, SevWarning)
 	if !strings.Contains(d.Msg, "pool") {
@@ -73,13 +75,13 @@ func TestCheckSPNUnboundedSource(t *testing.T) {
 }
 
 func TestCheckSPNDuplicateAndDisconnected(t *testing.T) {
-	n := SPN{
-		Places: []SPNPlace{{Name: "p", Tokens: 1}, {Name: "p", Tokens: 0}, {Name: "lonely", Tokens: 0}},
-		Transitions: []SPNTransition{
+	n := &modelio.SPNSpec{
+		Places: []modelio.SPNPlace{{Name: "p", Tokens: 1}, {Name: "p", Tokens: 0}, {Name: "lonely", Tokens: 0}},
+		Transitions: []modelio.SPNTransition{
 			{Name: "t1", Kind: "timed", Rate: 1},
 			{Name: "idle", Kind: "timed", Rate: 1},
 		},
-		Arcs: []SPNArc{
+		Arcs: []modelio.SPNArc{
 			{Kind: "input", Place: "p", Transition: "t1"},
 			{Kind: "output", Place: "p", Transition: "t1"},
 		},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/modelio"
 	"repro/internal/relstruct"
 )
 
@@ -17,12 +18,12 @@ import (
 // checkStructReport turns a chain's structural report into STR
 // diagnostics. unreachable names the first state of each recurrent class
 // the initial state cannot reach (nil without a known initial state).
-func checkStructReport(rep *relstruct.StructReport, m CTMC, unreachable []string) []Diagnostic {
+func checkStructReport(rep *relstruct.StructReport, m *modelio.CTMCSpec, unreachable []string) []Diagnostic {
 	// STR001 is retired: reducibility is CheckCTMC's CT006, reported once.
 	var ds []Diagnostic
 
 	// STR002: transient mass under a steady-state measure.
-	if m.NeedsSteadyState && rep.TransientStates > 0 {
+	if needsSteadyState(m) && rep.TransientStates > 0 {
 		ds = warnf(ds, CodeStructTransientMass, "ctmc",
 			"%d transient state(s) (e.g. %s) carry zero steady-state probability; steadystate/availability results ignore them",
 			rep.TransientStates, exampleList(transientExamples(rep)))

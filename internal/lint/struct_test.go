@@ -3,11 +3,13 @@ package lint
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/modelio"
 )
 
 // structDiags runs the STR translation on the report of m's chain, as
 // CheckCTMC numbers and seeds it, whatever the CT checks would say.
-func structDiags(m CTMC) []Diagnostic {
+func structDiags(m *modelio.CTMCSpec) []Diagnostic {
 	rep, err := refReport(m)
 	if err != nil {
 		return nil
@@ -31,10 +33,10 @@ func codesOf(ds []Diagnostic) map[string]int {
 }
 
 func TestStructCleanChainNoFindings(t *testing.T) {
-	ds := structDiags(CTMC{
-		Transitions: []Transition{
-			{"up", "down", 0.01},
-			{"down", "up", 1.0},
+	ds := structDiags(&modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "up", To: "down", Rate: 0.01},
+			{From: "down", To: "up", Rate: 1.0},
 		},
 	})
 	if len(ds) != 0 {
@@ -43,14 +45,14 @@ func TestStructCleanChainNoFindings(t *testing.T) {
 }
 
 func TestStructReducibleAndTransientMass(t *testing.T) {
-	m := CTMC{
-		Transitions: []Transition{
-			{"start", "a", 1},
-			{"start", "b", 1},
-			{"a", "a2", 1}, {"a2", "a", 1},
-			{"b", "b2", 1}, {"b2", "b", 1},
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "start", To: "a", Rate: 1},
+			{From: "start", To: "b", Rate: 1},
+			{From: "a", To: "a2", Rate: 1}, {From: "a2", To: "a", Rate: 1},
+			{From: "b", To: "b2", Rate: 1}, {From: "b2", To: "b", Rate: 1},
 		},
-		NeedsSteadyState: true,
+		Measures: []string{"steadystate"},
 	}
 	ds := structDiags(m)
 	codes := codesOf(ds)
@@ -62,11 +64,11 @@ func TestStructReducibleAndTransientMass(t *testing.T) {
 func TestStructDeclaredAbsorbingNotReducible(t *testing.T) {
 	// One recurrent class plus a declared-absorbing failure state: an
 	// intentional MTTA shape, not a reducibility finding.
-	m := CTMC{
-		Transitions: []Transition{
-			{"ok", "deg", 0.2},
-			{"deg", "ok", 1.0},
-			{"deg", "failed", 0.1},
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "ok", To: "deg", Rate: 0.2},
+			{From: "deg", To: "ok", Rate: 1.0},
+			{From: "deg", To: "failed", Rate: 0.1},
 		},
 		Initial:   "ok",
 		Absorbing: []string{"failed"},
@@ -82,10 +84,10 @@ func TestStructDeclaredAbsorbingNotReducible(t *testing.T) {
 }
 
 func TestStructUnreachableRecurrentClass(t *testing.T) {
-	m := CTMC{
-		Transitions: []Transition{
-			{"a", "b", 1}, {"b", "a", 1},
-			{"c", "d", 1}, {"d", "c", 1},
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "a", To: "b", Rate: 1}, {From: "b", To: "a", Rate: 1},
+			{From: "c", To: "d", Rate: 1}, {From: "d", To: "c", Rate: 1},
 		},
 		Initial: "a",
 	}
@@ -100,10 +102,10 @@ func TestStructUnreachableRecurrentClass(t *testing.T) {
 }
 
 func TestStructStiffAndRateSpan(t *testing.T) {
-	m := CTMC{
-		Transitions: []Transition{
-			{"up", "down", 1e-9},
-			{"down", "up", 5e6},
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "up", To: "down", Rate: 1e-9},
+			{From: "down", To: "up", Rate: 5e6},
 		},
 	}
 	ds := structDiags(m)
@@ -126,12 +128,12 @@ func TestStructStiffAndRateSpan(t *testing.T) {
 
 func TestStructLumpableInfo(t *testing.T) {
 	lam, mu := 0.01, 1.0
-	m := CTMC{
-		Transitions: []Transition{
-			{"00", "01", lam}, {"00", "10", lam},
-			{"01", "11", lam}, {"10", "11", lam},
-			{"01", "00", mu}, {"10", "00", mu},
-			{"11", "01", mu}, {"11", "10", mu},
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "00", To: "01", Rate: lam}, {From: "00", To: "10", Rate: lam},
+			{From: "01", To: "11", Rate: lam}, {From: "10", To: "11", Rate: lam},
+			{From: "01", To: "00", Rate: mu}, {From: "10", To: "00", Rate: mu},
+			{From: "11", To: "01", Rate: mu}, {From: "11", To: "10", Rate: mu},
 		},
 		UpStates: []string{"00", "01", "10"},
 	}
@@ -148,16 +150,16 @@ func TestStructLumpableInfo(t *testing.T) {
 func TestStructOnlyAdvisorySeverities(t *testing.T) {
 	// Structure findings are advice: none may be error severity, so they
 	// can never block a solve on their own.
-	m := CTMC{
-		Transitions: []Transition{
-			{"start", "a", 1e-9},
-			{"start", "b", 5e6},
-			{"a", "a2", 1}, {"a2", "a", 1},
-			{"b", "b2", 1}, {"b2", "b", 1},
-			{"c", "d", 1}, {"d", "c", 1},
+	m := &modelio.CTMCSpec{
+		Transitions: []modelio.CTMCTransition{
+			{From: "start", To: "a", Rate: 1e-9},
+			{From: "start", To: "b", Rate: 5e6},
+			{From: "a", To: "a2", Rate: 1}, {From: "a2", To: "a", Rate: 1},
+			{From: "b", To: "b2", Rate: 1}, {From: "b2", To: "b", Rate: 1},
+			{From: "c", To: "d", Rate: 1}, {From: "d", To: "c", Rate: 1},
 		},
-		Initial:          "start",
-		NeedsSteadyState: true,
+		Initial:  "start",
+		Measures: []string{"steadystate"},
 	}
 	ds := structDiags(m)
 	if len(ds) == 0 {
@@ -171,11 +173,11 @@ func TestStructOnlyAdvisorySeverities(t *testing.T) {
 }
 
 func TestStructEmptyAndBrokenInputs(t *testing.T) {
-	if ds := structDiags(CTMC{}); len(ds) != 0 {
+	if ds := structDiags(&modelio.CTMCSpec{}); len(ds) != 0 {
 		t.Fatalf("empty chain produced findings: %v", ds)
 	}
 	// Transitions with empty endpoints are skipped rather than crashing.
-	if ds := structDiags(CTMC{Transitions: []Transition{{"", "x", 1}}}); len(ds) != 0 {
+	if ds := structDiags(&modelio.CTMCSpec{Transitions: []modelio.CTMCTransition{{From: "", To: "x", Rate: 1}}}); len(ds) != 0 {
 		t.Fatalf("broken transitions produced findings: %v", ds)
 	}
 }

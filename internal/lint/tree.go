@@ -3,37 +3,15 @@ package lint
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/modelio"
 )
-
-// FTEvent is one basic event declaration of a fault tree under lint.
-type FTEvent struct {
-	Name string
-	// Prob is the static failure probability (0 is legal: "never fails").
-	Prob float64
-	// Lifetime, when non-nil, is checked as a distribution parameter set.
-	Lifetime *Dist
-}
-
-// Gate is one node of a fault-tree gate structure. Leaf nodes set Event;
-// interior nodes set Op ("and", "or", "atleast", "not") and Children.
-type Gate struct {
-	Event    string
-	Op       string
-	K        int
-	Children []*Gate
-}
-
-// FaultTree is the linter's view of a fault-tree model.
-type FaultTree struct {
-	Events []FTEvent
-	Top    *Gate
-}
 
 // CheckFaultTree runs the structural checks on a fault tree: dangling
 // event references, arity violations, out-of-range probabilities, cycles,
 // and the shared-subtree situations where simple bottom-up evaluation is
 // only a bound (the Boeing flight-control case from the tutorial).
-func CheckFaultTree(ft FaultTree) []Diagnostic {
+func CheckFaultTree(ft *modelio.FaultTreeSpec) []Diagnostic {
 	var ds []Diagnostic
 	declared := map[string]bool{}
 	for i, e := range ft.Events {
@@ -51,7 +29,7 @@ func CheckFaultTree(ft FaultTree) []Diagnostic {
 				"event %q probability %g is outside [0,1]", e.Name, e.Prob)
 		}
 		if e.Lifetime != nil {
-			ds = append(ds, CheckDist(path+".lifetime", *e.Lifetime)...)
+			ds = append(ds, CheckDist(path+".lifetime", e.Lifetime)...)
 		}
 	}
 	if ft.Top == nil {
@@ -60,10 +38,10 @@ func CheckFaultTree(ft FaultTree) []Diagnostic {
 	}
 
 	used := map[string]int{}
-	visiting := map[*Gate]bool{}
-	visited := map[*Gate]bool{}
-	var walk func(g *Gate, path string)
-	walk = func(g *Gate, path string) {
+	visiting := map[*modelio.GateSpec]bool{}
+	visited := map[*modelio.GateSpec]bool{}
+	var walk func(g *modelio.GateSpec, path string)
+	walk = func(g *modelio.GateSpec, path string) {
 		if g == nil {
 			ds = errf(ds, CodeFTBadGate, path, "gate is null")
 			return
@@ -128,30 +106,8 @@ func CheckFaultTree(ft FaultTree) []Diagnostic {
 	return ds
 }
 
-// RBDComponent is one component declaration of a block diagram under lint.
-type RBDComponent struct {
-	Name     string
-	Lifetime *Dist
-	Repair   *Dist
-}
-
-// Block is one node of an RBD structure tree. Leaf nodes set Comp;
-// interior nodes set Op ("series", "parallel", "kofn") and Children.
-type Block struct {
-	Comp     string
-	Op       string
-	K        int
-	Children []*Block
-}
-
-// RBD is the linter's view of a reliability-block-diagram model.
-type RBD struct {
-	Components []RBDComponent
-	Structure  *Block
-}
-
 // CheckRBD runs the structural checks on a reliability block diagram.
-func CheckRBD(m RBD) []Diagnostic {
+func CheckRBD(m *modelio.RBDSpec) []Diagnostic {
 	var ds []Diagnostic
 	declared := map[string]bool{}
 	for i, c := range m.Components {
@@ -167,10 +123,10 @@ func CheckRBD(m RBD) []Diagnostic {
 		if c.Lifetime == nil {
 			ds = errf(ds, CodeDistBadParam, path+".lifetime", "component %q has no lifetime distribution", c.Name)
 		} else {
-			ds = append(ds, CheckDist(path+".lifetime", *c.Lifetime)...)
+			ds = append(ds, CheckDist(path+".lifetime", c.Lifetime)...)
 		}
 		if c.Repair != nil {
-			ds = append(ds, CheckDist(path+".repair", *c.Repair)...)
+			ds = append(ds, CheckDist(path+".repair", c.Repair)...)
 		}
 	}
 	if m.Structure == nil {
@@ -179,10 +135,10 @@ func CheckRBD(m RBD) []Diagnostic {
 	}
 
 	used := map[string]int{}
-	visiting := map[*Block]bool{}
-	visited := map[*Block]bool{}
-	var walk func(b *Block, path string)
-	walk = func(b *Block, path string) {
+	visiting := map[*modelio.BlockSpec]bool{}
+	visited := map[*modelio.BlockSpec]bool{}
+	var walk func(b *modelio.BlockSpec, path string)
+	walk = func(b *modelio.BlockSpec, path string) {
 		if b == nil {
 			ds = errf(ds, CodeRBDBadBlock, path, "block is null")
 			return

@@ -82,7 +82,7 @@ func (c *CTMC) Absorbing(p0 []float64, absorbing ...string) (*AbsorbingAnalysis,
 		}
 	}
 	p0T := make([]float64, nt)
-	for gi, pos := range transPos {
+	for pos, gi := range transIdx {
 		p0T[pos] = v[gi]
 	}
 	tau, err := linalg.LUSolve(negQTTt, p0T)
@@ -93,7 +93,9 @@ func (c *CTMC) Absorbing(p0 []float64, absorbing ...string) (*AbsorbingAnalysis,
 		Sojourn:    make(map[string]float64, nt),
 		AbsorbProb: make(map[string]float64, len(absorbing)),
 	}
-	for gi, pos := range transPos {
+	// MTTA sums the sojourns in state-index order, so the same chain
+	// gives the same bits on every call.
+	for pos, gi := range transIdx {
 		if tau[pos] < 0 {
 			tau[pos] = 0
 		}
@@ -136,9 +138,12 @@ func (c *CTMC) ExpectedAccumulatedReward(p0 []float64, reward func(state string)
 	if err != nil {
 		return 0, err
 	}
+	// Sum in state-index order: Sojourn is a map.
 	var total float64
-	for name, soj := range res.Sojourn {
-		total += soj * reward(name)
+	for _, name := range c.names {
+		if soj, ok := res.Sojourn[name]; ok {
+			total += soj * reward(name)
+		}
 	}
 	return total, nil
 }

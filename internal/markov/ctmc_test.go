@@ -535,3 +535,66 @@ func (r *splitMix) float() float64 {
 	r.s, z = failpoint.SplitMix64(r.s)
 	return float64(z>>11) / float64(1<<53)
 }
+
+// TestAbsorbingSumsAreDeterministic: MTTA, the accumulated reward and the
+// embedded chain's mean step count each sum over many transient states,
+// and every call on the same chain must give the same bits. A sum in
+// map order gives several bit patterns in 20 calls on this chain.
+func TestAbsorbingSumsAreDeterministic(t *testing.T) {
+	// Four machines with distinct failure rates and one repairer that
+	// fixes the lowest failed machine; all four down absorbs. Fifteen
+	// transient states.
+	const n = 4
+	lam := []float64{0.013, 0.029, 0.047, 0.071}
+	mu := 0.9
+	name := func(mask int) string { return "m" + strconv.Itoa(mask) }
+	c := NewCTMC()
+	full := 1<<n - 1
+	for mask := 0; mask < full; mask++ {
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) == 0 {
+				if err := c.AddRate(name(mask), name(mask|1<<i), lam[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				if err := c.AddRate(name(mask), name(mask&^(1<<i)), mu); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+	}
+	d, err := c.EmbeddedDTMC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, err := c.InitialAt(name(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reward := func(s string) float64 { return 1/float64(len(s)) + float64(s[len(s)-1]-'0')/7 }
+	var first [3]uint64
+	for run := 0; run < 20; run++ {
+		mtta, err := c.MTTF(name(0), name(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := c.ExpectedAccumulatedReward(p0, reward, name(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, err := d.MeanStepsToAbsorption(name(0), name(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [3]uint64{math.Float64bits(mtta), math.Float64bits(acc), math.Float64bits(steps)}
+		if run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d: (mtta, reward, steps) bits %x, run 0 gave %x", run, got, first)
+		}
+	}
+}

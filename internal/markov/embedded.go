@@ -111,9 +111,10 @@ func (d *DTMC) MeanStepsToAbsorption(initial string, absorbing ...string) (float
 	if err != nil {
 		return 0, err
 	}
+	// Sum in state-index order: visits is a map.
 	var total float64
-	for _, v := range visits {
-		total += v
+	for _, name := range d.names {
+		total += visits[name]
 	}
 	return total, nil
 }

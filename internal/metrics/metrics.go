@@ -19,6 +19,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -257,9 +258,15 @@ func (c *Counter) Total() float64 {
 	}
 	c.f.mu.Lock()
 	defer c.f.mu.Unlock()
+	// Sum in key order: series is a map.
+	keys := make([]string, 0, len(c.f.series))
+	for k := range c.f.series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	var sum float64
-	for _, s := range c.f.series {
-		sum += s.val
+	for _, k := range keys {
+		sum += c.f.series[k].val
 	}
 	return sum
 }

@@ -9,10 +9,15 @@ import (
 	"unicode/utf8"
 )
 
-// decode reads a model document to EOF and decodes it, through
-// decodeCTMC when that accepts it and through encoding/json with unknown
-// fields disallowed otherwise. Parse and LintDocument share it.
-func decode(r io.Reader) (*Spec, error) {
+// Decode reads a model document from r to EOF and decodes it. A ctmc
+// document in plain JSON (no string escapes, no null, each key spelled
+// exactly and given once) decodes in one pass without reflection
+// (decodeCTMC); every other document, and every invalid one, decodes
+// through encoding/json with unknown fields disallowed. Both paths give
+// the same Spec, bit for bit, and every decode error comes from
+// encoding/json. Decode checks nothing else: Parse adds the type/section
+// check, and lint.CheckDocument reads documents through Decode alone.
+func Decode(r io.Reader) (*Spec, error) {
 	// bytes.Buffer reads a sized reader (bytes.Reader, strings.Reader) in
 	// one exact allocation through WriterTo, and anything else in doubling
 	// steps.

@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-
-	"repro/internal/lint"
 )
 
 // seedModels feeds every bundled model document into the fuzz corpus, so
@@ -72,40 +69,6 @@ func FuzzLoadDocument(f *testing.F) {
 		}
 		if _, err := Parse(bytes.NewReader(out)); err != nil {
 			t.Fatalf("round-tripped document rejected: %v\noriginal: %s\nround-trip: %s", err, data, out)
-		}
-	})
-}
-
-// FuzzLint fuzzes the combined parse+lint path: LintDocument must never
-// panic, must always return at least one diagnostic for undecodable input,
-// and its diagnostics must be well-formed (coded, sorted severity set), in
-// lint.Sort order, and the same when the same bytes are linted again. A
-// structural report comes back only for ctmc documents.
-func FuzzLint(f *testing.F) {
-	seedModels(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, ds, rep := LintDocument(bytes.NewReader(data))
-		if spec == nil && len(ds) == 0 {
-			t.Fatal("undecodable document produced no diagnostics")
-		}
-		for _, d := range ds {
-			if d.Code == "" {
-				t.Errorf("diagnostic without a code: %+v", d)
-			}
-			if d.Severity != lint.SevError && d.Severity != lint.SevWarning && d.Severity != lint.SevInfo {
-				t.Errorf("diagnostic with unknown severity %q: %+v", d.Severity, d)
-			}
-		}
-		sorted := append([]lint.Diagnostic(nil), ds...)
-		lint.Sort(sorted)
-		if !reflect.DeepEqual(sorted, ds) {
-			t.Errorf("diagnostics not in lint.Sort order:\n%v", ds)
-		}
-		if _, again, _ := LintDocument(bytes.NewReader(data)); !reflect.DeepEqual(again, ds) {
-			t.Errorf("linting the same bytes twice disagrees:\n%v\n%v", ds, again)
-		}
-		if rep != nil && (spec == nil || spec.Type != "ctmc") {
-			t.Errorf("structural report for a non-ctmc document: %+v", spec)
 		}
 	})
 }

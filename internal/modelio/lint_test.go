@@ -1,15 +1,20 @@
-package modelio
+package modelio_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/modelio"
 )
+
+// The tests in this file check model documents through internal/lint,
+// which imports modelio, so they live in the external test package.
 
 // findCode returns the first diagnostic with the given code, failing the
 // test if it is absent.
@@ -25,7 +30,7 @@ func findCode(t *testing.T, ds []lint.Diagnostic, code string) lint.Diagnostic {
 }
 
 func TestLintDocumentMalformedJSON(t *testing.T) {
-	spec, ds, _ := LintDocument(strings.NewReader(`{"type": "ctmc",`))
+	spec, ds, _ := lint.CheckDocument(strings.NewReader(`{"type": "ctmc",`))
 	if spec != nil {
 		t.Error("malformed document should not yield a spec")
 	}
@@ -36,12 +41,12 @@ func TestLintDocumentMalformedJSON(t *testing.T) {
 }
 
 func TestLintDocumentUnknownField(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{"type": "ctmc", "ctmc": {"transitions": [], "measures": []}, "typo": 1}`))
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{"type": "ctmc", "ctmc": {"transitions": [], "measures": []}, "typo": 1}`))
 	findCode(t, ds, lint.CodeSpecParse)
 }
 
 func TestLintDocumentUnknownKind(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{"type": "petri"}`))
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{"type": "petri"}`))
 	d := findCode(t, ds, lint.CodeSpecType)
 	if d.Path != "type" {
 		t.Errorf("SPEC002 path = %q, want \"type\"", d.Path)
@@ -52,12 +57,12 @@ func TestLintDocumentUnknownKind(t *testing.T) {
 }
 
 func TestLintDocumentMissingType(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{"name": "anonymous"}`))
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{"name": "anonymous"}`))
 	findCode(t, ds, lint.CodeSpecType)
 }
 
 func TestLintDocumentMissingSection(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{"type": "rbd"}`))
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{"type": "rbd"}`))
 	d := findCode(t, ds, lint.CodeSpecSection)
 	if d.Path != "rbd" {
 		t.Errorf("SPEC003 path = %q, want \"rbd\"", d.Path)
@@ -65,7 +70,7 @@ func TestLintDocumentMissingSection(t *testing.T) {
 }
 
 func TestLintUnknownMeasure(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{
 		"type": "relgraph",
 		"relgraph": {
 			"edges": [{"name": "e", "from": "s", "to": "t", "rel": 0.9}],
@@ -81,7 +86,7 @@ func TestLintUnknownMeasure(t *testing.T) {
 
 func TestLintMissingMeasureField(t *testing.T) {
 	// reliability without a mission time.
-	_, ds, _ := LintDocument(strings.NewReader(`{
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{
 		"type": "rbd",
 		"rbd": {
 			"components": [{"name": "a", "lifetime": {"kind": "exponential", "rate": 0.1}}],
@@ -96,7 +101,7 @@ func TestLintMissingMeasureField(t *testing.T) {
 }
 
 func TestLintCTMCMeasureFields(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{
 		"type": "ctmc",
 		"ctmc": {
 			"transitions": [
@@ -119,7 +124,7 @@ func TestLintCTMCMeasureFields(t *testing.T) {
 
 func TestLintFindsStructuralProblems(t *testing.T) {
 	// Bad rate and an unreachable state, through the document interface.
-	_, ds, _ := LintDocument(strings.NewReader(`{
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{
 		"type": "ctmc",
 		"ctmc": {
 			"transitions": [
@@ -139,7 +144,7 @@ func TestLintFindsStructuralProblems(t *testing.T) {
 }
 
 func TestLintSPNMeasureReferences(t *testing.T) {
-	_, ds, _ := LintDocument(strings.NewReader(`{
+	_, ds, _ := lint.CheckDocument(strings.NewReader(`{
 		"type": "spn",
 		"spn": {
 			"places": [{"name": "p", "tokens": 1}],
@@ -173,13 +178,13 @@ func TestLintCleanModelsAreClean(t *testing.T) {
 			"measures": ["top", "mincuts"]
 		}
 	}`
-	_, ds, _ := LintDocument(strings.NewReader(doc))
+	_, ds, _ := lint.CheckDocument(strings.NewReader(doc))
 	if len(ds) != 0 {
 		t.Errorf("clean document produced diagnostics: %v", ds)
 	}
 }
 
-// TestLintRunsEachFormalismCheck: Lint hands each document type to its
+// TestLintRunsEachFormalismCheck: lint.Check hands each document type to its
 // formalism's check, and only a ctmc document comes back with the
 // structural report that check read.
 func TestLintRunsEachFormalismCheck(t *testing.T) {
@@ -199,7 +204,7 @@ func TestLintRunsEachFormalismCheck(t *testing.T) {
 			"arcs": [{"kind": "input", "place": "p", "transition": "t"}]}}`, lint.CodePNBadRate},
 	}
 	for _, tc := range cases {
-		spec, ds, rep := LintDocument(strings.NewReader(tc.doc))
+		spec, ds, rep := lint.CheckDocument(strings.NewReader(tc.doc))
 		if spec == nil {
 			t.Fatalf("%s: document did not decode: %v", tc.code, ds)
 		}
@@ -223,12 +228,12 @@ func TestLintDocumentReportIsStructReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, _, rep := LintDocument(bytes.NewReader(raw))
+		spec, _, rep := lint.CheckDocument(bytes.NewReader(raw))
 		if spec == nil || spec.Type != "ctmc" {
 			continue
 		}
 		ctmcs++
-		want, err := StructReport(spec.CTMC)
+		want, err := modelio.StructReport(spec.CTMC)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -243,54 +248,51 @@ func TestLintDocumentReportIsStructReport(t *testing.T) {
 	}
 }
 
-func TestSolveWithOptionsPreflight(t *testing.T) {
-	bad := &Spec{
-		Type: "ctmc",
-		CTMC: &CTMCSpec{
-			Transitions: []CTMCTransition{
-				{From: "up", To: "down", Rate: -1},
-				{From: "down", To: "up", Rate: 1},
-			},
-			Measures: []string{"steadystate"},
-		},
+// TestLumpModeValidation: an unknown lump mode is a lint error.
+func TestLumpModeValidation(t *testing.T) {
+	spec := modelio.FarmSpec(2, 0.01, 1.0, 1, []string{"availability"}, "sometimes")
+	ds, _ := lint.Check(spec)
+	found := false
+	for _, d := range ds {
+		if d.Path == "ctmc.lump" {
+			found = true
+		}
 	}
-	if _, err := SolveWithOptions(bad, SolveOptions{Preflight: true}); err == nil {
-		t.Fatal("preflight should reject the negative rate")
-	} else if lerr, ok := err.(*lint.Error); !ok {
-		t.Fatalf("want *lint.Error, got %T: %v", err, err)
-	} else if len(lerr.Diags) == 0 || lerr.Diags[0].Code != lint.CodeCTMCBadRate {
-		t.Fatalf("unexpected preflight report: %v", lerr.Diags)
-	}
-
-	good := &Spec{
-		Type: "ctmc",
-		CTMC: &CTMCSpec{
-			Transitions: []CTMCTransition{
-				{From: "up", To: "down", Rate: 0.01},
-				{From: "down", To: "up", Rate: 1},
-			},
-			Measures: []string{"steadystate"},
-		},
-	}
-	if _, err := SolveWithOptions(good, SolveOptions{Preflight: true}); err != nil {
-		t.Fatalf("preflight rejected a clean model: %v", err)
+	if !found {
+		t.Fatalf("no ctmc.lump diagnostic in %v", ds)
 	}
 }
 
-func TestPreflightWarningsDoNotBlock(t *testing.T) {
-	// A duplicate transition is only a warning; solving must proceed.
-	s := &Spec{
-		Type: "ctmc",
-		CTMC: &CTMCSpec{
-			Transitions: []CTMCTransition{
-				{From: "up", To: "down", Rate: 0.01},
-				{From: "up", To: "down", Rate: 0.02},
-				{From: "down", To: "up", Rate: 1},
-			},
-			Measures: []string{"steadystate"},
-		},
-	}
-	if _, err := SolveWithOptions(s, SolveOptions{Preflight: true}); err != nil {
-		t.Fatalf("warning-only model blocked: %v", err)
-	}
+// FuzzLint fuzzes the combined decode+lint path: lint.CheckDocument must
+// never panic, must always return at least one diagnostic for undecodable
+// input, and its diagnostics must be well-formed (coded, sorted severity
+// set), in lint.Sort order, and the same when the same bytes are linted
+// again. A structural report comes back only for ctmc documents.
+func FuzzLint(f *testing.F) {
+	modelio.SeedModels(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, ds, rep := lint.CheckDocument(bytes.NewReader(data))
+		if spec == nil && len(ds) == 0 {
+			t.Fatal("undecodable document produced no diagnostics")
+		}
+		for _, d := range ds {
+			if d.Code == "" {
+				t.Errorf("diagnostic without a code: %+v", d)
+			}
+			if d.Severity != lint.SevError && d.Severity != lint.SevWarning && d.Severity != lint.SevInfo {
+				t.Errorf("diagnostic with unknown severity %q: %+v", d.Severity, d)
+			}
+		}
+		sorted := append([]lint.Diagnostic(nil), ds...)
+		lint.Sort(sorted)
+		if !reflect.DeepEqual(sorted, ds) {
+			t.Errorf("diagnostics not in lint.Sort order:\n%v", ds)
+		}
+		if _, again, _ := lint.CheckDocument(bytes.NewReader(data)); !reflect.DeepEqual(again, ds) {
+			t.Errorf("linting the same bytes twice disagrees:\n%v\n%v", ds, again)
+		}
+		if rep != nil && (spec == nil || spec.Type != "ctmc") {
+			t.Errorf("structural report for a non-ctmc document: %+v", spec)
+		}
+	})
 }

@@ -61,9 +61,9 @@ func structInput(spec *CTMCSpec, rates []float64) relstruct.Input {
 
 // StructReport computes the static structural analysis of a parsed ctmc
 // spec: SCC condensation, stiffness, the coarsest measure-preserving
-// lumpable partition, and the distilled solver hint. Lint returns the
-// same report, read by its CT and STR checks; StructReport computes it
-// alone.
+// lumpable partition, and the distilled solver hint. lint.CheckCTMC
+// returns the same report, read by its CT and STR checks; StructReport
+// computes it alone.
 func StructReport(spec *CTMCSpec) (*relstruct.StructReport, error) {
 	if spec == nil {
 		return nil, relstruct.ErrEmpty

@@ -170,21 +170,6 @@ func TestAutoLumpOffByRequest(t *testing.T) {
 	}
 }
 
-// TestLumpModeValidation: an unknown lump mode is a lint error.
-func TestLumpModeValidation(t *testing.T) {
-	spec := farmSpec(2, 0.01, 1.0, 1, []string{"availability"}, "sometimes")
-	ds, _ := Lint(spec)
-	found := false
-	for _, d := range ds {
-		if d.Path == "ctmc.lump" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no ctmc.lump diagnostic in %v", ds)
-	}
-}
-
 // findLumpSpan locates the relstruct.lump span in a trace tree.
 func findLumpSpan(s *obs.Span) *obs.Span {
 	if s == nil {

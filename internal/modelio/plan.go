@@ -115,8 +115,7 @@ func (p *CTMCPlan) Rates() []float64 {
 
 // Solve solves the document's measures at the given rates, one per
 // transition in document order, each positive and finite. Options, guard
-// rails, panic recovery and errors are those of SolveWithOptions;
-// Preflight lints the compiled document.
+// rails, panic recovery and errors are those of SolveWithOptions.
 func (p *CTMCPlan) Solve(rates []float64, opts SolveOptions) ([]Result, error) {
 	return solveWith(p.doc, opts, func(rec obs.Recorder, env solveEnv) ([]Result, error) {
 		if err := enter(env); err != nil {
@@ -159,22 +158,25 @@ func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]
 			initial = b
 		}
 	}
-	// The generator is built on first use, once for all measures: written
-	// into the compiled pattern for a rated chain, assembled otherwise.
-	var q *linalg.CSR
+	// The stationary vector is solved on first use, once for all
+	// measures, from a generator written into the compiled pattern for a
+	// rated chain and assembled otherwise.
+	var pi []float64
 	steadyState := func(sp obs.Recorder) ([]float64, error) {
-		if q == nil {
-			var err error
-			if rates != nil && lumped == nil {
-				q, err = p.pattern.Fill(c)
-			} else {
-				q, err = c.Generator()
-			}
-			if err != nil {
-				return nil, err
-			}
+		if pi != nil {
+			return pi, nil
 		}
-		return c.SteadyStateFrom(q, markov.SteadyStateOptions{
+		var q *linalg.CSR
+		var err error
+		if rates != nil && lumped == nil {
+			q, err = p.pattern.Fill(c)
+		} else {
+			q, err = c.Generator()
+		}
+		if err != nil {
+			return nil, err
+		}
+		pi, err = c.SteadyStateFrom(q, markov.SteadyStateOptions{
 			Method: spec.Solver,
 			SOR: linalg.SOROptions{
 				Tol:     spec.SolverTol,
@@ -184,6 +186,7 @@ func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]
 			Recorder: sp,
 			Ctx:      env.ctx,
 		})
+		return pi, err
 	}
 	var out []Result
 	for _, meas := range spec.Measures {

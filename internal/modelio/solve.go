@@ -15,7 +15,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/hier"
 	"repro/internal/linalg"
-	"repro/internal/lint"
 	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/rbd"
@@ -49,10 +48,6 @@ type Bound struct {
 
 // SolveOptions configures optional solver-entry behavior.
 type SolveOptions struct {
-	// Preflight lints the model before solving and refuses to run the
-	// solvers when any error-severity diagnostic is found, returning a
-	// *lint.Error listing them. Warnings never block solving.
-	Preflight bool
 	// Recorder receives solver telemetry as a tree of nested spans (nil
 	// disables; see internal/obs). Attach an *obs.Trace to render the
 	// solve as JSON or an indented text trace.
@@ -102,32 +97,20 @@ func wrapConvergence(err error) error {
 	return err
 }
 
-// SolveWithOptions evaluates the specification, optionally running the
-// static lint pass first (see SolveOptions.Preflight) and recording
-// solver telemetry (see SolveOptions.Recorder). Panics escaping a solver
-// are converted into a *guard.InternalError rather than crashing the
-// caller.
+// SolveWithOptions evaluates the specification, recording solver
+// telemetry (see SolveOptions.Recorder). Panics escaping a solver are
+// converted into a *guard.InternalError rather than crashing the caller.
+// It does not lint: callers that want the static checks first run
+// lint.Check on the spec.
 func SolveWithOptions(s *Spec, opts SolveOptions) ([]Result, error) {
 	return solveWith(s, opts, func(rec obs.Recorder, env solveEnv) ([]Result, error) {
 		return solve(s, rec, env)
 	})
 }
 
-// solveWith runs one solve of s under opts: preflight lint, guard-rail
-// mode, the modelio.solve span, panic recovery, and the timeout.
+// solveWith runs one solve of s under opts: guard-rail mode, the
+// modelio.solve span, panic recovery, and the timeout.
 func solveWith(s *Spec, opts SolveOptions, run func(obs.Recorder, solveEnv) ([]Result, error)) (results []Result, err error) {
-	if opts.Preflight {
-		var errs []lint.Diagnostic
-		ds, _ := Lint(s)
-		for _, d := range ds {
-			if d.Severity == lint.SevError {
-				errs = append(errs, d)
-			}
-		}
-		if len(errs) > 0 {
-			return nil, &lint.Error{Diags: errs}
-		}
-	}
 	mode, err := guard.ParseStrictness(string(opts.Rails))
 	if err != nil {
 		return nil, err

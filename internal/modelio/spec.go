@@ -229,19 +229,14 @@ type RGEdge struct {
 	Rel  float64 `json:"rel"`
 }
 
-// Parse reads a model document from r to EOF, decodes it and checks
-// that its type names a section it carries. A ctmc document in plain
-// JSON (no string escapes, no null, each key spelled exactly and given
-// once) decodes in one pass without reflection; every other document,
-// and every invalid one, decodes through encoding/json with unknown
-// fields disallowed. Both paths give the same Spec, bit for bit, and
-// every decode error comes from encoding/json. A read or decode failure
-// wraps ErrBadSpec.
+// Parse reads a model document from r with Decode and checks that its
+// type names a section it carries. A read, decode or type failure wraps
+// ErrBadSpec.
 func Parse(r io.Reader) (*Spec, error) {
 	if err := failpoint.Inject(fpParse); err != nil {
 		return nil, err
 	}
-	s, err := decode(r)
+	s, err := Decode(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

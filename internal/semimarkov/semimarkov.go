@@ -229,9 +229,10 @@ func (s *SMP) SteadyStateReward(reward func(state string) float64) (float64, err
 	if err != nil {
 		return 0, err
 	}
+	// Sum in state order: pi is a map.
 	var total float64
-	for name, p := range pi {
-		total += p * reward(name)
+	for _, name := range s.names {
+		total += pi[name] * reward(name)
 	}
 	return total, nil
 }

@@ -119,20 +119,22 @@ func (m *SelfModel) Predict(up []string, now time.Time) (Prediction, error) {
 	for _, s := range up {
 		upSet[s] = true
 	}
+	states := make([]string, 0, len(dwell))
+	for s := range dwell {
+		states = append(states, s)
+	}
+	sort.Strings(states)
 	var total float64
-	for _, d := range dwell {
-		total += d
+	for _, s := range states {
+		total += dwell[s]
 	}
 	if total <= 0 {
 		return Prediction{}, fmt.Errorf("selfmodel: no dwell time accumulated yet")
 	}
 	observed := make(map[string]float64, len(dwell))
-	states := make([]string, 0, len(dwell))
-	for s, d := range dwell {
-		observed[s] = d / total
-		states = append(states, s)
+	for _, s := range states {
+		observed[s] = dwell[s] / total
 	}
-	sort.Strings(states)
 
 	pred := Prediction{States: len(states), Observed: observed, At: now}
 
