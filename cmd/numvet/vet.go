@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -181,7 +182,7 @@ func (v *visitor) inspect(n ast.Node) bool {
 		v.checkDeferInLoop(n.Body)
 	case *ast.RangeStmt:
 		v.checkDeferInLoop(n.Body)
-		v.checkMapOrderFloat(n)
+		v.checkMapOrder(n)
 	case *ast.GoStmt:
 		// A goroutine launched from library code with no context.Context in
 		// reach cannot be canceled; solver fan-out must thread one through
@@ -270,15 +271,50 @@ func (v *visitor) checkDeferInLoop(body *ast.BlockStmt) {
 	})
 }
 
-// checkMapOrderFloat flags a float +=, -=, *= or /= made inside a range
-// over a map on a variable declared outside that loop: the reduction
-// runs in Go's random map order, so its bits change from run to run, and
-// no later sort can mend it. A per-key update (out[k] += v) is not a
-// reduction across keys and is not flagged. Function literals are
-// skipped, and a nested map range reports its own body.
-func (v *visitor) checkMapOrderFloat(rs *ast.RangeStmt) {
+// checkMapOrder flags work inside a range over a map whose outcome
+// follows Go's random map order, done on a variable declared outside the
+// loop:
+//   - a float +=, -=, *= or /=, reported at the assignment: the
+//     reduction's bits change from run to run, and no later sort can
+//     mend it;
+//   - an append, unless the function sorts that slice after the loop;
+//   - a method call passed the loop's key or value (chain.AddRate(b, tb,
+//     rate)), whose receiver keeps the order it was called in.
+//
+// The last two are reported at the loop, where ranging over sorted keys
+// mends them.
+//
+// A per-key update (out[k] += v, out[k] = v) is order-free and is not
+// flagged. Function literals are skipped, and a nested map range reports
+// its own body.
+func (v *visitor) checkMapOrder(rs *ast.RangeStmt) {
 	if v.pkgName == "main" || !v.isMap(rs.X) {
 		return
+	}
+	outside := func(e ast.Expr) bool {
+		root := rootIdent(e)
+		if root == nil {
+			return false
+		}
+		obj := v.info.ObjectOf(root)
+		return obj != nil && (obj.Pos() < rs.Pos() || obj.Pos() >= rs.End())
+	}
+	var loopVars []token.Pos
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			loopVars = append(loopVars, id.Pos())
+		}
+	}
+	// usesLoopVar reports whether e reads the loop's key or value.
+	usesLoopVar := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && v.info.Uses[id] != nil {
+				found = found || slices.Contains(loopVars, v.info.Uses[id].Pos())
+			}
+			return !found
+		})
+		return found
 	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -287,27 +323,105 @@ func (v *visitor) checkMapOrderFloat(rs *ast.RangeStmt) {
 		case *ast.RangeStmt:
 			return !v.isMap(n.X)
 		case *ast.AssignStmt:
+			if len(n.Lhs) != 1 || !outside(n.Lhs[0]) {
+				return true
+			}
 			switch n.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-			default:
+				if v.isFloat(n.Lhs[0]) {
+					v.report(n.TokPos, ruleMapOrder,
+						"float %s on %s inside a range over a map in function %s runs in random map order; range over sorted keys or an indexed slice", n.Tok, types.ExprString(n.Lhs[0]), v.funcName)
+				}
+			case token.ASSIGN:
+				if len(n.Rhs) == 1 && v.isAppend(n.Rhs[0]) && !v.sortedAfter(n.Lhs[0], rs.End()) {
+					v.report(rs.For, ruleMapOrder,
+						"range over a map in function %s appends to %s (line %d) in random map order; sort it after the loop or range over sorted keys", v.funcName, types.ExprString(n.Lhs[0]), v.fset.Position(n.Pos()).Line)
+				}
+			}
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok || !v.isMethod(sel) || !outside(sel.X) {
 				return true
 			}
-			if len(n.Lhs) != 1 || !v.isFloat(n.Lhs[0]) {
-				return true
+			for _, arg := range n.Args {
+				if usesLoopVar(arg) {
+					v.report(rs.For, ruleMapOrder,
+						"range over a map in function %s calls %s with its key or value (line %d) in random map order; range over sorted keys", v.funcName, types.ExprString(n.Fun), v.fset.Position(n.Pos()).Line)
+					break
+				}
 			}
-			root := rootIdent(n.Lhs[0])
-			if root == nil {
-				return true
-			}
-			obj := v.info.ObjectOf(root)
-			if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
-				return true
-			}
-			v.report(n.TokPos, ruleMapOrder,
-				"float %s on %s inside a range over a map in function %s runs in random map order; range over sorted keys or an indexed slice", n.Tok, types.ExprString(n.Lhs[0]), v.funcName)
 		}
 		return true
 	})
+}
+
+// isMethod reports whether the selector names a method (not a package
+// function or a func-typed field).
+func (v *visitor) isMethod(sel *ast.SelectorExpr) bool {
+	fn, ok := v.info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// isAppend reports whether e is a call of the builtin append.
+func (v *visitor) isAppend(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := v.info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
+// sortedAfter reports whether the function enclosing the visitor's
+// position sorts the slice target (sort.Strings(target), sort.Slice(
+// target, ...), slices.Sort(target), sort.Sort(byName(target)), ...)
+// somewhere after pos.
+func (v *visitor) sortedAfter(target ast.Expr, pos token.Pos) bool {
+	body := v.stack[0]
+	for i := len(v.stack) - 1; i > 0; i-- {
+		if lit, ok := v.stack[i].(*ast.FuncLit); ok {
+			body = lit.Body
+			break
+		}
+	}
+	want := types.ExprString(target)
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if found || !ok || call.Pos() < pos || len(call.Args) == 0 || !v.isSortCall(call) {
+			return !found
+		}
+		arg := call.Args[0]
+		if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+			arg = conv.Args[0]
+		}
+		found = types.ExprString(arg) == want
+		return !found
+	})
+	return found
+}
+
+// isSortCall reports whether the call resolves to a sort or slices
+// function that sorts its first argument in place.
+func (v *visitor) isSortCall(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	obj := v.info.Uses[sel.Sel]
+	if obj == nil || obj.Pkg() == nil {
+		return false
+	}
+	switch obj.Pkg().Path() + "." + obj.Name() {
+	case "sort.Strings", "sort.Ints", "sort.Float64s", "sort.Slice", "sort.SliceStable",
+		"sort.Sort", "sort.Stable", "slices.Sort", "slices.SortFunc", "slices.SortStableFunc":
+		return true
+	}
+	return false
 }
 
 // isMap reports whether the expression's type is a map.

@@ -149,6 +149,98 @@ func main() {
 	}
 }
 
+func TestMapOrderAppendRule(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"lib/lib.go": `package lib
+
+import "sort"
+
+type chain struct{ from, to []string }
+
+func (c *chain) Add(from, to string) { c.from, c.to = append(c.from, from), append(c.to, to) }
+func (c *chain) Reset()              { c.from, c.to = nil, nil }
+
+func Keys(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func Build(m map[string]string, c *chain) {
+	for from, to := range m {
+		c.Add(from, to)
+	}
+}
+
+func SortedBefore(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	sort.Strings(keys)
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+type byLen []string
+
+func (b byLen) Len() int           { return len(b) }
+func (b byLen) Less(i, j int) bool { return len(b[i]) < len(b[j]) }
+func (b byLen) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+func SortedAfter(m map[string]int) ([]string, []int, []string) {
+	var keys, long []string
+	var vals []int
+	for k, v := range m {
+		keys = append(keys, k)
+		vals = append(vals, v)
+		long = append(long, k+k)
+	}
+	sort.Strings(keys)
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	sort.Sort(byLen(long))
+	return keys, vals, long
+}
+
+func PerKey(m map[string]int, out map[string][]int, idx map[string]int, c *chain) {
+	for k, v := range m {
+		out[k] = append(out[k], v)
+		idx[k] = v
+		c.Reset()
+		local := &chain{}
+		local.Add(k, k)
+	}
+}
+`,
+		"cmd/tool/main.go": `package main
+
+type chain struct{ names []string }
+
+func (c *chain) Add(name string) { c.names = append(c.names, name) }
+
+func main() {
+	var keys []string
+	c := &chain{}
+	for k := range map[string]int{"a": 1, "b": 2} {
+		keys = append(keys, k)
+		c.Add(k)
+	}
+	println(len(keys), len(c.names))
+}
+`,
+	})
+	fs := vetFixture(t, root, "./lib", "./cmd/tool")
+	if got := rules(fs)[ruleMapOrder]; got != 3 {
+		t.Fatalf("want 3 map-order findings (an unsorted append, a method call, a sort before the loop), got %d: %v", got, fs)
+	}
+	for i, line := range []int{12, 19, 27} {
+		if fs[i].Pos.Line != line {
+			t.Errorf("finding %d at line %d, want %d: %v", i, fs[i].Pos.Line, line, fs[i])
+		}
+	}
+}
+
 func TestPanicRule(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"lib/lib.go": `package lib

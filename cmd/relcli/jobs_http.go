@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/reldash"
 )
 
 // jobResponse is the reply document for the /jobs routes. Error/Code
@@ -95,26 +94,6 @@ func jobError(err error) (int, any) {
 		status, code = http.StatusConflict, "terminal"
 	}
 	return status, jobResponse{Error: err.Error(), Code: code}
-}
-
-// jobRows flattens the engine's snapshots for the dashboard Jobs panel.
-func (s *solveServer) jobRows() []reldash.JobRow {
-	list := s.jobs.List()
-	rows := make([]reldash.JobRow, 0, len(list))
-	for _, j := range list {
-		rows = append(rows, reldash.JobRow{
-			ID:         j.ID,
-			State:      string(j.State),
-			Samples:    j.Samples,
-			Shards:     j.Shards,
-			DoneShards: j.DoneShards,
-			Progress:   j.Progress(),
-			Retries:    j.Retries,
-			Resumed:    j.Resumed,
-			Error:      j.Error,
-		})
-	}
-	return rows
 }
 
 // jobsHealth summarizes the engine for /healthz.

@@ -299,9 +299,9 @@ func newSolveServer(cfg serveConfig) (*solveServer, *http.ServeMux, error) {
 		InFlight:   func() int { return int(s.inflight.Value()) },
 		Start:      s.start,
 		Resilience: s.resilience,
-		Jobs:       s.jobRows,
-		SLO:        s.sloView,
-		Profiles:   s.profileRows,
+		Jobs:       s.jobs.List,
+		SLO:        s.sloReport,
+		Profiles:   s.profiles.Overlapping,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -438,9 +438,9 @@ type healthzResponse struct {
 	Status   string            `json:"status"`
 	UptimeS  float64           `json:"uptime_s"`
 	InFlight int               `json:"in_flight"`
-	Queue    healthzOccupancy  `json:"queue"`
+	Queue    reldash.Occupancy `json:"queue"`
 	Breakers map[string]string `json:"breakers,omitempty"`
-	Store    healthzOccupancy  `json:"trace_store"`
+	Store    reldash.Occupancy `json:"trace_store"`
 	Jobs     healthzJobs       `json:"jobs"`
 	// SLO summarizes the objective engine so load balancers can act on
 	// budget exhaustion without scraping /api/slo.
@@ -462,11 +462,6 @@ type healthzJobs struct {
 	Resumed int `json:"resumed"`
 }
 
-type healthzOccupancy struct {
-	Len int `json:"len"`
-	Cap int `json:"cap"`
-}
-
 // handleHealthz answers 200 "ok" in steady state and 503 "draining"
 // once graceful shutdown has begun, so load balancers stop routing new
 // work while in-flight solves finish.
@@ -475,9 +470,9 @@ func (s *solveServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:   "ok",
 		UptimeS:  time.Since(s.start).Seconds(),
 		InFlight: int(s.inflight.Value()),
-		Queue:    healthzOccupancy{Len: s.adm.queueLen(), Cap: s.adm.queueCap()},
+		Queue:    reldash.Occupancy{Len: s.adm.queueLen(), Cap: s.adm.queueCap()},
 		Breakers: s.brk.snapshot(),
-		Store:    healthzOccupancy{Len: s.store.Len(), Cap: s.store.Cap()},
+		Store:    reldash.Occupancy{Len: s.store.Len(), Cap: s.store.Cap()},
 		Jobs:     s.jobsHealth(),
 		SLO:      s.sloHealth(),
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/reldash"
 	"repro/internal/slo"
 )
 
@@ -114,44 +113,36 @@ func (s *solveServer) stopBackground() {
 	s.bgWG.Wait()
 }
 
-// sloPayload is the GET /api/slo reply.
-type sloPayload struct {
-	// Enabled is always true: the engine always runs.
-	Enabled    bool                  `json:"enabled"`
-	Objectives []slo.ObjectiveStatus `json:"objectives,omitempty"`
-	// Measured is the availability-objective good fraction over the
-	// longest window — the number Model.Availability is compared to.
-	Measured *float64 `json:"measured_availability,omitempty"`
-	// Model is the latest self-model prediction; ModelError names why
-	// there is none yet (warming up, sampler disabled).
-	Model      *slo.Prediction `json:"model,omitempty"`
-	ModelError string          `json:"model_error,omitempty"`
-}
-
-// handleSLO answers GET /api/slo: objective statuses, error budgets,
-// and the modeled-vs-measured availability pair.
-func (s *solveServer) handleSLO(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
-	payload := sloPayload{Enabled: true, Objectives: s.slo.Status()}
-	for _, o := range payload.Objectives {
+// sloReport assembles the objective statuses and the modeled-vs-measured
+// availability pair: the GET /api/slo reply and the dashboard SLO panel.
+func (s *solveServer) sloReport() *slo.Report {
+	rep := &slo.Report{Enabled: true, Objectives: s.slo.Status()}
+	for _, o := range rep.Objectives {
 		if o.Kind == "availability" {
 			m := o.Measured
-			payload.Measured = &m
+			rep.Measured = &m
 			break
 		}
 	}
 	if p := s.selfPred.Load(); p != nil {
 		if p.err != nil {
-			payload.ModelError = p.err.Error()
+			rep.ModelError = p.err.Error()
 		} else {
 			pred := p.pred
-			payload.Model = &pred
+			rep.Model = &pred
 		}
 	} else if s.cfg.SelfModelEvery <= 0 {
-		payload.ModelError = "self-model sampler disabled"
+		rep.ModelError = "self-model sampler disabled"
 	} else {
-		payload.ModelError = "self-model warming up"
+		rep.ModelError = "self-model warming up"
 	}
-	return http.StatusOK, payload
+	return rep
+}
+
+// handleSLO answers GET /api/slo: objective statuses, error budgets,
+// and the modeled-vs-measured availability pair.
+func (s *solveServer) handleSLO(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
+	return http.StatusOK, s.sloReport()
 }
 
 // profilesPayload is the GET /api/profiles reply.
@@ -171,61 +162,4 @@ func (s *solveServer) handleProfiles(w http.ResponseWriter, r *http.Request, ev 
 		payload.Profiles = s.profiles.List()
 	}
 	return http.StatusOK, payload
-}
-
-// sloView flattens the SLO state for the dashboard panel.
-func (s *solveServer) sloView() *reldash.SLOView {
-	view := &reldash.SLOView{}
-	measuredSet := false
-	for _, o := range s.slo.Status() {
-		row := reldash.SLORow{
-			Name:            o.Name,
-			Kind:            o.Kind,
-			Target:          o.Target,
-			WorstBurn:       o.WorstBurn,
-			BudgetRemaining: o.BudgetRemaining,
-			Breaching:       o.Breaching,
-			Breaches:        o.Breaches,
-		}
-		for _, w := range o.Windows {
-			row.Windows = append(row.Windows, reldash.SLOWindow{
-				Label:     w.Window,
-				Burn:      w.BurnRate,
-				Breaching: w.Breaching,
-			})
-		}
-		if o.Kind == "availability" && !measuredSet {
-			view.Measured = o.Measured
-			measuredSet = true
-		}
-		view.Rows = append(view.Rows, row)
-	}
-	if p := s.selfPred.Load(); p != nil {
-		if p.err != nil {
-			view.ModeledErr = p.err.Error()
-		} else {
-			view.ModeledOK = true
-			view.Modeled = p.pred.Availability
-		}
-	} else {
-		view.ModeledErr = "self-model warming up"
-	}
-	return view
-}
-
-// profileRows flattens the profile ring for the dashboard trace pages.
-func (s *solveServer) profileRows(start, end time.Time) []reldash.ProfileRow {
-	if s.profiles == nil {
-		return nil
-	}
-	var rows []reldash.ProfileRow
-	for _, e := range s.profiles.Overlapping(start, end) {
-		rows = append(rows, reldash.ProfileRow{
-			Name:  e.Name,
-			Kind:  e.Kind,
-			Start: e.Start,
-			Bytes: e.Bytes,
-		})
-	}
-	return rows
 }

@@ -174,6 +174,29 @@ func TestServeAPISLO(t *testing.T) {
 	}
 }
 
+// TestServeSLOPanelMatchesAPI: the dashboard SLO panel renders the
+// /api/slo report, so with the sampler off both give the same reason
+// for having no prediction.
+func TestServeSLOPanelMatchesAPI(t *testing.T) {
+	mux := mustServeMux(t, serveConfig{Registry: metrics.NewRegistry()})
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/slo", nil))
+	var p struct {
+		ModelError string `json:"model_error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.ModelError == "" {
+		t.Fatalf("/api/slo gives no model_error with the sampler off: %s", w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ui", nil))
+	if want := "modeled (self-CTMC) " + p.ModelError + "</p>"; !strings.Contains(w.Body.String(), want) {
+		t.Errorf("/ui SLO panel does not show /api/slo's %q", want)
+	}
+}
+
 // TestServeHealthzSLOSummary: /healthz carries the probe-sized SLO
 // digest (worst burn, budget remaining) once traffic has flowed, and
 // stays parseable by pre-SLO clients (plain additive key).

@@ -519,15 +519,15 @@ func (e *Engine) List() []*Snapshot {
 		js = append(js, j)
 	}
 	e.mu.Unlock()
+	sort.Slice(js, func(a, b int) bool {
+		na, _ := strconv.Atoi(strings.TrimPrefix(js[a].id, "j"))
+		nb, _ := strconv.Atoi(strings.TrimPrefix(js[b].id, "j"))
+		return na < nb
+	})
 	out := make([]*Snapshot, 0, len(js))
 	for _, j := range js {
 		out = append(out, j.snapshot())
 	}
-	sort.Slice(out, func(a, b int) bool {
-		na, _ := strconv.Atoi(strings.TrimPrefix(out[a].ID, "j"))
-		nb, _ := strconv.Atoi(strings.TrimPrefix(out[b].ID, "j"))
-		return na < nb
-	})
 	return out
 }
 

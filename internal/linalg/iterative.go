@@ -27,8 +27,6 @@ type SOROptions struct {
 	Tol float64
 	// MaxIter bounds the number of sweeps.
 	MaxIter int
-	// X0 optionally seeds the iteration; it is copied, not mutated.
-	X0 []float64
 	// Recorder receives per-sweep convergence telemetry (nil disables).
 	Recorder obs.Recorder
 	// Ctx interrupts the iteration between sweeps; nil never interrupts.
@@ -42,9 +40,8 @@ func DefaultSOROptions() SOROptions {
 	return SOROptions{Omega: 1.0, Tol: 1e-12, MaxIter: 100000}
 }
 
-// PowerOptions controls PowerIteration. The zero value selects the
-// defaults that were previously hard-coded, so existing results are
-// unchanged.
+// PowerOptions controls PowerIterationOpts. The zero value selects the
+// defaults (see DefaultPowerOptions).
 type PowerOptions struct {
 	// Tol is the convergence tolerance on the L∞ change per step.
 	Tol float64
@@ -150,15 +147,8 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 	}
 
 	pi := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, 0, fmt.Errorf("sor: x0 len %d, want %d: %w", len(opts.X0), n, ErrDimensionMismatch)
-		}
-		copy(pi, opts.X0)
-	} else {
-		for i := range pi {
-			pi[i] = 1 / float64(n)
-		}
+	for i := range pi {
+		pi[i] = 1 / float64(n)
 	}
 
 	var prevDelta float64
@@ -235,18 +225,12 @@ func residualSteadyState(q *CSR, pi []float64) float64 {
 	return NormInf(r)
 }
 
-// PowerIteration computes the stationary distribution of an irreducible,
-// aperiodic DTMC with transition matrix P (rows sum to 1) by repeated
-// multiplication π ← π·P. Returns the vector and iteration count. Zero tol
-// and maxIter select the defaults (see DefaultPowerOptions); use
-// PowerIterationOpts for full control and telemetry.
-func PowerIteration(p *CSR, tol float64, maxIter int) ([]float64, int, error) {
-	return PowerIterationOpts(p, PowerOptions{Tol: tol, MaxIter: maxIter})
-}
-
-// PowerIterationOpts is PowerIteration with an options struct: tolerance
-// and iteration budget are configurable, and a Recorder collects per-step
-// convergence records.
+// PowerIterationOpts computes the stationary distribution of an
+// irreducible, aperiodic DTMC with transition matrix P (rows sum to 1) by
+// repeated multiplication π ← π·P. Returns the vector and iteration
+// count. Zero Tol and MaxIter select the defaults (see
+// DefaultPowerOptions), and a Recorder collects per-step convergence
+// records.
 func PowerIterationOpts(p *CSR, opts PowerOptions) ([]float64, int, error) {
 	n := p.Rows()
 	if p.Cols() != n {

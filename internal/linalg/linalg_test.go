@@ -406,7 +406,7 @@ func TestPowerIteration(t *testing.T) {
 	_ = coo.Add(0, 1, 0.1)
 	_ = coo.Add(1, 0, 0.5)
 	_ = coo.Add(1, 1, 0.5)
-	pi, _, err := PowerIteration(coo.ToCSR(), 0, 0)
+	pi, _, err := PowerIterationOpts(coo.ToCSR(), PowerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

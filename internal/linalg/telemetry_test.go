@@ -172,27 +172,6 @@ func TestPowerTelemetryThreeStateCTMC(t *testing.T) {
 	}
 }
 
-func TestPowerOptionsDefaultsMatchLegacy(t *testing.T) {
-	q := threeStateGenerator(t, 0.01, 1.0)
-	p := uniformizedDTMC(t, q)
-	viaOpts, n1, err := PowerIterationOpts(p, PowerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaLegacy, n2, err := PowerIteration(p, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Fatalf("iteration counts differ: %d vs %d", n1, n2)
-	}
-	for i := range viaOpts {
-		if viaOpts[i] != viaLegacy[i] { //numvet:allow float-eq identical code paths must produce identical bits
-			t.Fatalf("results differ at %d", i)
-		}
-	}
-}
-
 func TestPowerMaxIterSurfacesTypedError(t *testing.T) {
 	q := threeStateGenerator(t, 0.5, 1.0)
 	p := uniformizedDTMC(t, q)

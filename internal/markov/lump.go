@@ -71,36 +71,46 @@ func (c *CTMC) Lump(partition func(state string) string, tol float64) (*CTMC, er
 					ErrNotLumpable, b, c.names[members[b][0]], c.names[i], err)
 			}
 		}
-		for tb, rate := range ref {
-			if rate <= 0 {
-				continue
-			}
-			if err := lumped.AddRate(b, tb, rate); err != nil {
-				return nil, err
+		// Target blocks in sorted order: the lumped chain's transition
+		// order, and every sum over it, must not follow map order.
+		targets := make([]string, 0, len(ref))
+		for tb := range ref {
+			targets = append(targets, tb)
+		}
+		sort.Strings(targets)
+		for _, tb := range targets {
+			if rate := ref[tb]; rate > 0 {
+				if err := lumped.AddRate(b, tb, rate); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	return lumped, nil
 }
 
-// sameOutflow compares two block-outflow maps within a relative tolerance.
+// sameOutflow compares two block-outflow maps within a relative tolerance
+// and reports the mismatch into the smallest block name, so the error
+// does not depend on map order.
 func sameOutflow(a, b map[string]float64, tol float64) error {
-	keys := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	for k := range keys {
-		ra, rb := a[k], b[k]
-		scale := math.Max(math.Abs(ra), math.Abs(rb))
-		if scale == 0 { //numvet:allow float-eq both rates exactly zero compare equal; guards the division below
-			continue
+	first, found := "", false
+	for _, m := range []map[string]float64{a, b} {
+		for k := range m {
+			if found && k >= first {
+				continue
+			}
+			ra, rb := a[k], b[k]
+			scale := math.Max(math.Abs(ra), math.Abs(rb))
+			if scale == 0 { //numvet:allow float-eq both rates exactly zero compare equal; guards the division below
+				continue
+			}
+			if math.Abs(ra-rb)/scale > tol {
+				first, found = k, true
+			}
 		}
-		if math.Abs(ra-rb)/scale > tol {
-			return fmt.Errorf("rate into %q differs: %g vs %g", k, ra, rb)
-		}
 	}
-	return nil
+	if !found {
+		return nil
+	}
+	return fmt.Errorf("rate into %q differs: %g vs %g", first, a[first], b[first])
 }

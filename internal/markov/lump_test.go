@@ -110,6 +110,20 @@ func TestLumpRejectsAsymmetricChain(t *testing.T) {
 	if _, err := c.Lump(func(s string) string { return s }, 0); err != nil {
 		t.Fatalf("identity partition: %v", err)
 	}
+	// With mismatched rates into two blocks, the error names the smaller
+	// block on every run, whatever the map order.
+	two := NewCTMC()
+	_ = two.AddRate("a", "p", 1)
+	_ = two.AddRate("a", "q", 1)
+	_ = two.AddRate("b", "p", 2)
+	_ = two.AddRate("b", "q", 2)
+	blockOf := map[string]string{"a": "X", "b": "X", "p": "P", "q": "Q"}
+	for run := 0; run < 20; run++ {
+		_, err := two.Lump(func(s string) string { return blockOf[s] }, 0)
+		if err == nil || !strings.Contains(err.Error(), `rate into "P" differs`) {
+			t.Fatalf("run %d: %v, want the mismatch into block P", run, err)
+		}
+	}
 }
 
 func TestLumpValidation(t *testing.T) {

@@ -185,3 +185,76 @@ func findLumpSpan(s *obs.Span) *obs.Span {
 	}
 	return nil
 }
+
+// threeComponentSpec is three identical up/degraded/down components
+// (u→g, u→d, g→d, g→u, d→u): 27 states that lump to 10 blocks, most of
+// which reach three or more other blocks.
+func threeComponentSpec(measure string) *Spec {
+	local := []struct {
+		from, to byte
+		rate     float64
+	}{{'u', 'g', 0.3}, {'u', 'd', 0.05}, {'g', 'd', 0.4}, {'g', 'u', 1.1}, {'d', 'u', 0.7}}
+	spec := &CTMCSpec{Measures: []string{measure}}
+	for s := 0; s < 27; s++ {
+		st := []byte{"ugd"[s%3], "ugd"[s/3%3], "ugd"[s/9]}
+		if string(st) != "ddd" {
+			spec.UpStates = append(spec.UpStates, string(st))
+		}
+		for i := range st {
+			for _, l := range local {
+				if st[i] == l.from {
+					to := []byte(string(st))
+					to[i] = l.to
+					spec.Transitions = append(spec.Transitions, CTMCTransition{From: string(st), To: string(to), Rate: l.rate})
+				}
+			}
+		}
+	}
+	switch measure {
+	case "availability":
+		spec.Solver = "sor"
+	case "mtta":
+		spec.UpStates = nil
+		spec.Initial, spec.Absorbing = "uuu", []string{"ddd"}
+	}
+	return &Spec{Type: "ctmc", Name: "three components", CTMC: spec}
+}
+
+// TestLumpedSolvesAreDeterministic solves a chain whose lumped blocks
+// each reach several others 20 times per path — SOR availability, mtta,
+// and mtta through a compiled plan at other rates (the /jobs sample
+// path) — and requires one bit pattern each: the lumped chain's
+// transition order, and so every sum over it, must not follow map order.
+func TestLumpedSolvesAreDeterministic(t *testing.T) {
+	plan, err := CompileCTMC(threeComponentSpec("mtta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.lumped == nil || plan.lumped.NumStates() != 10 {
+		t.Fatalf("three-component chain did not lump to 10 blocks")
+	}
+	rates := plan.Rates()
+	for k := range rates {
+		rates[k] *= 1.3
+	}
+	for _, tc := range []struct {
+		name  string
+		solve func() ([]Result, error)
+	}{
+		{"sor-availability", func() ([]Result, error) { return Solve(threeComponentSpec("availability")) }},
+		{"mtta", func() ([]Result, error) { return Solve(threeComponentSpec("mtta")) }},
+		{"plan-mtta", func() ([]Result, error) { return plan.Solve(rates, SolveOptions{}) }},
+	} {
+		seen := map[uint64]bool{}
+		for run := 0; run < 20; run++ {
+			res, err := tc.solve()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			seen[math.Float64bits(res[0].Value)] = true
+		}
+		if len(seen) != 1 {
+			t.Errorf("%s: %d bit patterns in 20 solves, want 1", tc.name, len(seen))
+		}
+	}
+}

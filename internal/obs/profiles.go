@@ -123,8 +123,12 @@ func (r *ProfileRing) List() []ProfileEntry {
 
 // Overlapping returns entries whose capture window intersects
 // [start, end], newest-first — the join slow traces use to surface
-// "what was the CPU doing while this request ran".
+// "what was the CPU doing while this request ran". A nil ring
+// (profiling off) returns nil.
 func (r *ProfileRing) Overlapping(start, end time.Time) []ProfileEntry {
+	if r == nil {
+		return nil
+	}
 	out := r.List()
 	kept := out[:0]
 	for _, e := range out {

@@ -5,7 +5,9 @@
 // telemetry the solve pipeline already produces — the obs.TraceStore of
 // retained solve traces, the relscope metrics registry snapshot, and the
 // committed suite baseline (BENCH_solvers.json, written by the root
-// package's TestSuiteBaseline).
+// package's TestSuiteBaseline). Its live panels render the engines' own
+// documents as the serve routes return them: jobs.Snapshot (GET /jobs),
+// slo.Report (GET /api/slo) and obs.ProfileEntry (GET /api/profiles).
 //
 // Routes (all GET, all marked Cache-Control: no-store):
 //
@@ -34,8 +36,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/slo"
 )
 
 //go:embed templates/*.gohtml
@@ -51,6 +55,17 @@ func ParseTemplates() (*template.Template, error) {
 		"rfc3339": func(t time.Time) string { return t.Format(time.RFC3339) },
 		"spark":   sparklineSVG,
 		"resid":   residRange,
+		// pct renders a fraction as a whole percentage for the progress
+		// and error-budget bars.
+		"pct": func(x float64) int { return int(x*100 + 0.5) },
+		// deref prints an optional number; nil (no availability
+		// objective) prints as 0.
+		"deref": func(p *float64) float64 {
+			if p == nil {
+				return 0
+			}
+			return *p
+		},
 	}).ParseFS(templateFS, "templates/*.gohtml")
 }
 
@@ -58,6 +73,8 @@ func ParseTemplates() (*template.Template, error) {
 func fmtMS(v float64) string { return fmt.Sprintf("%.3gms", v) }
 
 // Config wires the dashboard to the serve process's telemetry surfaces.
+// The func fields are read on every page load, so a test can feed fixed
+// documents.
 type Config struct {
 	// Store holds the retained solve traces (required).
 	Store *obs.TraceStore
@@ -79,81 +96,16 @@ type Config struct {
 	// queue occupancy, breaker states, shed/degraded counts, draining —
 	// for /api/summary and the index page (nil hides the section).
 	Resilience func() Resilience
-	// Jobs snapshots the async sweep jobs for /api/jobs and the index
-	// Jobs panel (nil hides both).
-	Jobs func() []JobRow
-	// SLO snapshots the serve-layer SLO engine for the index SLO panel
-	// (nil, or a nil return, hides it).
-	SLO func() *SLOView
+	// Jobs lists the async sweep jobs for the index Jobs panel (nil
+	// hides it).
+	Jobs func() []*jobs.Snapshot
+	// SLO reports the objective engine and the self-model prediction for
+	// the index SLO panel (nil, or a nil return, hides it).
+	SLO func() *slo.Report
 	// Profiles lists continuous-profiling captures overlapping a time
 	// window, for the trace detail page (nil hides the section).
-	Profiles func(start, end time.Time) []ProfileRow
+	Profiles func(start, end time.Time) []obs.ProfileEntry
 }
-
-// SLOView is the dashboard's flattened snapshot of the SLO engine —
-// defined here so reldash does not import the engine package.
-type SLOView struct {
-	Rows []SLORow `json:"rows"`
-	// Measured is the availability objective's good fraction over its
-	// longest window; Modeled is the self-model CTMC's predicted
-	// steady-state availability. Together they are the modeled-vs-
-	// measured pair the panel headlines.
-	Measured   float64 `json:"measured"`
-	Modeled    float64 `json:"modeled"`
-	ModeledOK  bool    `json:"modeled_ok"`
-	ModeledErr string  `json:"modeled_err,omitempty"`
-}
-
-// SLORow is one objective's status as the dashboard renders it.
-type SLORow struct {
-	Name            string      `json:"name"`
-	Kind            string      `json:"kind"`
-	Target          float64     `json:"target"`
-	WorstBurn       float64     `json:"worst_burn"`
-	BudgetRemaining float64     `json:"budget_remaining"`
-	Breaching       bool        `json:"breaching"`
-	Breaches        int         `json:"breaches"`
-	Windows         []SLOWindow `json:"windows"`
-}
-
-// BudgetPct renders the remaining error budget as a whole percentage
-// for the <progress> budget bars.
-func (r SLORow) BudgetPct() int { return int(r.BudgetRemaining*100 + 0.5) }
-
-// SLOWindow is one burn-rate window cell in an SLO row.
-type SLOWindow struct {
-	Label     string  `json:"label"`
-	Burn      float64 `json:"burn"`
-	Breaching bool    `json:"breaching"`
-}
-
-// ProfileRow is one continuous-profiling capture as the trace page
-// lists it.
-type ProfileRow struct {
-	Name  string    `json:"name"`
-	Kind  string    `json:"kind"`
-	Start time.Time `json:"start"`
-	Bytes int64     `json:"bytes"`
-}
-
-// JobRow is one async sweep job as the dashboard renders it — a
-// flattened view of the job engine's snapshot, defined here so reldash
-// does not import the engine.
-type JobRow struct {
-	ID         string  `json:"id"`
-	State      string  `json:"state"`
-	Samples    int     `json:"samples"`
-	Shards     int     `json:"shards"`
-	DoneShards int     `json:"done_shards"`
-	Progress   float64 `json:"progress"`
-	Retries    int64   `json:"retries,omitempty"`
-	Resumed    bool    `json:"resumed,omitempty"`
-	Error      string  `json:"error,omitempty"`
-}
-
-// Pct renders the progress fraction as a whole percentage for the
-// progress bars on the index page.
-func (j JobRow) Pct() int { return int(j.Progress*100 + 0.5) }
 
 // Resilience is the serve-layer protection snapshot the dashboard
 // renders: is the process draining, how full is the admission queue,
@@ -209,7 +161,6 @@ func (h *Handler) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/metrics", h.handleMetrics)
 	mux.HandleFunc("GET /api/bench", h.handleBench)
 	mux.HandleFunc("GET /api/summary", h.handleSummary)
-	mux.HandleFunc("GET /api/jobs", h.handleJobs)
 }
 
 // setHeaders stamps the explicit content type and the no-store cache
@@ -349,18 +300,20 @@ func (h *Handler) handleBench(w http.ResponseWriter, r *http.Request) {
 // summaryPayload is the GET /api/summary reply document the dashboard
 // polls for liveness.
 type summaryPayload struct {
-	UptimeS        float64        `json:"uptime_s"`
-	WindowS        float64        `json:"window_s"`
-	Requests       int            `json:"requests"`
-	Errors         int            `json:"errors"`
-	ThroughputPerS float64        `json:"throughput_per_s"`
-	ErrorRate      float64        `json:"error_rate"`
-	InFlight       int            `json:"in_flight"`
-	TraceStore     storeOccupancy `json:"trace_store"`
-	Resilience     *Resilience    `json:"resilience,omitempty"`
+	UptimeS        float64     `json:"uptime_s"`
+	WindowS        float64     `json:"window_s"`
+	Requests       int         `json:"requests"`
+	Errors         int         `json:"errors"`
+	ThroughputPerS float64     `json:"throughput_per_s"`
+	ErrorRate      float64     `json:"error_rate"`
+	InFlight       int         `json:"in_flight"`
+	TraceStore     Occupancy   `json:"trace_store"`
+	Resilience     *Resilience `json:"resilience,omitempty"`
 }
 
-type storeOccupancy struct {
+// Occupancy is a bounded buffer's fill level, as /api/summary reports
+// the trace store and serve's /healthz the admission queue.
+type Occupancy struct {
 	Len int `json:"len"`
 	Cap int `json:"cap"`
 }
@@ -374,7 +327,7 @@ func (h *Handler) handleSummary(w http.ResponseWriter, r *http.Request) {
 		WindowS:    windowS,
 		Requests:   total,
 		Errors:     failed,
-		TraceStore: storeOccupancy{Len: h.cfg.Store.Len(), Cap: h.cfg.Store.Cap()},
+		TraceStore: Occupancy{Len: h.cfg.Store.Len(), Cap: h.cfg.Store.Cap()},
 	}
 	if windowS > 0 {
 		p.ThroughputPerS = float64(total) / windowS
@@ -388,25 +341,6 @@ func (h *Handler) handleSummary(w http.ResponseWriter, r *http.Request) {
 	if h.cfg.Resilience != nil {
 		res := h.cfg.Resilience()
 		p.Resilience = &res
-	}
-	WriteJSON(w, http.StatusOK, p)
-}
-
-// jobsPayload is the GET /api/jobs reply document.
-type jobsPayload struct {
-	// Enabled is false when the serve process exposes no job engine
-	// feed; Jobs is then always empty.
-	Enabled bool     `json:"enabled"`
-	Jobs    []JobRow `json:"jobs"`
-}
-
-func (h *Handler) handleJobs(w http.ResponseWriter, r *http.Request) {
-	p := jobsPayload{Jobs: []JobRow{}}
-	if h.cfg.Jobs != nil {
-		p.Enabled = true
-		if rows := h.cfg.Jobs(); rows != nil {
-			p.Jobs = rows
-		}
 	}
 	WriteJSON(w, http.StatusOK, p)
 }
@@ -427,9 +361,9 @@ type indexData struct {
 	Resilience         *Resilience
 	// JobsOn gates the Jobs panel; Jobs are the rows inside it.
 	JobsOn bool
-	Jobs   []JobRow
-	// SLO is the SLO panel snapshot (nil hides the panel).
-	SLO *SLOView
+	Jobs   []*jobs.Snapshot
+	// SLO is the SLO panel's report (nil hides the panel).
+	SLO *slo.Report
 }
 
 // solverRow is one {solver, model} wall-time histogram series condensed
@@ -549,7 +483,7 @@ type traceData struct {
 	// Profiles are the continuous-profiling captures whose windows
 	// overlap this trace, cross-linking a slow request to the pprof
 	// data recorded while it ran.
-	Profiles   []ProfileRow
+	Profiles   []obs.ProfileEntry
 	ProfilesOn bool
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -95,7 +96,6 @@ func TestHandlerHeaders(t *testing.T) {
 		"/api/metrics":   "application/json; charset=utf-8",
 		"/api/bench":     "application/json; charset=utf-8",
 		"/api/summary":   "application/json; charset=utf-8",
-		"/api/jobs":      "application/json; charset=utf-8",
 	} {
 		w := get(t, h, path)
 		if w.Code != http.StatusOK {
@@ -110,33 +110,19 @@ func TestHandlerHeaders(t *testing.T) {
 	}
 }
 
-// TestHandlerJobs pins /api/jobs and the index Jobs panel: without a
-// feed the API reports disabled and the panel is absent; with one, the
-// rows flow through to both.
+// TestHandlerJobs pins the index Jobs panel: without a feed the panel
+// is absent; with one, the fed snapshots render in it.
 func TestHandlerJobs(t *testing.T) {
 	h, _ := newTestHandler(t, "")
-	var payload jobsPayload
-	if err := json.Unmarshal(get(t, h, "/api/jobs").Body.Bytes(), &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Enabled || len(payload.Jobs) != 0 {
-		t.Fatalf("feedless /api/jobs = %+v, want disabled and empty", payload)
-	}
 	if body := get(t, h, "/ui").Body.String(); strings.Contains(body, "Sweep jobs") {
 		t.Error("index renders the Jobs panel without a feed")
 	}
 
 	store := obs.NewTraceStore(8)
-	rows := []JobRow{{ID: "j1", State: "running", Samples: 1000, Shards: 10, DoneShards: 4, Progress: 0.4, Resumed: true}}
-	h2, err := NewHandler(Config{Store: store, Registry: metrics.NewRegistry(), Jobs: func() []JobRow { return rows }})
+	snaps := []*jobs.Snapshot{{ID: "j1", State: jobs.StateRunning, Samples: 1000, Shards: 10, DoneShards: 4, Resumed: true}}
+	h2, err := NewHandler(Config{Store: store, Registry: metrics.NewRegistry(), Jobs: func() []*jobs.Snapshot { return snaps }})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := json.Unmarshal(get(t, h2, "/api/jobs").Body.Bytes(), &payload); err != nil {
-		t.Fatal(err)
-	}
-	if !payload.Enabled || len(payload.Jobs) != 1 || payload.Jobs[0].ID != "j1" {
-		t.Fatalf("/api/jobs = %+v, want the one fed row", payload)
 	}
 	body := get(t, h2, "/ui").Body.String()
 	for _, want := range []string{"Sweep jobs", "j1", "4/10 (40%)", "running"} {

@@ -1,7 +1,5 @@
 package relstruct
 
-import "sort"
-
 // condense computes the strongly connected components of the chain graph
 // with an iterative Tarjan (the recursive form overflows the goroutine
 // stack on deep chains like long birth-death ladders) and returns the
@@ -80,30 +78,12 @@ func condense(n int, adj [][]int, names []string) ([]int, []Class) {
 
 	// Renumber components by smallest member index so reports are stable
 	// regardless of traversal order.
-	minMember := make([]int, comps)
-	for i := range minMember {
-		minMember[i] = n
-	}
-	for s := n - 1; s >= 0; s-- {
-		minMember[rawOf[s]] = s
-	}
-	order := make([]int, comps)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return minMember[order[a]] < minMember[order[b]] })
-	renum := make([]int, comps)
-	for newID, raw := range order {
-		renum[raw] = newID
-	}
-	classOf := make([]int, n)
+	classOf := renumberBySmallestMember(rawOf, comps)
 	classes := make([]Class, comps)
 	for i := range classes {
 		classes[i].Index = i
 	}
-	for s := 0; s < n; s++ {
-		c := renum[rawOf[s]]
-		classOf[s] = c
+	for s, c := range classOf {
 		classes[c].States = append(classes[c].States, names[s])
 	}
 	return classOf, classes

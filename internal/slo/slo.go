@@ -151,6 +151,21 @@ type ObjectiveStatus struct {
 	LastBreach *Breach `json:"last_breach,omitempty"`
 }
 
+// Report is the modeled-vs-measured SLO document: serve's GET /api/slo
+// reply, which the dashboard's SLO panel renders as it is.
+type Report struct {
+	// Enabled is always true in serve, whose engine always runs.
+	Enabled    bool              `json:"enabled"`
+	Objectives []ObjectiveStatus `json:"objectives,omitempty"`
+	// Measured is the availability-objective good fraction over the
+	// longest window — the number Model.Availability is compared to.
+	Measured *float64 `json:"measured_availability,omitempty"`
+	// Model is the latest self-model prediction; ModelError names why
+	// there is none yet (warming up, sampler disabled).
+	Model      *Prediction `json:"model,omitempty"`
+	ModelError string      `json:"model_error,omitempty"`
+}
+
 // Engine evaluates a set of objectives over the request stream.
 type Engine struct {
 	cfg     Config
