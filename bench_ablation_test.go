@@ -33,10 +33,10 @@ func birthDeathDense(n int) *linalg.Dense {
 
 // birthDeathCSR returns the same generator sparsely, with diagonals.
 func birthDeathCSR(n int) *linalg.CSR {
-	coo := linalg.NewCOO(n, n)
+	b := linalg.NewBuilder(n, n)
 	for i := 0; i < n-1; i++ {
-		_ = coo.Add(i, i+1, 1)
-		_ = coo.Add(i+1, i, 2)
+		_ = b.Add(i, i+1, 1)
+		_ = b.Add(i+1, i, 2)
 	}
 	for i := 0; i < n; i++ {
 		var out float64
@@ -46,9 +46,9 @@ func birthDeathCSR(n int) *linalg.CSR {
 		if i > 0 {
 			out += 2
 		}
-		_ = coo.Add(i, i, -out)
+		_ = b.Add(i, i, -out)
 	}
-	return coo.ToCSR()
+	return b.Build()
 }
 
 // BenchmarkAblationGTHvsSOR sweeps the chain size across the solver

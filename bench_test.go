@@ -108,16 +108,16 @@ func BenchmarkGTH(b *testing.B) {
 func BenchmarkSOR(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			coo := linalg.NewCOO(n, n)
+			asm := linalg.NewBuilder(n, n)
 			for i := 0; i < n-1; i++ {
-				_ = coo.Add(i, i+1, 1)
-				_ = coo.Add(i, i, -1)
-				_ = coo.Add(i+1, i, 2)
+				_ = asm.Add(i, i+1, 1)
+				_ = asm.Add(i, i, -1)
+				_ = asm.Add(i+1, i, 2)
 			}
 			for i := 1; i < n; i++ {
-				_ = coo.Add(i, i, -2)
+				_ = asm.Add(i, i, -2)
 			}
-			m := coo.ToCSR()
+			m := asm.Build()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := linalg.SORSteadyState(m, linalg.SOROptions{}); err != nil {

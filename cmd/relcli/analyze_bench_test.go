@@ -16,6 +16,13 @@ import (
 // of the machines down counted as up.
 func farmDoc(tb testing.TB, m int) []byte {
 	tb.Helper()
+	return farmDocFor(tb, m, "availability")
+}
+
+// farmDocFor is farmDoc with one measure: availability, steadystate, or
+// transient at t = 10 from the all-up state.
+func farmDocFor(tb testing.TB, m int, measure string) []byte {
+	tb.Helper()
 	state := func(s int) string {
 		b := make([]byte, m)
 		for i := range b {
@@ -23,9 +30,12 @@ func farmDoc(tb testing.TB, m int) []byte {
 		}
 		return string(b)
 	}
-	c := &modelio.CTMCSpec{Measures: []string{"availability"}}
+	c := &modelio.CTMCSpec{Measures: []string{measure}}
+	if measure == "transient" {
+		c.Initial, c.Time = state(0), 10
+	}
 	for s := 0; s < 1<<m; s++ {
-		if 4*strings.Count(state(s), "1") <= m {
+		if measure == "availability" && 4*strings.Count(state(s), "1") <= m {
 			c.UpStates = append(c.UpStates, state(s))
 		}
 		for i := 0; i < m; i++ {

@@ -213,6 +213,64 @@ func TestServeDashboardLiveGolden(t *testing.T) {
 	}
 }
 
+// TestServeTraceWindowCoversLateSolve: a solve's trace page lists the
+// profiles captured while the solve ran, late in it too. The parse is
+// held 300 ms and the first SOR sweep 600 ms, and a heap capture taken
+// 400 ms into the sweep's stall must be listed. When the record's
+// window started at the request's arrival but lasted only the solve's
+// wall time, it closed 300 ms early and missed that capture.
+func TestServeTraceWindowCoversLateSolve(t *testing.T) {
+	s, mux, err := newSolveServer(serveConfig{Registry: metrics.NewRegistry(), ProfileDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.stopBackground)
+	t.Cleanup(failpoint.Reset)
+	for name, spec := range map[string]string{
+		"modelio.parse":    "times(1)->delay(300ms)",
+		"linalg.sor.sweep": "times(1)->delay(600ms)",
+	} {
+		if err := failpoint.Arm(name, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := os.ReadFile(filepath.Join("..", "..", "models", "repairfarm.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body)))
+		solved <- w
+	}()
+	for stalled := false; !stalled; {
+		select {
+		case w := <-solved:
+			t.Fatalf("solve returned before the sweep stalled: status %d: %s", w.Code, w.Body.String())
+		case <-time.After(time.Millisecond):
+		}
+		for _, st := range failpoint.Stats() {
+			stalled = stalled || st.Name == "linalg.sor.sweep" && st.Trips > 0
+		}
+	}
+	time.Sleep(400 * time.Millisecond)
+	if _, err := s.profiles.CaptureHeap(); err != nil {
+		t.Fatal(err)
+	}
+	if w := <-solved; w.Code != http.StatusOK {
+		t.Fatalf("POST /solve: status %d: %s", w.Code, w.Body.String())
+	}
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ui/trace/t1", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET /ui/trace/t1: status %d", w.Code)
+	}
+	if !strings.Contains(w.Body.String(), "<code>heap-000001.pprof</code>") {
+		t.Errorf("trace page does not list the heap capture taken late in the solve:\n%s", w.Body.String())
+	}
+}
+
 // TestServeTraceStoreRetainsAnalyze checks /analyze requests land in the
 // trace store as metadata-only records alongside solves.
 func TestServeTraceStoreRetainsAnalyze(t *testing.T) {

@@ -392,20 +392,69 @@ func (s *solveServer) route(path string, h handler) http.HandlerFunc {
 
 // readBody reads the request body up to MaxBody. A failed read returns
 // the reply's error text and code instead: too-large past the limit
-// (doc names the document in the message), body-read otherwise. The
-// buffer doubles as it fills, so a body costs about twice its size in
-// allocations. It is not sized from Content-Length, which would let a
-// client that sends only headers pin MaxBody bytes.
+// (doc names the document in the message), body-read otherwise. A body
+// with a declared Content-Length is read by readDeclared, so its buffer
+// ends at the body's size; a chunked one grows as bytes.Buffer grows.
 func (s *solveServer) readBody(w http.ResponseWriter, r *http.Request, doc string) (body []byte, msg, code string) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	src := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	var err error
+	if r.ContentLength >= 0 {
+		// One byte past MaxBody is what MaxBytesReader needs to see.
+		body, err = readDeclared(src, min(r.ContentLength, s.cfg.MaxBody+1))
+	} else {
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(src)
+		body = buf.Bytes()
+	}
 	switch {
 	case err == nil:
-		return buf.Bytes(), "", ""
+		return body, "", ""
 	case maxBytesError(err):
 		return nil, fmt.Sprintf("%s document exceeds the %d-byte limit", doc, s.cfg.MaxBody), "too-large"
 	default:
 		return nil, err.Error(), "body-read"
+	}
+}
+
+// readDeclared reads r to EOF into a buffer that grows only as bytes
+// arrive: each time it fills, to at most twice what it holds and never
+// past size, the length the request declared. A client therefore pins
+// no more than twice what it has sent, and reading a body of the
+// declared size ends with one buffer of exactly that size: a body of n
+// bytes allocates at most about 3n, where bytes.Buffer's doubling
+// allocates up to about 4n and overshoots n. Bytes past size (a length
+// the transport did not enforce) grow the buffer as append does.
+func readDeclared(r io.Reader, size int64) ([]byte, error) {
+	const first = 512
+	buf := make([]byte, 0, min(size, first))
+	for {
+		if len(buf) == cap(buf) {
+			if int64(len(buf)) < size {
+				grown := make([]byte, len(buf), min(2*int64(len(buf)), size))
+				copy(grown, buf)
+				buf = grown
+			} else {
+				// At the declared size: one more read should see EOF.
+				var probe [1]byte
+				n, err := r.Read(probe[:])
+				buf = append(buf, probe[:n]...)
+				if err == io.EOF {
+					return buf, nil
+				}
+				if err != nil {
+					return buf, err
+				}
+				continue
+			}
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
 }
 
@@ -573,7 +622,7 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 			Error: "client canceled while queued"}
 	}
 
-	spec, err := modelio.Parse(bytes.NewReader(body))
+	spec, err := modelio.ParseBytes(body)
 	if err != nil {
 		if errorCode(err) == "injected" {
 			// The parser itself broke (failpoint), not the document.
@@ -631,8 +680,10 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 	// 5xx-class outcomes are solver breakage and feed the breaker; 4xx
 	// (bad documents, client cancellations) do not.
 	s.brk.record(spec.Type, probe, status >= http.StatusInternalServerError)
+	// The record's window is the traced solve's own, [Start, Start+WallMS]:
+	// RecordFromTrace takes both from the trace, so the body read,
+	// admission and parse before it do not shift the window.
 	rec := obs.RecordFromTrace(tr, rootName(spec), "solve")
-	rec.Start = ev.Time
 	rec.Corr = ev.Corr
 	rec.Outcome = solveOutcome(solveErr)
 	if solveErr != nil {

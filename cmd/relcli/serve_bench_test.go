@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,4 +104,41 @@ func TestServeSolveAllocs(t *testing.T) {
 		t.Errorf("serve round (%d fixtures): allocations %.0f -> %.0f (%+.2f%%), outside the 0.5%% / 48 band; if intended, regenerate with -update",
 			len(docs), want, got, 100*(got-want)/want)
 	}
+}
+
+// TestReadBodyGrowsAsBytesArrive: a request body's buffer grows with the
+// bytes that have arrived, up to the declared Content-Length. A request
+// that declares 8 MiB and sends 1 KiB must allocate under 64 KiB, a body
+// of its declared size must end in a buffer of exactly that size, and a
+// chunked body (no declared length) still reads whole.
+func TestReadBodyGrowsAsBytesArrive(t *testing.T) {
+	s, _, err := newSolveServer(serveConfig{Registry: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.stopBackground)
+	payload := bytes.Repeat([]byte("x"), 1<<10)
+	read := func(declared int64) ([]byte, uint64) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(payload))
+		req.ContentLength = declared
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, msg, code := s.readBody(httptest.NewRecorder(), req, "model")
+		runtime.ReadMemStats(&after)
+		if code != "" {
+			t.Fatalf("declared %d: %s: %s", declared, code, msg)
+		}
+		if !bytes.Equal(body, payload) {
+			t.Fatalf("declared %d: read %d bytes, want the %d sent", declared, len(body), len(payload))
+		}
+		return body, after.TotalAlloc - before.TotalAlloc
+	}
+	if _, n := read(8 << 20); n >= 64<<10 {
+		t.Errorf("declared 8 MiB, sent 1 KiB: allocated %d bytes, want under 64 KiB", n)
+	}
+	if body, _ := read(int64(len(payload))); cap(body) != len(payload) {
+		t.Errorf("declared and sent %d bytes: buffer capacity %d, want exactly the body", len(payload), cap(body))
+	}
+	read(-1)
 }

@@ -102,15 +102,15 @@ func farmGenerator(m int) *Dense {
 
 // denseToCSR stores every nonzero of q, diagonal included.
 func denseToCSR(q *Dense) *CSR {
-	coo := NewCOO(q.Rows(), q.Cols())
+	b := NewBuilder(q.Rows(), q.Cols())
 	for i := 0; i < q.Rows(); i++ {
 		for j := 0; j < q.Cols(); j++ {
-			if err := coo.Add(i, j, q.At(i, j)); err != nil {
+			if err := b.Add(i, j, q.At(i, j)); err != nil {
 				panic(err)
 			}
 		}
 	}
-	return coo.ToCSR()
+	return b.Build()
 }
 
 // checkGTHMatchesReference runs GTH and GTHCSR on q and demands the

@@ -125,7 +125,10 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 		defer rec.End()
 	}
 
-	qt := q.Transpose() // row j of qt holds incoming rates q(i,j) plus q(j,j)
+	// Row j of qt holds the incoming rates q(i,j) plus q(j,j). A generator
+	// on a pattern with a kept transpose (a compiled plan's) only places
+	// its values here.
+	qt := q.Transpose()
 	diag := make([]float64, n)
 	for j := 0; j < n; j++ {
 		d := qt.At(j, j)
@@ -163,11 +166,12 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 		var maxDelta float64
 		for j := 0; j < n; j++ {
 			var inflow float64
-			qt.RowRange(j, func(col int, val float64) {
+			cols, vals := qt.Row(j)
+			for k, col := range cols {
 				if col != j {
-					inflow += pi[col] * val
+					inflow += pi[col] * vals[k]
 				}
-			})
+			}
 			next := inflow / -diag[j]
 			next = pi[j] + opts.Omega*(next-pi[j])
 			if next < 0 {

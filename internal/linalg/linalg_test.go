@@ -172,8 +172,8 @@ func TestLUSolveRandomProperty(t *testing.T) {
 	}
 }
 
-func TestCOOToCSR(t *testing.T) {
-	c := NewCOO(3, 3)
+func TestBuilderBuild(t *testing.T) {
+	c := NewBuilder(3, 3)
 	mustAdd := func(i, j int, v float64) {
 		t.Helper()
 		if err := c.Add(i, j, v); err != nil {
@@ -184,7 +184,7 @@ func TestCOOToCSR(t *testing.T) {
 	mustAdd(2, 0, 5)
 	mustAdd(0, 1, 3) // duplicate, summed
 	mustAdd(1, 1, -7)
-	m := c.ToCSR()
+	m := c.Build()
 	if m.NNZ() != 3 {
 		t.Fatalf("nnz = %d, want 3", m.NNZ())
 	}
@@ -203,11 +203,11 @@ func TestCOOToCSR(t *testing.T) {
 }
 
 func TestCSRMulAndTranspose(t *testing.T) {
-	c := NewCOO(2, 3)
+	c := NewBuilder(2, 3)
 	_ = c.Add(0, 0, 1)
 	_ = c.Add(0, 2, 2)
 	_ = c.Add(1, 1, 3)
-	m := c.ToCSR()
+	m := c.Build()
 	y, err := m.MulVec([]float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -237,11 +237,11 @@ func TestCSRTransposeProperty(t *testing.T) {
 		rng := newTestRand(seed)
 		rows := 1 + int(abs64(seed))%8
 		cols := 1 + int(abs64(seed)>>3)%8
-		c := NewCOO(rows, cols)
+		c := NewBuilder(rows, cols)
 		for k := 0; k < rows*cols/2+1; k++ {
 			_ = c.Add(rng.Intn(rows), rng.Intn(cols), rng.Float64())
 		}
-		m := c.ToCSR()
+		m := c.Build()
 		tt := m.Transpose().Transpose()
 		if tt.Rows() != m.Rows() || tt.Cols() != m.Cols() || tt.NNZ() != m.NNZ() {
 			return false
@@ -340,7 +340,7 @@ func TestSORMatchesGTH(t *testing.T) {
 	// Random irreducible 6-state generator.
 	rng := newTestRand(42)
 	n := 6
-	coo := NewCOO(n, n)
+	b := NewBuilder(n, n)
 	dense := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		var out float64
@@ -349,18 +349,18 @@ func TestSORMatchesGTH(t *testing.T) {
 				continue
 			}
 			v := 0.1 + rng.Float64()*5
-			_ = coo.Add(i, j, v)
+			_ = b.Add(i, j, v)
 			dense.Set(i, j, v)
 			out += v
 		}
-		_ = coo.Add(i, i, -out)
+		_ = b.Add(i, i, -out)
 		dense.Set(i, i, -out)
 	}
 	want, err := GTH(dense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, iters, err := SORSteadyState(coo.ToCSR(), SOROptions{})
+	got, iters, err := SORSteadyState(b.Build(), SOROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +375,12 @@ func TestSORMatchesGTH(t *testing.T) {
 
 func TestSORStiffTwoState(t *testing.T) {
 	lam, mu := 1e-5, 1.0
-	coo := NewCOO(2, 2)
-	_ = coo.Add(0, 1, lam)
-	_ = coo.Add(0, 0, -lam)
-	_ = coo.Add(1, 0, mu)
-	_ = coo.Add(1, 1, -mu)
-	pi, _, err := SORSteadyState(coo.ToCSR(), SOROptions{Tol: 1e-15})
+	b := NewBuilder(2, 2)
+	_ = b.Add(0, 1, lam)
+	_ = b.Add(0, 0, -lam)
+	_ = b.Add(1, 0, mu)
+	_ = b.Add(1, 1, -mu)
+	pi, _, err := SORSteadyState(b.Build(), SOROptions{Tol: 1e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,22 +391,22 @@ func TestSORStiffTwoState(t *testing.T) {
 }
 
 func TestSORBadOmega(t *testing.T) {
-	coo := NewCOO(2, 2)
-	_ = coo.Add(0, 1, 1)
-	_ = coo.Add(1, 0, 1)
-	if _, _, err := SORSteadyState(coo.ToCSR(), SOROptions{Omega: 2.5}); err == nil {
+	b := NewBuilder(2, 2)
+	_ = b.Add(0, 1, 1)
+	_ = b.Add(1, 0, 1)
+	if _, _, err := SORSteadyState(b.Build(), SOROptions{Omega: 2.5}); err == nil {
 		t.Fatal("want omega range error")
 	}
 }
 
 func TestPowerIteration(t *testing.T) {
 	// Two-state DTMC with P = [[0.9,0.1],[0.5,0.5]]; stationary = (5/6, 1/6).
-	coo := NewCOO(2, 2)
-	_ = coo.Add(0, 0, 0.9)
-	_ = coo.Add(0, 1, 0.1)
-	_ = coo.Add(1, 0, 0.5)
-	_ = coo.Add(1, 1, 0.5)
-	pi, _, err := PowerIterationOpts(coo.ToCSR(), PowerOptions{})
+	b := NewBuilder(2, 2)
+	_ = b.Add(0, 0, 0.9)
+	_ = b.Add(0, 1, 0.1)
+	_ = b.Add(1, 0, 0.5)
+	_ = b.Add(1, 1, 0.5)
+	pi, _, err := PowerIterationOpts(b.Build(), PowerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 //	2up --2λ--> 1up --λ--> 0up,  repairs at μ back up the chain.
 func threeStateGenerator(t *testing.T, lam, mu float64) *CSR {
 	t.Helper()
-	coo := NewCOO(3, 3)
+	b := NewBuilder(3, 3)
 	add := func(i, j int, v float64) {
 		t.Helper()
-		if err := coo.Add(i, j, v); err != nil {
+		if err := b.Add(i, j, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func threeStateGenerator(t *testing.T, lam, mu float64) *CSR {
 	add(1, 1, -(lam + mu))
 	add(2, 1, mu)
 	add(2, 2, -mu)
-	return coo.ToCSR()
+	return b.Build()
 }
 
 // uniformizedDTMC returns P = I + Q/q for the 3-state chain, a stochastic
@@ -43,7 +43,7 @@ func uniformizedDTMC(t *testing.T, q *CSR) *CSR {
 		}
 	}
 	rate := maxExit * 1.05
-	coo := NewCOO(n, n)
+	b := NewBuilder(n, n)
 	for i := 0; i < n; i++ {
 		diag := 1.0
 		q.RowRange(i, func(col int, val float64) {
@@ -51,15 +51,15 @@ func uniformizedDTMC(t *testing.T, q *CSR) *CSR {
 				diag += val / rate
 				return
 			}
-			if err := coo.Add(i, col, val/rate); err != nil {
+			if err := b.Add(i, col, val/rate); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if err := coo.Add(i, i, diag); err != nil {
+		if err := b.Add(i, i, diag); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return coo.ToCSR()
+	return b.Build()
 }
 
 // assertIterTelemetry checks the telemetry contract shared by the
@@ -189,20 +189,20 @@ func TestPowerMaxIterSurfacesTypedError(t *testing.T) {
 // must cost the same as the pre-telemetry solver.
 func benchSOR(b *testing.B, opts SOROptions) {
 	b.Helper()
-	coo := NewCOO(200, 200)
+	asm := NewBuilder(200, 200)
 	for i := 0; i < 200; i++ {
 		var exit float64
 		if i > 0 {
-			_ = coo.Add(i, i-1, 1.0)
+			_ = asm.Add(i, i-1, 1.0)
 			exit += 1.0
 		}
 		if i < 199 {
-			_ = coo.Add(i, i+1, 0.5)
+			_ = asm.Add(i, i+1, 0.5)
 			exit += 0.5
 		}
-		_ = coo.Add(i, i, -exit)
+		_ = asm.Add(i, i, -exit)
 	}
-	q := coo.ToCSR()
+	q := asm.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := SORSteadyState(q, opts); err != nil {

@@ -32,25 +32,26 @@ func CheckCTMC(m *modelio.CTMCSpec) ([]Diagnostic, *relstruct.StructReport) {
 		names = append(names, name)
 		return i
 	}
-	trans := make([]relstruct.Transition, 0, len(m.Transitions))
+	nt := len(m.Transitions)
+	from, to, weight := make([]int, 0, nt), make([]int, 0, nt), make([]float64, 0, nt)
 	seen := make(map[[2]int]bool, len(m.Transitions))
 	for i, tr := range m.Transitions {
 		if tr.From == "" || tr.To == "" {
 			ds = errf(ds, CodeCTMCEmptyState, transitionPath(i), "transition must name both endpoint states")
 			continue
 		}
-		from, to := intern(tr.From), intern(tr.To)
-		trans = append(trans, relstruct.Transition{From: from, To: to, Weight: tr.Rate})
+		f, t := intern(tr.From), intern(tr.To)
+		from, to, weight = append(from, f), append(to, t), append(weight, tr.Rate)
 		if tr.Rate <= 0 || math.IsNaN(tr.Rate) || math.IsInf(tr.Rate, 0) {
 			ds = errf(ds, CodeCTMCBadRate, transitionPath(i)+".rate",
 				"rate %g is not a positive finite number", tr.Rate)
 		}
-		if from == to {
+		if f == t {
 			ds = warnf(ds, CodeCTMCSelfLoop, transitionPath(i),
 				"self-loop on state %q has no effect in a CTMC and is dropped by the solver", tr.From)
 			continue
 		}
-		key := [2]int{from, to}
+		key := [2]int{f, t}
 		if seen[key] {
 			ds = warnf(ds, CodeCTMCDuplicate, transitionPath(i),
 				"duplicate transition %s -> %s; rates will be summed", tr.From, tr.To)
@@ -80,7 +81,9 @@ func CheckCTMC(m *modelio.CTMCSpec) ([]Diagnostic, *relstruct.StructReport) {
 	rep, err := relstruct.Analyze(relstruct.Input{
 		States: len(names),
 		Names:  names,
-		Trans:  trans,
+		From:   from,
+		To:     to,
+		Weight: weight,
 		Seed:   relstruct.SeedSets(names, m.UpStates, m.Absorbing),
 	})
 	if err != nil {

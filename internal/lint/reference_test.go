@@ -242,18 +242,10 @@ func refTarjan(n int, adj map[int][]int) refSCC {
 // refCheckCTMC on chains it found no error in: a second numbering of the
 // states, its own relstruct.Analyze, and the string-keyed STR003 walk.
 func refCheckCTMCStructure(m *modelio.CTMCSpec) []Diagnostic {
-	var nts []relstruct.NamedTransition
-	for _, tr := range m.Transitions {
-		if tr.From == "" || tr.To == "" {
-			continue
-		}
-		nts = append(nts, relstruct.NamedTransition{From: tr.From, To: tr.To, Weight: tr.Rate})
-	}
-	if len(nts) == 0 {
+	in := refInput(m)
+	if len(in.From) == 0 {
 		return nil
 	}
-	in := relstruct.FromNamed(nts, false)
-	in.Seed = relstruct.SeedSets(in.Names, m.UpStates, m.Absorbing)
 	rep, err := relstruct.Analyze(in)
 	if err != nil {
 		return nil
@@ -331,21 +323,39 @@ func refLint(m *modelio.CTMCSpec) []Diagnostic {
 	return ds
 }
 
-// refReport is the report modelio.StructReport computes for the chain:
-// FromNamed over the transitions that name both endpoints, seeded with
-// the up and absorbing sets.
+// refReport is the report modelio.StructReport computes for the chain.
 func refReport(m *modelio.CTMCSpec) (*relstruct.StructReport, error) {
-	var nts []relstruct.NamedTransition
+	return relstruct.Analyze(refInput(m))
+}
+
+// refInput numbers the states of the transitions that name both
+// endpoints in order of first appearance, as the removed
+// relstruct.FromNamed did, and seeds the input with the up and absorbing
+// sets when any state is left.
+func refInput(m *modelio.CTMCSpec) relstruct.Input {
+	index := map[string]int{}
+	var in relstruct.Input
+	id := func(name string) int {
+		i, ok := index[name]
+		if !ok {
+			i = len(in.Names)
+			index[name] = i
+			in.Names = append(in.Names, name)
+		}
+		return i
+	}
 	for _, tr := range m.Transitions {
 		if tr.From != "" && tr.To != "" {
-			nts = append(nts, relstruct.NamedTransition{From: tr.From, To: tr.To, Weight: tr.Rate})
+			in.From = append(in.From, id(tr.From))
+			in.To = append(in.To, id(tr.To))
+			in.Weight = append(in.Weight, tr.Rate)
 		}
 	}
-	in := relstruct.FromNamed(nts, false)
+	in.States = len(in.Names)
 	if in.States > 0 {
 		in.Seed = relstruct.SeedSets(in.Names, m.UpStates, m.Absorbing)
 	}
-	return relstruct.Analyze(in)
+	return in
 }
 
 // referenceMismatch says how CheckCTMC disagrees with the reference on m,

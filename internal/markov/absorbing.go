@@ -57,7 +57,8 @@ func (c *CTMC) Absorbing(p0 []float64, absorbing ...string) (*AbsorbingAnalysis,
 	// Build dense Q_TT and Q_TA.
 	qtt := linalg.NewDense(nt, nt)
 	qta := make(map[int][]float64, len(absorbing)) // absorbing global idx -> column
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		if isAbs[t.from] {
 			continue
 		}

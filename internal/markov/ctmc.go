@@ -28,12 +28,41 @@ import (
 type CTMC struct {
 	names []string
 	index map[string]int
-	trans []transition
+	edges
 }
 
+// edges holds a chain's transitions in the order they were added, as
+// parallel index arrays: the k-th runs from state from[k] to state to[k]
+// at rate[k] (a probability, for a DTMC). The generator's layout and
+// relstruct.Analyze read the arrays as they are.
+type edges struct {
+	from, to []int
+	rate     []float64
+}
+
+// transition is one edge, read out of the arrays.
 type transition struct {
 	from, to int
 	rate     float64
+}
+
+// add appends a transition. The three arrays grow together, from room
+// for eight, so a small chain built by AddRate allocates them once.
+func (e *edges) add(from, to int, rate float64) {
+	if len(e.from) == cap(e.from) {
+		n := max(8, 2*cap(e.from))
+		e.from = append(make([]int, 0, n), e.from...)
+		e.to = append(make([]int, 0, n), e.to...)
+		e.rate = append(make([]float64, 0, n), e.rate...)
+	}
+	e.from = append(e.from, from)
+	e.to = append(e.to, to)
+	e.rate = append(e.rate, rate)
+}
+
+// edge returns the k-th transition.
+func (e *edges) edge(k int) transition {
+	return transition{from: e.from[k], to: e.to[k], rate: e.rate[k]}
 }
 
 // Errors returned by chain construction and analysis.
@@ -63,40 +92,72 @@ func (c *CTMC) State(name string) int {
 // AddRate adds a transition with the given rate from one state to another,
 // creating the states as needed. Multiple calls accumulate.
 func (c *CTMC) AddRate(from, to string, rate float64) error {
-	if err := checkRate(from, to, rate); err != nil {
+	if err := CheckRate(from, to, rate); err != nil {
 		return err
 	}
 	if from == to {
-		return fmt.Errorf("markov: self-transition %q has no effect in a CTMC", from)
+		return selfTransition(from)
 	}
-	c.trans = append(c.trans, transition{from: c.State(from), to: c.State(to), rate: rate})
+	c.add(c.State(from), c.State(to), rate)
 	return nil
 }
 
-// checkRate rejects a rate that is not positive and finite.
-func checkRate(from, to string, rate float64) error {
+// CheckRate rejects a rate that is not positive and finite with the error
+// AddRate returns for it.
+func CheckRate(from, to string, rate float64) error {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("%w: %q -> %q rate %g", ErrBadRate, from, to, rate)
 	}
 	return nil
 }
 
-// WithRates returns a chain over c's states and transitions whose k-th
-// transition, in AddRate order, has rate rates[k]. Each rate is checked
-// as AddRate checks it. The two chains share one state table, so add no
-// states to either afterwards.
-func (c *CTMC) WithRates(rates []float64) (*CTMC, error) {
-	if len(rates) != len(c.trans) {
-		return nil, fmt.Errorf("markov: %d rates for %d transitions", len(rates), len(c.trans))
+func selfTransition(state string) error {
+	return fmt.Errorf("markov: self-transition %q has no effect in a CTMC", state)
+}
+
+// NewCTMCFrom returns the chain over states already numbered: state i is
+// names[i], index maps each name to its number, and the k-th transition
+// runs from state from[k] to state to[k] at rate[k]. It checks the
+// transitions in order as AddRate would, and returns the first error
+// AddRate would have returned. The chain takes the slices and the map;
+// the caller must not modify them afterwards.
+func NewCTMCFrom(names []string, index map[string]int, from, to []int, rate []float64) (*CTMC, error) {
+	n := len(names)
+	if len(index) != n || len(to) != len(from) || len(rate) != len(from) {
+		return nil, fmt.Errorf("markov: %d names, %d indexed, %d sources, %d targets, %d rates",
+			n, len(index), len(from), len(to), len(rate))
 	}
-	trans := make([]transition, len(c.trans))
-	for k, t := range c.trans {
-		if err := checkRate(c.names[t.from], c.names[t.to], rates[k]); err != nil {
+	for k, f := range from {
+		t := to[k]
+		if f < 0 || f >= n || t < 0 || t >= n {
+			return nil, fmt.Errorf("%w: transition %d -> %d outside %d states", ErrUnknownState, f, t, n)
+		}
+		if err := CheckRate(names[f], names[t], rate[k]); err != nil {
 			return nil, err
 		}
-		trans[k] = transition{from: t.from, to: t.to, rate: rates[k]}
+		if f == t {
+			return nil, selfTransition(names[f])
+		}
 	}
-	return &CTMC{names: c.names, index: c.index, trans: trans}, nil
+	return &CTMC{names: names, index: index, edges: edges{from: from, to: to, rate: rate}}, nil
+}
+
+// WithRates returns a chain over c's states and transitions whose k-th
+// transition, in AddRate order, has rate rates[k]. Each rate is checked
+// as AddRate checks it. The two chains share one state table and one set
+// of index arrays, so add no states or transitions to either afterwards.
+func (c *CTMC) WithRates(rates []float64) (*CTMC, error) {
+	if len(rates) != len(c.from) {
+		return nil, fmt.Errorf("markov: %d rates for %d transitions", len(rates), len(c.from))
+	}
+	for k, r := range rates {
+		if err := CheckRate(c.names[c.from[k]], c.names[c.to[k]], r); err != nil {
+			return nil, err
+		}
+	}
+	n := len(c.from)
+	e := edges{from: c.from[:n:n], to: c.to[:n:n], rate: append([]float64(nil), rates...)}
+	return &CTMC{names: c.names, index: c.index, edges: e}, nil
 }
 
 // NumStates returns the number of states created so far.
@@ -119,28 +180,15 @@ func (c *CTMC) Index(name string) (int, error) {
 }
 
 // Generator assembles the infinitesimal generator Q in CSR form, including
-// the negative diagonal.
+// the negative diagonal: the chain's layout (see NewPattern) with its
+// rates written in. A duplicated (from, to) pair is summed in transition
+// order, as is each diagonal.
 func (c *CTMC) Generator() (*linalg.CSR, error) {
-	n := len(c.names)
-	if n == 0 {
-		return nil, ErrEmptyChain
+	p, err := layout(c)
+	if err != nil {
+		return nil, err
 	}
-	coo := linalg.NewCOO(n, n)
-	diag := make([]float64, n)
-	for _, t := range c.trans {
-		if err := coo.Add(t.from, t.to, t.rate); err != nil {
-			return nil, err
-		}
-		diag[t.from] += t.rate
-	}
-	for i, d := range diag {
-		if d > 0 {
-			if err := coo.Add(i, i, -d); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return coo.ToCSR(), nil
+	return p.Fill(c)
 }
 
 // gthThreshold is the state count above which SteadyState switches from
@@ -197,7 +245,7 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 	rec := obs.Or(opts.Recorder)
 	if rec.Enabled() {
 		rec = rec.Span("markov.steadystate",
-			obs.I("states", q.Rows()), obs.I("transitions", len(c.trans)),
+			obs.I("states", q.Rows()), obs.I("transitions", len(c.from)),
 			obs.S("method", method))
 		defer rec.End()
 	}

@@ -23,7 +23,8 @@ func (c *CTMC) WriteDOT(w io.Writer, title string, highlight func(state string) 
 			fmt.Fprintf(&sb, "  %q;\n", name)
 		}
 	}
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		fmt.Fprintf(&sb, "  %q -> %q [label=\"%g\"];\n", c.names[t.from], c.names[t.to], t.rate)
 	}
 	sb.WriteString("}\n")

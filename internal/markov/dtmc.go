@@ -15,7 +15,7 @@ import (
 type DTMC struct {
 	names []string
 	index map[string]int
-	trans []transition // rate field carries the probability
+	edges // rate carries the probability
 }
 
 // NewDTMC returns an empty discrete-time chain.
@@ -40,7 +40,7 @@ func (d *DTMC) AddProb(from, to string, p float64) error {
 	if p <= 0 || p > 1 || math.IsNaN(p) {
 		return fmt.Errorf("markov dtmc: probability %g for %q -> %q outside (0,1]", p, from, to)
 	}
-	d.trans = append(d.trans, transition{from: d.State(from), to: d.State(to), rate: p})
+	d.add(d.State(from), d.State(to), p)
 	return nil
 }
 
@@ -70,20 +70,24 @@ func (d *DTMC) Matrix() (*linalg.CSR, error) {
 	if n == 0 {
 		return nil, ErrEmptyChain
 	}
-	coo := linalg.NewCOO(n, n)
 	rowSum := make([]float64, n)
-	for _, t := range d.trans {
-		if err := coo.Add(t.from, t.to, t.rate); err != nil {
-			return nil, err
-		}
-		rowSum[t.from] += t.rate
+	for k, f := range d.from {
+		rowSum[f] += d.rate[k]
 	}
 	for i, s := range rowSum {
 		if math.Abs(s-1) > 1e-9 {
 			return nil, fmt.Errorf("markov dtmc: row %q sums to %g, want 1", d.names[i], s)
 		}
 	}
-	return coo.ToCSR(), nil
+	p, slots, err := linalg.Assemble(n, n, d.from, d.to, false)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, p.NNZ())
+	for k, s := range slots {
+		vals[s] += d.rate[k]
+	}
+	return p.WithValues(vals)
 }
 
 // SteadyState computes the stationary distribution of an irreducible,
@@ -243,7 +247,8 @@ func (d *DTMC) AbsorptionProbs(initial string, absorbing ...string) (map[string]
 		iq.Set(i, i, 1)
 	}
 	rhs := make(map[int][]float64, len(absorbing))
-	for _, t := range d.trans {
+	for k := range d.from {
+		t := d.edge(k)
 		if isAbs[t.from] {
 			continue
 		}

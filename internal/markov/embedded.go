@@ -15,14 +15,16 @@ func (c *CTMC) EmbeddedDTMC() (*DTMC, error) {
 		return nil, ErrEmptyChain
 	}
 	totals := make([]float64, len(c.names))
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		totals[t.from] += t.rate
 	}
 	d := NewDTMC()
 	for _, name := range c.names {
 		d.State(name)
 	}
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		if err := d.AddProb(c.names[t.from], c.names[t.to], t.rate/totals[t.from]); err != nil {
 			return nil, err
 		}
@@ -85,7 +87,8 @@ func (d *DTMC) ExpectedVisits(initial string, absorbing ...string) (map[string]f
 	for i := 0; i < nt; i++ {
 		a.Set(i, i, 1)
 	}
-	for _, t := range d.trans {
+	for k := range d.from {
+		t := d.edge(k)
 		if isAbs[t.from] || isAbs[t.to] {
 			continue
 		}

@@ -46,7 +46,8 @@ func (c *CTMC) Lump(partition func(state string) string, tol float64) (*CTMC, er
 	for i := range outflow {
 		outflow[i] = make(map[string]float64)
 	}
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		tb := blockOf[t.to]
 		if tb == blockOf[t.from] {
 			continue // intra-block transitions vanish in the lumped chain

@@ -9,10 +9,10 @@ import (
 // Pattern is the sparsity structure of a chain's generator together
 // with the value slot that each transition and each diagonal of the
 // chain writes. A chain rated from the same one (see WithRates) writes
-// its generator into the pattern instead of assembling and sorting it
-// again, which is what lets a parameter sweep build the structure once.
-// A Pattern is never modified after NewPattern returns it, so concurrent
-// callers may share it.
+// its generator into the pattern instead of laying it out again, which
+// is what lets a parameter sweep build the structure once. A Pattern is
+// never modified after NewPattern returns it, so concurrent callers may
+// share it.
 type Pattern struct {
 	q *linalg.CSR // its values are never read
 	// slots holds the value slot of each transition, in AddRate order,
@@ -21,39 +21,46 @@ type Pattern struct {
 	slots []int
 }
 
-// NewPattern assembles c's generator and records where each of c's
-// transitions and diagonals lands in it.
+// layout lays out c's generator from its transition index arrays (see
+// linalg.Assemble): a counting sort, no triplets and no sort call.
+func layout(c *CTMC) (Pattern, error) {
+	n := len(c.names)
+	if n == 0 {
+		return Pattern{}, ErrEmptyChain
+	}
+	q, slots, err := linalg.Assemble(n, n, c.from, c.to, true)
+	return Pattern{q: q, slots: slots}, err
+}
+
+// NewPattern lays out c's generator and records where each of c's
+// transitions and diagonals lands in it. The pattern keeps its transpose
+// as well, so SOR on a generator filled into it places values instead of
+// transposing the pattern again.
 func NewPattern(c *CTMC) (*Pattern, error) {
-	q, err := c.Generator()
+	p, err := layout(c)
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]int, len(c.trans)+len(c.names))
-	for k, t := range c.trans {
-		slots[k] = q.Slot(t.from, t.to)
-	}
-	for i := range c.names {
-		slots[len(c.trans)+i] = q.Slot(i, i)
-	}
-	return &Pattern{q: q, slots: slots}, nil
+	p.q = p.q.WithTranspose()
+	return &p, nil
 }
 
 // Fill returns the generator of c, a chain rated from the one the
-// pattern was built from, on the pattern's structure. Diagonals are
-// summed in transition order, as Generator sums them; only the entry of
-// a duplicated (from, to) pair may differ from Generator's, by rounding,
-// because Generator sums duplicates in sorted order.
+// pattern was built from, on the pattern's structure. Each entry and
+// each diagonal is summed in transition order, exactly as Generator sums
+// it.
 func (p *Pattern) Fill(c *CTMC) (*linalg.CSR, error) {
-	nt := len(c.trans)
+	nt := len(c.from)
 	if nt+len(c.names) != len(p.slots) {
 		return nil, fmt.Errorf("markov: chain with %d states and %d transitions does not fit a pattern of %d slots",
 			len(c.names), nt, len(p.slots))
 	}
 	vals := make([]float64, p.q.NNZ())
 	diag := p.slots[nt:]
-	for k, t := range c.trans {
-		vals[p.slots[k]] += t.rate
-		vals[diag[t.from]] += t.rate
+	for k, f := range c.from {
+		r := c.rate[k]
+		vals[p.slots[k]] += r
+		vals[diag[f]] += r
 	}
 	for _, d := range diag {
 		if d >= 0 {

@@ -26,14 +26,16 @@ func Product(a, b *CTMC) (*CTMC, error) {
 			out.State(join(sa, sb))
 		}
 	}
-	for _, t := range a.trans {
+	for k := range a.from {
+		t := a.edge(k)
 		for _, sb := range b.names {
 			if err := out.AddRate(join(a.names[t.from], sb), join(a.names[t.to], sb), t.rate); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for _, t := range b.trans {
+	for k := range b.from {
+		t := b.edge(k)
 		for _, sa := range a.names {
 			if err := out.AddRate(join(sa, b.names[t.from]), join(sa, b.names[t.to]), t.rate); err != nil {
 				return nil, err

@@ -38,7 +38,8 @@ func (c *CTMC) ReliabilityCurve(times []float64, initial string, failures ...str
 	for _, name := range c.names {
 		abs.State(name)
 	}
-	for _, tr := range c.trans {
+	for k := range c.from {
+		tr := c.edge(k)
 		if isFail[tr.from] {
 			continue
 		}

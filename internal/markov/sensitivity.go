@@ -29,7 +29,8 @@ func (c *CTMC) SteadyStateSensitivity(dRate func(from, to string) float64) (map[
 	}
 	// Build dQ densely.
 	dq := linalg.NewDense(n, n)
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		d := dRate(c.names[t.from], c.names[t.to])
 		if d != 0 { //numvet:allow float-eq structurally-zero derivative entries are omitted
 			dq.Add(t.from, t.to, d)

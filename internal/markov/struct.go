@@ -12,27 +12,22 @@ import (
 // reducible chain with a single recurrent class solves only that class
 // and zero-pads the transient states (which carry no stationary mass).
 
-// structInput converts a chain's transition list for relstruct. State
-// indices already match (both packages intern names in first-appearance
-// order), so no renaming is needed.
-func structInput(names []string, trans []transition, discrete bool) relstruct.Input {
-	ts := make([]relstruct.Transition, len(trans))
-	for i, t := range trans {
-		ts[i] = relstruct.Transition{From: t.from, To: t.to, Weight: t.rate}
-	}
-	return relstruct.Input{States: len(names), Names: names, Trans: ts, Discrete: discrete}
+// structInput hands a chain's states and transition arrays to relstruct
+// as they are: both number states by index, so nothing is copied.
+func structInput(names []string, e *edges, discrete bool) relstruct.Input {
+	return relstruct.Input{States: len(names), Names: names, From: e.from, To: e.to, Weight: e.rate, Discrete: discrete}
 }
 
 // StructReport statically analyzes the chain (SCC condensation,
 // stiffness, lumpability, solver hint) without solving it.
 func (c *CTMC) StructReport() (*relstruct.StructReport, error) {
-	return relstruct.Analyze(structInput(c.names, c.trans, false))
+	return relstruct.Analyze(structInput(c.names, &c.edges, false))
 }
 
 // StructReport statically analyzes the discrete chain, including the
 // periodicity of its recurrent classes.
 func (d *DTMC) StructReport() (*relstruct.StructReport, error) {
-	return relstruct.Analyze(structInput(d.names, d.trans, true))
+	return relstruct.Analyze(structInput(d.names, &d.edges, true))
 }
 
 // restrictRecurrent builds the sub-chain over the chain's single
@@ -49,7 +44,8 @@ func (c *CTMC) restrictRecurrent(rep *relstruct.StructReport) (*CTMC, []int, err
 		pos[s] = j
 		sub.State(c.names[s])
 	}
-	for _, t := range c.trans {
+	for k := range c.from {
+		t := c.edge(k)
 		jf, ok := pos[t.from]
 		if !ok {
 			continue
@@ -61,7 +57,7 @@ func (c *CTMC) restrictRecurrent(rep *relstruct.StructReport) (*CTMC, []int, err
 			return nil, nil, fmt.Errorf("markov: transition %q -> %q leaves the recurrent class",
 				c.names[t.from], c.names[t.to])
 		}
-		sub.trans = append(sub.trans, transition{from: jf, to: jt, rate: t.rate})
+		sub.add(jf, jt, t.rate)
 	}
 	return sub, members, nil
 }

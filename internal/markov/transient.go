@@ -82,8 +82,9 @@ func (c *CTMC) Transient(t float64, p0 []float64, opts TransientOptions) ([]floa
 		defer rec.End()
 	}
 	out := make([]float64, len(v))
-	prev := linalg.Clone(v)
-	// Walk k = 0,1,2,...: accumulate weights[k-left]·(p0·P^k).
+	// Walk k = 0,1,2,...: accumulate weights[k-left]·(p0·P^k). prev and
+	// next trade places each step, so the walk allocates two vectors.
+	prev, next := v, make([]float64, len(v))
 	steps, earlyStop := 0, false
 	for k := 0; k <= kmax; k++ {
 		if err := guard.Ctx(opts.Ctx, "markov.transient", k, math.NaN()); err != nil {
@@ -94,8 +95,7 @@ func (c *CTMC) Transient(t float64, p0 []float64, opts TransientOptions) ([]floa
 			return nil, err
 		}
 		if k > 0 {
-			next, err := unif.VecMul(prev)
-			if err != nil {
+			if err := unif.VecMulTo(next, prev); err != nil {
 				return nil, err
 			}
 			steps = k
@@ -115,12 +115,11 @@ func (c *CTMC) Transient(t float64, p0 []float64, opts TransientOptions) ([]floa
 					if err := linalg.AXPY(remaining, next, out); err != nil {
 						return nil, err
 					}
-					prev = next
 					earlyStop = true
 					break
 				}
 			}
-			prev = next
+			prev, next = next, prev
 		}
 		if k >= left {
 			if err := linalg.AXPY(weights[k-left], prev, out); err != nil {
@@ -199,7 +198,8 @@ func (c *CTMC) CumulativeTransient(t float64, p0 []float64, opts TransientOption
 	}
 	// tailMass[k] = 1 - Σ_{j≤k} pois(j); computed from the truncated weights.
 	// Mass below `left` is within tolerance and treated as already summed.
-	prev := linalg.Clone(v)
+	// prev and next trade places each step, as in Transient.
+	prev, next := v, make([]float64, len(v))
 	cum := 0.0
 	for k := 0; k <= kmax; k++ {
 		if err := guard.Ctx(opts.Ctx, "markov.cumtransient", k, math.NaN()); err != nil {
@@ -210,11 +210,10 @@ func (c *CTMC) CumulativeTransient(t float64, p0 []float64, opts TransientOption
 			return nil, err
 		}
 		if k > 0 {
-			next, err := unif.VecMul(prev)
-			if err != nil {
+			if err := unif.VecMulTo(next, prev); err != nil {
 				return nil, err
 			}
-			prev = next
+			prev, next = next, prev
 		}
 		if k >= left {
 			cum += weights[k-left]
@@ -256,7 +255,10 @@ func (c *CTMC) IntervalAvailability(t float64, p0 []float64, upStates []string, 
 }
 
 // uniformized returns P = I + Q/q in CSR form together with the
-// uniformization rate q (slightly above the largest exit rate).
+// uniformization rate q (slightly above the largest exit rate). P is
+// written onto Q's pattern; only a chain with absorbing states, whose
+// rows store no diagonal in Q, lays out a pattern with those diagonals
+// added.
 func uniformized(q *linalg.CSR) (*linalg.CSR, float64, error) {
 	n := q.Rows()
 	var maxExit float64
@@ -269,27 +271,23 @@ func uniformized(q *linalg.CSR) (*linalg.CSR, float64, error) {
 		return nil, 0, nil
 	}
 	rate := maxExit * 1.02
-	coo := linalg.NewCOO(n, n)
+	q, err := q.WithDiagonal()
+	if err != nil {
+		return nil, 0, err
+	}
+	vals := make([]float64, 0, q.NNZ())
 	for i := 0; i < n; i++ {
-		var diag float64
-		var rowErr error
-		q.RowRange(i, func(col int, val float64) {
+		cols, qv := q.Row(i)
+		for k, col := range cols {
 			if col == i {
-				diag = val
-				return
+				vals = append(vals, 1+qv[k]/rate)
+			} else {
+				vals = append(vals, qv[k]/rate)
 			}
-			if err := coo.Add(i, col, val/rate); err != nil && rowErr == nil {
-				rowErr = err
-			}
-		})
-		if rowErr != nil {
-			return nil, 0, rowErr
-		}
-		if err := coo.Add(i, i, 1+diag/rate); err != nil {
-			return nil, 0, err
 		}
 	}
-	return coo.ToCSR(), rate, nil
+	p, err := q.WithValues(vals)
+	return p, rate, err
 }
 
 // poissonWeights returns normalized Poisson(lambda) probabilities for

@@ -9,26 +9,40 @@ import (
 	"unicode/utf8"
 )
 
-// Decode reads a model document from r to EOF and decodes it. A ctmc
-// document in plain JSON (no string escapes, no null, each key spelled
-// exactly and given once) decodes in one pass without reflection
-// (decodeCTMC); every other document, and every invalid one, decodes
-// through encoding/json with unknown fields disallowed. Both paths give
-// the same Spec, bit for bit, and every decode error comes from
-// encoding/json. Decode checks nothing else: Parse adds the type/section
-// check, and lint.CheckDocument reads documents through Decode alone.
+// Decode reads a model document from r to EOF and decodes it with
+// DecodeBytes.
 func Decode(r io.Reader) (*Spec, error) {
-	// bytes.Buffer reads a sized reader (bytes.Reader, strings.Reader) in
-	// one exact allocation through WriterTo, and anything else in doubling
-	// steps.
+	b, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeBytes(b)
+}
+
+// readAll reads r to EOF. bytes.Buffer reads a sized reader
+// (bytes.Reader, strings.Reader) in one exact allocation through
+// WriterTo, and anything else in doubling steps.
+func readAll(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, err
 	}
-	if s, ok := decodeCTMC(buf.Bytes()); ok {
+	return buf.Bytes(), nil
+}
+
+// DecodeBytes decodes the model document in b. A ctmc document in plain
+// JSON (no string escapes, no null, each key spelled exactly and given
+// once) decodes in one pass without reflection (decodeCTMC); every other
+// document, and every invalid one, decodes through encoding/json with
+// unknown fields disallowed. Both paths give the same Spec, bit for bit,
+// and every decode error comes from encoding/json. DecodeBytes checks
+// nothing else: ParseBytes adds the type/section check, and
+// lint.CheckDocument reads documents through Decode alone.
+func DecodeBytes(b []byte) (*Spec, error) {
+	if s, ok := decodeCTMC(b); ok {
 		return s, nil
 	}
-	dec := json.NewDecoder(&buf)
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
@@ -121,11 +135,15 @@ func (d *ctmcDecoder) ctmc(c *CTMCSpec) bool {
 }
 
 // transitions decodes the transitions array. An empty array gives an
-// empty non-nil slice, as encoding/json does. The slice doubles as it
-// fills, which for long arrays makes half the allocations and copies of
-// append's growth.
+// empty non-nil slice, as encoding/json does. The slice is sized before
+// decoding by the '{' left in the document, one per transition object
+// (plus the few of any later section, and any inside a string), but to
+// no more than one transition per minTransitionBytes of it, so bytes
+// that are not transitions cannot make it outgrow the document. Past
+// that size it doubles as it fills.
 func (d *ctmcDecoder) transitions() ([]CTMCTransition, bool) {
-	out := []CTMCTransition{}
+	rest := d.b[d.i:]
+	out := make([]CTMCTransition, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minTransitionBytes))
 	ok := d.array(func() bool {
 		var t CTMCTransition
 		if !d.object(func(key []byte) (bit uint16, ok bool) {
@@ -152,6 +170,10 @@ func (d *ctmcDecoder) transitions() ([]CTMCTransition, bool) {
 	})
 	return out, ok
 }
+
+// minTransitionBytes is the length of the shortest transition object
+// that names both states and a rate, {"from":"","to":"","rate":0}.
+const minTransitionBytes = len(`{"from":"","to":"","rate":0}`)
 
 // strs decodes an array of strings; [] gives an empty non-nil slice.
 func (d *ctmcDecoder) strs() ([]string, bool) {

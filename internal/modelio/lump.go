@@ -35,28 +35,83 @@ func lumpEligible(spec *CTMCSpec) bool {
 	return true
 }
 
-// structInput builds the relstruct input for a ctmc spec at the given
-// rates (nil: the spec's own), seeded so any refinement keeps the up and
-// absorbing sets (the sets the measures distinguish) in separate blocks.
-// Transitions with empty endpoints are skipped — the basic lint checks
-// reject them before anything solves.
-func structInput(spec *CTMCSpec, rates []float64) relstruct.Input {
-	nts := make([]relstruct.NamedTransition, 0, len(spec.Transitions))
-	for k, tr := range spec.Transitions {
-		if tr.From == "" || tr.To == "" {
-			continue
-		}
-		w := tr.Rate
-		if rates != nil {
-			w = rates[k]
-		}
-		nts = append(nts, relstruct.NamedTransition{From: tr.From, To: tr.To, Weight: w})
+// ctmcIndex numbers a ctmc document's states once, in order of first
+// appearance over its transitions: state i is names[i], index maps each
+// name back, and the k-th transition runs from state from[k] to state
+// to[k]. A compiled chain takes these arrays (markov.NewCTMCFrom), and
+// the structural analysis reads them as they are.
+type ctmcIndex struct {
+	names    []string
+	index    map[string]int
+	from, to []int
+}
+
+func indexCTMC(spec *CTMCSpec) ctmcIndex {
+	x := ctmcIndex{
+		index: make(map[string]int),
+		from:  make([]int, len(spec.Transitions)),
+		to:    make([]int, len(spec.Transitions)),
 	}
-	in := relstruct.FromNamed(nts, false)
+	id := func(name string) int {
+		i, ok := x.index[name]
+		if !ok {
+			i = len(x.names)
+			x.index[name] = i
+			x.names = append(x.names, name)
+		}
+		return i
+	}
+	for k, tr := range spec.Transitions {
+		x.from[k] = id(tr.From)
+		x.to[k] = id(tr.To)
+	}
+	return x
+}
+
+// analysis returns the relstruct input for the indexed chain with the
+// given weights, one per transition, seeded so any refinement keeps the
+// up and absorbing sets (the sets the measures distinguish) in separate
+// blocks. A transition with an empty endpoint is left out: the basic
+// lint checks reject it before anything solves. Only then are the
+// arrays copied, by dropState.
+func (x *ctmcIndex) analysis(spec *CTMCSpec, weights []float64) relstruct.Input {
+	in := relstruct.Input{States: len(x.names), Names: x.names, From: x.from, To: x.to, Weight: weights}
+	if empty, ok := x.index[""]; ok {
+		in = dropState(in, empty)
+	}
 	if in.States > 0 {
 		in.Seed = relstruct.SeedSets(in.Names, spec.UpStates, spec.Absorbing)
 	}
 	return in
+}
+
+// dropState returns in without the transitions that touch state s. The
+// states left are renumbered in order of first appearance over the
+// transitions kept, so a state that only s touches drops out too.
+func dropState(in relstruct.Input, s int) relstruct.Input {
+	renum := make([]int, in.States)
+	for i := range renum {
+		renum[i] = -1
+	}
+	var out relstruct.Input
+	id := func(i int) int {
+		if renum[i] < 0 {
+			renum[i] = len(out.Names)
+			out.Names = append(out.Names, in.Names[i])
+		}
+		return renum[i]
+	}
+	for k, f := range in.From {
+		t := in.To[k]
+		if f == s || t == s {
+			continue
+		}
+		out.From = append(out.From, id(f))
+		out.To = append(out.To, id(t))
+		out.Weight = append(out.Weight, in.Weight[k])
+	}
+	out.States = len(out.Names)
+	return out
 }
 
 // StructReport computes the static structural analysis of a parsed ctmc
@@ -68,19 +123,24 @@ func StructReport(spec *CTMCSpec) (*relstruct.StructReport, error) {
 	if spec == nil {
 		return nil, relstruct.ErrEmpty
 	}
-	return relstruct.Analyze(structInput(spec, nil))
+	x := indexCTMC(spec)
+	weights := make([]float64, len(spec.Transitions))
+	for k, tr := range spec.Transitions {
+		weights[k] = tr.Rate
+	}
+	return relstruct.Analyze(x.analysis(spec, weights))
 }
 
-// autoLump analyzes the chain c, the spec's at the given rates (nil: the
-// spec's own), and, when it is exactly lumpable under a partition
+// autoLump analyzes the chain c, the plan's at the given rates, one per
+// transition, and, when it is exactly lumpable under a partition
 // separating the up and absorbing sets, returns the aggregated chain and
 // the state→block-representative mapping. A nil chain means "no
 // reduction" (not lumpable, analysis failed, or markov.Lump vetoed the
 // partition) and the caller solves the original. An applied lump is
 // announced on a "relstruct.lump" span whose lump_ratio attribute feeds
 // the relscope lump metrics (obs.SolveMetrics).
-func autoLump(c *markov.CTMC, spec *CTMCSpec, rates []float64, rec obs.Recorder) (*markov.CTMC, map[string]string) {
-	in := structInput(spec, rates)
+func (p *CTMCPlan) autoLump(c *markov.CTMC, rates []float64, rec obs.Recorder) (*markov.CTMC, map[string]string) {
+	in := p.idx.analysis(p.spec, rates)
 	if in.States == 0 {
 		return nil, nil
 	}

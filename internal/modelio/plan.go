@@ -1,7 +1,6 @@
 package modelio
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/linalg"
@@ -21,11 +20,14 @@ import (
 type CTMCPlan struct {
 	doc  *Spec
 	spec *CTMCSpec
+	// idx numbers the document's states once; chain, its pattern and
+	// the structural analysis all read idx's index arrays.
+	idx ctmcIndex
 	// chain holds the document's states and transitions at its own
-	// rates, with 1 standing in for every rate that is not positive and
-	// finite; baseErr then reports the first of those. It is held by
-	// value, so a one-shot solve's plan stays on the stack whole.
+	// rates, rate, with 1 standing in for every rate that is not positive
+	// and finite; baseErr then reports the first of those.
 	chain   markov.CTMC
+	rate    []float64
 	baseErr error
 	// pattern holds the value slots of chain's generator, for rated
 	// evaluations. One-shot solves never rate the chain and compile none.
@@ -60,34 +62,42 @@ func CompileCTMC(doc *Spec) (*CTMCPlan, error) {
 	return &p, nil
 }
 
-// compileCTMC builds the chain and decides lumping; an applied lump of
-// the document's own chain is recorded on rec. It returns the plan by
-// value for the same reason the plan holds its chain by value.
+// compileCTMC numbers the states, builds the chain on those numbers and
+// decides lumping; an applied lump of the document's own chain is
+// recorded on rec. It returns the plan by value, so a one-shot solve's
+// plan stays on the stack.
 func compileCTMC(doc *Spec, rec obs.Recorder) (CTMCPlan, error) {
 	spec := doc.CTMC
-	p := CTMCPlan{doc: doc, spec: spec, chain: *markov.NewCTMC()}
-	for _, tr := range spec.Transitions {
-		err := p.chain.AddRate(tr.From, tr.To, tr.Rate)
-		if errors.Is(err, markov.ErrBadRate) {
+	p := CTMCPlan{doc: doc, spec: spec, idx: indexCTMC(spec), rate: make([]float64, len(spec.Transitions))}
+	for k, tr := range spec.Transitions {
+		p.rate[k] = tr.Rate
+		if err := markov.CheckRate(tr.From, tr.To, tr.Rate); err != nil {
 			// The structure does not depend on rates, so a placeholder
 			// completes it; an evaluation may supply a valid rate.
 			if p.baseErr == nil {
 				p.baseErr = err
 			}
-			err = p.chain.AddRate(tr.From, tr.To, 1)
+			p.rate[k] = 1
 		}
-		if err != nil {
-			if p.baseErr != nil {
-				return CTMCPlan{}, p.baseErr
-			}
-			return CTMCPlan{}, err
+		if p.idx.from[k] == p.idx.to[k] {
+			break // NewCTMCFrom fails on it; rates past it do not matter
 		}
 	}
+	chain, err := markov.NewCTMCFrom(p.idx.names, p.idx.index, p.idx.from, p.idx.to, p.rate)
+	if err != nil {
+		// A self-transition: the first error in document order is either
+		// it or a bad rate before it.
+		if p.baseErr != nil {
+			return CTMCPlan{}, p.baseErr
+		}
+		return CTMCPlan{}, err
+	}
+	p.chain = *chain
 	if lumpEligible(spec) {
 		if p.baseErr != nil {
 			p.lumpEach = true
 		} else {
-			p.lumped, p.toBlock = autoLump(&p.chain, spec, nil, rec)
+			p.lumped, p.toBlock = p.autoLump(&p.chain, p.rate, rec)
 			p.lumpEach = p.lumped != nil
 		}
 	}
@@ -148,7 +158,7 @@ func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]
 	case rates == nil:
 		lumped, toBlock = p.lumped, p.toBlock
 	case p.lumpEach:
-		lumped, toBlock = autoLump(c, spec, rates, rec)
+		lumped, toBlock = p.autoLump(c, rates, rec)
 	}
 	if lumped != nil {
 		c = lumped

@@ -229,14 +229,33 @@ type RGEdge struct {
 	Rel  float64 `json:"rel"`
 }
 
-// Parse reads a model document from r with Decode and checks that its
-// type names a section it carries. A read, decode or type failure wraps
-// ErrBadSpec.
+// Parse reads a model document from r to EOF and parses it as
+// ParseBytes does. A read failure wraps ErrBadSpec too.
 func Parse(r io.Reader) (*Spec, error) {
 	if err := failpoint.Inject(fpParse); err != nil {
 		return nil, err
 	}
-	s, err := Decode(r)
+	b, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return parse(b)
+}
+
+// ParseBytes parses the model document in b with DecodeBytes and checks
+// that its type names a section it carries. It decodes b where it lies,
+// so a caller that has read the document already (relcli serve has, to
+// hash it) hands it over without a copy; the Spec keeps no reference to
+// b. A decode or type failure wraps ErrBadSpec.
+func ParseBytes(b []byte) (*Spec, error) {
+	if err := failpoint.Inject(fpParse); err != nil {
+		return nil, err
+	}
+	return parse(b)
+}
+
+func parse(b []byte) (*Spec, error) {
+	s, err := DecodeBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

@@ -37,9 +37,11 @@ type TraceRecord struct {
 	Outcome string `json:"outcome"`
 	// Error carries the failure message for non-ok outcomes.
 	Error string `json:"error,omitempty"`
-	// Start is when the request began.
+	// Start is when the recorded work began: a traced solve's start, or
+	// an untraced request's arrival.
 	Start time.Time `json:"start"`
-	// WallMS is the request's wall time in milliseconds.
+	// WallMS is the recorded work's wall time in milliseconds, so the
+	// record covers [Start, Start+WallMS].
 	WallMS float64 `json:"wall_ms"`
 	// Spans and Iterations summarize the trace (see Summary).
 	Spans      int `json:"spans,omitempty"`
@@ -50,14 +52,15 @@ type TraceRecord struct {
 }
 
 // RecordFromTrace condenses a finished Trace into a TraceRecord carrying
-// the span tree plus its summary fields. The caller sets Start, Outcome,
-// and Error; Put assigns ID and Seq.
+// the span tree plus its summary fields, with Start and WallMS the
+// trace's own. The caller sets Outcome and Error; Put assigns ID and Seq.
 func RecordFromTrace(tr *Trace, model, endpoint string) TraceRecord {
 	sum := tr.Summary()
 	return TraceRecord{
 		Model:      model,
 		Endpoint:   endpoint,
 		Solver:     sum.Solver,
+		Start:      tr.Root().start,
 		Spans:      sum.Spans,
 		Iterations: sum.Iterations,
 		WallMS:     float64(sum.WallNS) / 1e6,

@@ -1,7 +1,9 @@
 package relstruct
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -59,7 +61,7 @@ func coarsestPartition(in Input) ([]int, int) {
 		nblocks = next
 	}
 
-	adj, totalOut := aggregateEdges(n, in.Trans)
+	adj, totalOut := aggregateEdges(n, in.From, in.To, in.Weight)
 	pred := reverseAdjacency(n, adj)
 
 	members := make([][]int, nblocks, n)
@@ -80,6 +82,7 @@ func coarsestPartition(in Input) ([]int, int) {
 	}
 
 	sc := newSigScratch(n)
+	var sp splitScratch
 	// budget bounds the total signature work. Symmetric models converge
 	// in a handful of splits; adversarial shapes (long ladders of
 	// all-distinct states) would otherwise peel one state per split for
@@ -112,7 +115,7 @@ func coarsestPartition(in Input) ([]int, int) {
 		for i, s := range ms {
 			sigs[i] = sc.sigOf(s, blockOf, adj, totalOut)
 		}
-		groups := splitBlock(ms, sigs, tol)
+		groups := sp.split(ms, sigs, tol)
 		if len(groups) == 1 {
 			continue
 		}
@@ -161,46 +164,50 @@ func (c csr) neighbors(i int) []int32 {
 // never crosses a block border so it cannot influence any per-block
 // signature entry; it still counts toward the total exit weight),
 // returning the forward adjacency and per-state total exit weights.
-func aggregateEdges(n int, trans []Transition) (csr, []float64) {
+func aggregateEdges(n int, from, to []int, weight []float64) (csr, []float64) {
 	totalOut := make([]float64, n)
 	counts := make([]int32, n+1)
-	for _, t := range trans {
-		totalOut[t.From] += t.Weight
-		if t.From != t.To {
-			counts[t.From+1]++
+	for k, f := range from {
+		totalOut[f] += weight[k]
+		if f != to[k] {
+			counts[f+1]++
 		}
 	}
 	off := make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		off[i+1] = off[i] + counts[i+1]
 	}
-	to := make([]int32, off[n])
+	tos := make([]int32, off[n])
 	w := make([]float64, off[n])
 	fill := make([]int32, n)
-	for _, t := range trans {
-		if t.From == t.To {
+	for k, f := range from {
+		if f == to[k] {
 			continue
 		}
-		p := off[t.From] + fill[t.From]
-		to[p] = int32(t.To)
-		w[p] = t.Weight
-		fill[t.From]++
+		p := off[f] + fill[f]
+		tos[p] = int32(to[k])
+		w[p] = weight[k]
+		fill[f]++
 	}
 	// Aggregate duplicates per row: sort each row segment by target in
 	// place, then compact (rows are short; the total work is O(E log deg)).
 	// With sorted rows the compaction reads left to right, so the write
 	// cursor never overtakes an unread entry even though it shares the
 	// backing arrays.
-	out := csr{off: make([]int32, n+1), to: to[:0], w: w[:0]}
+	// One sorter serves every row: handing sort.Sort a pointer boxes
+	// nothing, where a rowSorter value per row would allocate each time.
+	out := csr{off: make([]int32, n+1), to: tos[:0], w: w[:0]}
+	rs := new(rowSorter)
 	for i := 0; i < n; i++ {
 		lo, hi := off[i], off[i+1]
-		sort.Sort(rowSorter{to: to[lo:hi], w: w[lo:hi]})
+		rs.to, rs.w = tos[lo:hi], w[lo:hi]
+		sort.Sort(rs)
 		for p := lo; p < hi; p++ {
-			if p > lo && to[p] == out.to[len(out.to)-1] {
+			if p > lo && tos[p] == out.to[len(out.to)-1] {
 				out.w[len(out.w)-1] += w[p]
 				continue
 			}
-			t, wt := to[p], w[p]
+			t, wt := tos[p], w[p]
 			out.to = append(out.to, t)
 			out.w = append(out.w, wt)
 		}
@@ -215,9 +222,9 @@ type rowSorter struct {
 	w  []float64
 }
 
-func (r rowSorter) Len() int           { return len(r.to) }
-func (r rowSorter) Less(i, j int) bool { return r.to[i] < r.to[j] }
-func (r rowSorter) Swap(i, j int) {
+func (r *rowSorter) Len() int           { return len(r.to) }
+func (r *rowSorter) Less(i, j int) bool { return r.to[i] < r.to[j] }
+func (r *rowSorter) Swap(i, j int) {
 	r.to[i], r.to[j] = r.to[j], r.to[i]
 	r.w[i], r.w[j] = r.w[j], r.w[i]
 }
@@ -330,35 +337,88 @@ func (sc *sigScratch) sigOf(s int, blockOf []int, adj csr, totalOut []float64) s
 // first fit would pick. A wider tol compares the group with every
 // representative. A NaN exit matches nothing, so it is never indexed.
 func splitBlock(members []int, sigs []sig, tol float64) [][]int {
+	return new(splitScratch).split(members, sigs, tol)
+}
+
+// splitScratch holds splitBlock's working arrays, which coarsestPartition
+// reuses from one block to the next: a block then costs two allocations
+// for its groups whatever their number, instead of a key string and a
+// member list per group.
+type splitScratch struct {
+	seed maphash.Seed
+	// byHash maps a signature key's hash to its exact group; a hash
+	// taken by another key probes the next one.
+	byHash map[uint64]int
+	// keys holds the exact groups' keys back to back, the g-th ending
+	// at keyEnd[g].
+	keys     []byte
+	keyEnd   []int
+	keyBuf   []byte
+	groupSig []sig
+	gidOf    []int // exact group of each member
+	mergedOf []int // merged group of each exact group
+	reps     []sig
+	index    []exitRep
+	count    []int
+}
+
+// group returns the exact group of the signature key k, adding a group
+// represented by sig when k is new.
+func (sp *splitScratch) group(k []byte, s sig) int {
+	// The probes visit distinct hashes, and only the existing groups
+	// hold any, so after len(keyEnd) probes at the most h is free.
+	h := maphash.Bytes(sp.seed, k)
+	for probe := 0; probe < len(sp.keyEnd); probe++ {
+		g, ok := sp.byHash[h]
+		if !ok {
+			break
+		}
+		lo := 0
+		if g > 0 {
+			lo = sp.keyEnd[g-1]
+		}
+		if bytes.Equal(sp.keys[lo:sp.keyEnd[g]], k) {
+			return g
+		}
+		h++
+	}
+	g := len(sp.keyEnd)
+	sp.byHash[h] = g
+	sp.keys = append(sp.keys, k...)
+	sp.keyEnd = append(sp.keyEnd, len(sp.keys))
+	sp.groupSig = append(sp.groupSig, s)
+	return g
+}
+
+// split is splitBlock on sp's reused arrays. The groups it returns are
+// carved from one new array, so they outlive the next call.
+func (sp *splitScratch) split(members []int, sigs []sig, tol float64) [][]int {
 	if len(members) <= 1 {
 		return [][]int{members}
 	}
-	byKey := map[string]int{}
-	var groups [][]int
-	var groupSig []sig
-	var keyBuf []byte
-	for i, s := range members {
-		keyBuf = sigs[i].appendKey(keyBuf[:0])
-		gi, ok := byKey[string(keyBuf)]
-		if !ok {
-			gi = len(groups)
-			byKey[string(keyBuf)] = gi
-			groups = append(groups, nil)
-			groupSig = append(groupSig, sigs[i])
-		}
-		groups[gi] = append(groups[gi], s)
+	if sp.byHash == nil {
+		sp.seed = maphash.MakeSeed()
+		sp.byHash = map[uint64]int{}
 	}
-	if len(groups) == 1 {
-		return groups
+	clear(sp.byHash)
+	sp.keys, sp.keyEnd, sp.groupSig = sp.keys[:0], sp.keyEnd[:0], sp.groupSig[:0]
+	sp.gidOf = slices.Grow(sp.gidOf[:0], len(members))[:len(members)]
+	for i := range members {
+		sp.keyBuf = sigs[i].appendKey(sp.keyBuf[:0])
+		sp.gidOf[i] = sp.group(sp.keyBuf, sigs[i])
+	}
+	ngroups := len(sp.keyEnd)
+	if ngroups == 1 {
+		return [][]int{members}
 	}
 	// Merge exact groups whose representatives agree within tolerance
 	// (rounding at the bit level can split values that are numerically
 	// the same aggregate rate).
-	var merged [][]int
-	var reps []sig
-	var index []exitRep
-	for gi, g := range groups {
-		e := groupSig[gi].exit
+	sp.mergedOf = slices.Grow(sp.mergedOf[:0], ngroups)[:ngroups]
+	sp.reps, sp.index = sp.reps[:0], sp.index[:0]
+	for gi := 0; gi < ngroups; gi++ {
+		e := sp.groupSig[gi].exit
+		index := sp.index
 		at := sort.Search(len(index), func(k int) bool { return index[k].exit >= e })
 		lo, hi := 0, len(index)
 		if tol < 0.5 {
@@ -368,22 +428,39 @@ func splitBlock(members []int, sigs []sig, tol float64) [][]int {
 		}
 		best := -1
 		for _, r := range index[lo:hi] {
-			if (best < 0 || r.rep < best) && sameSig(reps[r.rep], groupSig[gi], tol) {
+			if (best < 0 || r.rep < best) && sameSig(sp.reps[r.rep], sp.groupSig[gi], tol) {
 				best = r.rep
 			}
 		}
 		if best >= 0 {
-			merged[best] = append(merged[best], g...)
+			sp.mergedOf[gi] = best
 			continue
 		}
 		if !math.IsNaN(e) {
-			index = slices.Insert(index, at, exitRep{exit: e, rep: len(merged)})
+			sp.index = slices.Insert(sp.index, at, exitRep{exit: e, rep: len(sp.reps)})
 		}
-		merged = append(merged, g)
-		reps = append(reps, groupSig[gi])
+		sp.mergedOf[gi] = len(sp.reps)
+		sp.reps = append(sp.reps, sp.groupSig[gi])
 	}
-	for _, g := range merged {
-		sort.Ints(g)
+	// Carve the merged groups from one array. Members come in state
+	// order, so each group lists its members in state order.
+	nmerged := len(sp.reps)
+	sp.count = slices.Grow(sp.count[:0], nmerged+1)[:nmerged+1]
+	clear(sp.count)
+	for _, g := range sp.gidOf {
+		sp.count[sp.mergedOf[g]+1]++
+	}
+	for m := 0; m < nmerged; m++ {
+		sp.count[m+1] += sp.count[m]
+	}
+	backing := make([]int, len(members))
+	merged := make([][]int, nmerged)
+	for m := range merged {
+		merged[m] = backing[sp.count[m]:sp.count[m]:sp.count[m+1]]
+	}
+	for i, s := range members {
+		m := sp.mergedOf[sp.gidOf[i]]
+		merged[m] = append(merged[m], s)
 	}
 	return merged
 }

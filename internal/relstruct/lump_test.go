@@ -208,7 +208,7 @@ func farmInput(m int, dtmc bool) Input {
 		if 4*bits.OnesCount(uint(s)) > m {
 			in.Seed[s] = 1
 		}
-		row := len(in.Trans)
+		row := len(in.From)
 		var exit float64
 		for i := 0; i < m; i++ {
 			w := lam[i]
@@ -216,11 +216,13 @@ func farmInput(m int, dtmc bool) Input {
 				w = mu[i]
 			}
 			exit += w
-			in.Trans = append(in.Trans, Transition{From: s, To: s ^ 1<<i, Weight: w})
+			in.From = append(in.From, s)
+			in.To = append(in.To, s^1<<i)
+			in.Weight = append(in.Weight, w)
 		}
 		if dtmc {
-			for k := row; k < len(in.Trans); k++ {
-				in.Trans[k].Weight /= exit
+			for k := row; k < len(in.From); k++ {
+				in.Weight[k] /= exit
 			}
 		}
 	}

@@ -18,6 +18,16 @@
 //     recurrent class when transient states carry no stationary mass, or
 //     lump before solving.
 //
+// A chain is handed over as it is held: states by index, transitions as
+// parallel From/To index arrays with their weights. markov's chains and
+// modelio's compiled plans number their states once and pass their own
+// arrays, which Analyze reads and never copies or modifies; lint numbers
+// a document's states itself. Analyze lays the adjacency out in one
+// backing array, and the partition refinement sorts its rows through one
+// reused sorter and groups signatures without a key string or member
+// list per group, so an analysis costs a few allocations per
+// refinement step rather than a few per state.
+//
 // The package is deliberately dependency-free (stdlib only): internal/lint,
 // internal/markov, and internal/modelio all build on it, so it must sit
 // below every solver package in the import graph.
@@ -46,13 +56,6 @@ const ExtremeSpanThreshold = 1e12
 // block count and ratio are reported, keeping analyze output bounded.
 const partitionCap = 256
 
-// Transition is one weighted edge of the chain under analysis: a rate for
-// continuous chains, a probability for discrete ones.
-type Transition struct {
-	From, To int
-	Weight   float64
-}
-
 // Input describes a chain to Analyze. States are identified by index;
 // Names is optional and only affects report readability.
 type Input struct {
@@ -60,10 +63,14 @@ type Input struct {
 	States int
 	// Names labels the states; nil synthesizes "s0", "s1", ….
 	Names []string
-	// Trans lists the transitions. Self-loops are permitted (they matter
-	// for discrete-chain periodicity) and multiple entries for one pair
-	// accumulate.
-	Trans []Transition
+	// From, To and Weight list the transitions, the k-th from state
+	// From[k] to state To[k] with weight Weight[k]: a rate for continuous
+	// chains, a probability for discrete ones. A chain passes its own
+	// transition arrays; Analyze never modifies them. Self-loops are
+	// permitted (they matter for discrete-chain periodicity) and multiple
+	// entries for one pair accumulate.
+	From, To []int
+	Weight   []float64
 	// Discrete marks a DTMC: weights are probabilities and recurrent
 	// classes get a periodicity analysis.
 	Discrete bool
@@ -267,37 +274,63 @@ func Analyze(in Input) (*StructReport, error) {
 	if in.Seed != nil && len(in.Seed) != n {
 		return nil, fmt.Errorf("%w: seed len %d for %d states", ErrBadInput, len(in.Seed), n)
 	}
-	adj := make([][]int, n)
-	for _, t := range in.Trans {
-		if t.From < 0 || t.From >= n || t.To < 0 || t.To >= n {
-			return nil, fmt.Errorf("%w: transition %d -> %d outside 0..%d", ErrBadInput, t.From, t.To, n-1)
-		}
-		adj[t.From] = append(adj[t.From], t.To)
+	if len(in.To) != len(in.From) || len(in.Weight) != len(in.From) {
+		return nil, fmt.Errorf("%w: %d sources, %d targets and %d weights", ErrBadInput, len(in.From), len(in.To), len(in.Weight))
+	}
+	adj, err := adjacency(n, in.From, in.To)
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &StructReport{
 		States:      n,
-		Transitions: len(in.Trans),
+		Transitions: len(in.From),
 		Discrete:    in.Discrete,
 		names:       names,
 		adj:         adj,
 	}
 
 	rep.classOf, rep.Classes = condense(n, adj, names)
-	markClosedClasses(rep, in.Trans)
-	rep.Components = weakComponents(n, in.Trans)
+	markClosedClasses(rep, in.From, in.To)
+	rep.Components = weakComponents(n, in.From, in.To)
 	if in.Discrete {
 		periods(rep, adj)
 	}
-	stiffness(rep, in.Trans)
+	stiffness(rep, in)
 	lumpability(rep, in, names)
 	rep.Hint = hint(rep)
 	return rep, nil
 }
 
+// adjacency lists each state's out-neighbours in transition order,
+// self-loops and repeats kept. The lists are carved from one backing
+// array, sized by a count per state, so building them allocates three
+// times whatever the chain's size.
+func adjacency(n int, from, to []int) ([][]int, error) {
+	start := make([]int, n+1)
+	for k, f := range from {
+		if t := to[k]; f < 0 || f >= n || t < 0 || t >= n {
+			return nil, fmt.Errorf("%w: transition %d -> %d outside 0..%d", ErrBadInput, f, t, n-1)
+		}
+		start[f+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	backing := make([]int, len(from))
+	adj := make([][]int, n)
+	for i := range adj {
+		adj[i] = backing[start[i]:start[i]:start[i+1]]
+	}
+	for k, f := range from {
+		adj[f] = append(adj[f], to[k])
+	}
+	return adj, nil
+}
+
 // markClosedClasses flags recurrent/absorbing classes and fills the
 // summary counters.
-func markClosedClasses(rep *StructReport, trans []Transition) {
+func markClosedClasses(rep *StructReport, from, to []int) {
 	closed := make([]bool, len(rep.Classes))
 	size := make([]int, len(rep.Classes))
 	for i := range closed {
@@ -306,8 +339,8 @@ func markClosedClasses(rep *StructReport, trans []Transition) {
 	for _, c := range rep.classOf {
 		size[c]++
 	}
-	for _, t := range trans {
-		if cf := rep.classOf[t.From]; cf != rep.classOf[t.To] {
+	for k, f := range from {
+		if cf := rep.classOf[f]; cf != rep.classOf[to[k]] {
 			closed[cf] = false
 		}
 	}
@@ -390,22 +423,21 @@ func abs(x int) int {
 }
 
 // stiffness fills the global and per-recurrent-class rate-ratio spreads.
-func stiffness(rep *StructReport, trans []Transition) {
+func stiffness(rep *StructReport, in Input) {
 	gMin, gMax := math.Inf(1), 0.0
 	cMin := make([]float64, len(rep.Classes))
 	cMax := make([]float64, len(rep.Classes))
 	for i := range cMin {
 		cMin[i] = math.Inf(1)
 	}
-	for _, t := range trans {
-		w := t.Weight
+	for k, w := range in.Weight {
 		if !(w > 0) || math.IsInf(w, 0) {
 			continue
 		}
 		gMin = math.Min(gMin, w)
 		gMax = math.Max(gMax, w)
-		cf := rep.classOf[t.From]
-		if rep.classOf[t.To] == cf && rep.Classes[cf].Recurrent {
+		cf := rep.classOf[in.From[k]]
+		if rep.classOf[in.To[k]] == cf && rep.Classes[cf].Recurrent {
 			cMin[cf] = math.Min(cMin[cf], w)
 			cMax[cf] = math.Max(cMax[cf], w)
 		}
@@ -475,33 +507,6 @@ func maxPeriod(rep *StructReport) int {
 		}
 	}
 	return p
-}
-
-// NamedTransition is one named-state edge for FromNamed.
-type NamedTransition struct {
-	From, To string
-	Weight   float64
-}
-
-// FromNamed builds an Input by interning state names in order of first
-// appearance, matching how markov.CTMC numbers its states.
-func FromNamed(trans []NamedTransition, discrete bool) Input {
-	index := make(map[string]int, len(trans)/2+1)
-	names := make([]string, 0, len(trans)/2+1)
-	intern := func(name string) int {
-		if i, ok := index[name]; ok {
-			return i
-		}
-		i := len(names)
-		index[name] = i
-		names = append(names, name)
-		return i
-	}
-	ts := make([]Transition, 0, len(trans))
-	for _, t := range trans {
-		ts = append(ts, Transition{From: intern(t.From), To: intern(t.To), Weight: t.Weight})
-	}
-	return Input{States: len(names), Names: names, Trans: ts, Discrete: discrete}
 }
 
 // SeedSets builds a seed partition from membership sets: two states share

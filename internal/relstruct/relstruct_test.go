@@ -2,21 +2,52 @@ package relstruct
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
+// edge is one transition of a test chain, between named states.
+type edge struct {
+	from, to string
+	w        float64
+}
+
 // chain builds an Input from named transitions.
-func chain(discrete bool, trans ...NamedTransition) Input {
-	return FromNamed(trans, discrete)
+func chain(discrete bool, trans ...edge) Input {
+	return fromNamed(trans, discrete)
+}
+
+// fromNamed numbers the states in order of first appearance, as
+// markov.CTMC and the model documents do.
+func fromNamed(trans []edge, discrete bool) Input {
+	index := map[string]int{}
+	in := Input{Discrete: discrete}
+	id := func(name string) int {
+		i, ok := index[name]
+		if !ok {
+			i = len(in.Names)
+			index[name] = i
+			in.Names = append(in.Names, name)
+		}
+		return i
+	}
+	for _, t := range trans {
+		in.From = append(in.From, id(t.from))
+		in.To = append(in.To, id(t.to))
+		in.Weight = append(in.Weight, t.w)
+	}
+	in.States = len(in.Names)
+	return in
 }
 
 func TestIrreducibleBirthDeath(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"up", "deg", 0.5},
-		NamedTransition{"deg", "down", 0.4},
-		NamedTransition{"down", "deg", 1.2},
-		NamedTransition{"deg", "up", 2.0},
+		edge{"up", "deg", 0.5},
+		edge{"deg", "down", 0.4},
+		edge{"down", "deg", 1.2},
+		edge{"deg", "up", 2.0},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +78,9 @@ func TestIrreducibleBirthDeath(t *testing.T) {
 
 func TestAbsorbingClassification(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"ok", "deg", 0.2},
-		NamedTransition{"deg", "ok", 1.0},
-		NamedTransition{"deg", "failed", 0.1},
+		edge{"ok", "deg", 0.2},
+		edge{"deg", "ok", 1.0},
+		edge{"deg", "failed", 0.1},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +111,12 @@ func TestAbsorbingClassification(t *testing.T) {
 
 func TestMultipleRecurrentClasses(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"start", "a", 1},
-		NamedTransition{"start", "b", 1},
-		NamedTransition{"a", "a2", 1},
-		NamedTransition{"a2", "a", 1},
-		NamedTransition{"b", "b2", 1},
-		NamedTransition{"b2", "b", 1},
+		edge{"start", "a", 1},
+		edge{"start", "b", 1},
+		edge{"a", "a2", 1},
+		edge{"a2", "a", 1},
+		edge{"b", "b2", 1},
+		edge{"b2", "b", 1},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +131,8 @@ func TestMultipleRecurrentClasses(t *testing.T) {
 
 func TestStiffnessHint(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"up", "down", 1e-9},
-		NamedTransition{"down", "up", 5e6},
+		edge{"up", "down", 1e-9},
+		edge{"down", "up", 5e6},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +150,8 @@ func TestStiffnessHint(t *testing.T) {
 
 func TestDTMCPeriodicity(t *testing.T) {
 	rep, err := Analyze(chain(true,
-		NamedTransition{"a", "b", 1},
-		NamedTransition{"b", "a", 1},
+		edge{"a", "b", 1},
+		edge{"b", "a", 1},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +165,9 @@ func TestDTMCPeriodicity(t *testing.T) {
 
 	// A self-loop makes the class aperiodic.
 	rep, err = Analyze(chain(true,
-		NamedTransition{"a", "b", 0.5},
-		NamedTransition{"b", "a", 1},
-		NamedTransition{"a", "a", 0.5},
+		edge{"a", "b", 0.5},
+		edge{"b", "a", 1},
+		edge{"a", "a", 0.5},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +186,14 @@ func TestDTMCPeriodicity(t *testing.T) {
 func TestLumpableSymmetricPair(t *testing.T) {
 	lam, mu := 0.01, 1.0
 	in := chain(false,
-		NamedTransition{"00", "01", lam},
-		NamedTransition{"00", "10", lam},
-		NamedTransition{"01", "11", lam},
-		NamedTransition{"10", "11", lam},
-		NamedTransition{"01", "00", mu},
-		NamedTransition{"10", "00", mu},
-		NamedTransition{"11", "01", mu},
-		NamedTransition{"11", "10", mu},
+		edge{"00", "01", lam},
+		edge{"00", "10", lam},
+		edge{"01", "11", lam},
+		edge{"10", "11", lam},
+		edge{"01", "00", mu},
+		edge{"10", "00", mu},
+		edge{"11", "01", mu},
+		edge{"11", "10", mu},
 	)
 	in.Seed = SeedSets(in.Names, []string{"00", "01", "10"})
 	rep, err := Analyze(in)
@@ -188,10 +219,10 @@ func TestLumpableSymmetricPair(t *testing.T) {
 // when outflows agree perfectly.
 func TestSeedKeepsSetsApart(t *testing.T) {
 	in := chain(false,
-		NamedTransition{"a", "c", 1},
-		NamedTransition{"b", "c", 1},
-		NamedTransition{"c", "a", 0.5},
-		NamedTransition{"c", "b", 0.5},
+		edge{"a", "c", 1},
+		edge{"b", "c", 1},
+		edge{"c", "a", 0.5},
+		edge{"c", "b", 0.5},
 	)
 	in.Seed = SeedSets(in.Names, []string{"a"})
 	rep, err := Analyze(in)
@@ -212,9 +243,9 @@ func TestSeedKeepsSetsApart(t *testing.T) {
 
 func TestAsymmetricNotLumpable(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"x", "y", 1},
-		NamedTransition{"y", "z", 2},
-		NamedTransition{"z", "x", 3},
+		edge{"x", "y", 1},
+		edge{"y", "z", 2},
+		edge{"z", "x", 3},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -226,10 +257,10 @@ func TestAsymmetricNotLumpable(t *testing.T) {
 
 func TestWeakComponents(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"a", "b", 1},
-		NamedTransition{"b", "a", 1},
-		NamedTransition{"c", "d", 1},
-		NamedTransition{"d", "c", 1},
+		edge{"a", "b", 1},
+		edge{"b", "a", 1},
+		edge{"c", "d", 1},
+		edge{"d", "c", 1},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -246,12 +277,12 @@ func TestWeakComponents(t *testing.T) {
 // the start state, and is not fooled by self-loops or repeated pairs.
 func TestReachable(t *testing.T) {
 	rep, err := Analyze(chain(false,
-		NamedTransition{"a", "b", 1},
-		NamedTransition{"b", "b", 1},
-		NamedTransition{"b", "c", 1},
-		NamedTransition{"b", "c", 2},
-		NamedTransition{"d", "a", 1},
-		NamedTransition{"e", "e", 1},
+		edge{"a", "b", 1},
+		edge{"b", "b", 1},
+		edge{"b", "c", 1},
+		edge{"b", "c", 2},
+		edge{"d", "a", 1},
+		edge{"e", "e", 1},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +303,11 @@ func TestInputValidation(t *testing.T) {
 	if _, err := Analyze(Input{}); err == nil {
 		t.Fatal("empty input did not error")
 	}
-	if _, err := Analyze(Input{States: 2, Trans: []Transition{{From: 0, To: 5, Weight: 1}}}); err == nil {
+	if _, err := Analyze(Input{States: 2, From: []int{0}, To: []int{5}, Weight: []float64{1}}); err == nil {
 		t.Fatal("out-of-range transition did not error")
+	}
+	if _, err := Analyze(Input{States: 2, From: []int{0}, To: []int{1}}); err == nil {
+		t.Fatal("transition without a weight did not error")
 	}
 	if _, err := Analyze(Input{States: 2, Seed: []int{0}}); err == nil {
 		t.Fatal("short seed did not error")
@@ -285,13 +319,13 @@ func TestInputValidation(t *testing.T) {
 // under -race).
 func TestDeepChainIterativeSCC(t *testing.T) {
 	const n = 20000
-	trans := make([]NamedTransition, 0, 2*n)
+	trans := make([]edge, 0, 2*n)
 	name := func(i int) string { return "s" + itoa(i) }
 	for i := 0; i < n-1; i++ {
-		trans = append(trans, NamedTransition{name(i), name(i + 1), 1.0})
-		trans = append(trans, NamedTransition{name(i + 1), name(i), 2.0})
+		trans = append(trans, edge{name(i), name(i + 1), 1.0})
+		trans = append(trans, edge{name(i + 1), name(i), 2.0})
 	}
-	rep, err := Analyze(FromNamed(trans, false))
+	rep, err := Analyze(fromNamed(trans, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,4 +346,33 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[pos:])
+}
+
+// TestAdjacencyMatchesAppends: the adjacency Analyze carves from one
+// backing array holds what appending each transition to its state's own
+// list held, row for row and in transition order.
+func TestAdjacencyMatchesAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		in := Input{States: n}
+		for k := rng.Intn(4 * n); k > 0; k-- {
+			in.From = append(in.From, rng.Intn(n))
+			in.To = append(in.To, rng.Intn(n))
+			in.Weight = append(in.Weight, rng.Float64())
+		}
+		rep, err := Analyze(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]int, n)
+		for k, f := range in.From {
+			want[f] = append(want[f], in.To[k])
+		}
+		for s := range want {
+			if !slices.Equal(rep.adj[s], want[s]) {
+				t.Fatalf("trial %d: state %d adjacency %v, appends give %v", trial, s, rep.adj[s], want[s])
+			}
+		}
+	}
 }

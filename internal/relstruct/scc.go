@@ -91,7 +91,7 @@ func condense(n int, adj [][]int, names []string) ([]int, []Class) {
 
 // weakComponents counts weakly connected components (union-find over the
 // undirected edge set). Isolated states each form their own component.
-func weakComponents(n int, trans []Transition) int {
+func weakComponents(n int, from, to []int) int {
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -105,8 +105,8 @@ func weakComponents(n int, trans []Transition) int {
 		return x
 	}
 	comps := n
-	for _, t := range trans {
-		a, b := find(t.From), find(t.To)
+	for k, f := range from {
+		a, b := find(f), find(to[k])
 		if a != b {
 			parent[a] = b
 			comps--

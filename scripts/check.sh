@@ -90,22 +90,28 @@ trap - EXIT
 # dominant solver and iteration count of each experiment must match
 # exactly; heap allocations must stay within max(0.5%, 48 allocations) of
 # the baseline in either direction; wall time only backstops at 10x +
-# 250ms. Both tests build only without -race, so the pass above skips
-# them. Regenerate intended changes with -update.
+# 250ms. TestSolveLargeAllocs holds parse plus solve of the 11-machine
+# availability farm and the 10-machine transient farm to their byte and
+# allocation bounds. All three build only without -race, so the pass
+# above skips them. Regenerate intended changes with -update.
 echo "== suite baseline gate"
-go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs)$' . ./cmd/relcli
+go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs|TestSolveLargeAllocs)$' . ./cmd/relcli
 
 # Fuzz smoke is opt-in (CHECK_FUZZ=1): ten seconds per target over the
 # modelio JSON parser, seeded from models/*.json, the one-pass ctmc
 # decoder against encoding/json, the serve request body, relstruct's
-# tolerance merge against its first-fit oracle, and lint's one-report
-# CheckCTMC against the checks it replaced. Go allows one -fuzz target
+# tolerance merge against its first-fit oracle, lint's one-report
+# CheckCTMC against the checks it replaced, and the indexed chain (the
+# counting-sort generator, uniformization and the plan's answers) against
+# the triplet-sorting pipeline it replaced. Go allows one -fuzz target
 # per invocation, hence the loop.
 if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
-    for target in FuzzLoadDocument FuzzLint FuzzDecodeCTMC; do
+    for target in FuzzLoadDocument FuzzLint FuzzDecodeCTMC FuzzPlanMatchesReference; do
         echo "== fuzz smoke: $target"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime=10s ./internal/modelio/
     done
+    echo "== fuzz smoke: FuzzChainMatchesReference"
+    go test -run='^$' -fuzz='^FuzzChainMatchesReference$' -fuzztime=10s ./internal/markov/
     echo "== fuzz smoke: FuzzSolveBody"
     go test -run='^$' -fuzz='^FuzzSolveBody$' -fuzztime=10s ./cmd/relcli/
     echo "== fuzz smoke: FuzzSplitBlock"
