@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -18,10 +19,15 @@ import (
 // FuzzSolveBody fuzzes the /solve request-body decoder through the real
 // handler stack. Whatever bytes arrive, the server must answer a
 // well-formed JSON solveResponse with a typed code; malformed or
-// oversized documents are 400s, never 500s. The corpus starts from the
-// chaos-drill document mix so mutation explores realistic specs.
+// oversized documents are 400s, and a document whose own solve fails
+// for a fault in the document is a 422, never a 5xx. The corpus starts
+// from the chaos-drill document mix and the document faults, so
+// mutation explores realistic specs.
 func FuzzSolveBody(f *testing.F) {
 	for _, d := range chaosDocs {
+		f.Add([]byte(d.doc))
+	}
+	for _, d := range docFaults {
 		f.Add([]byte(d.doc))
 	}
 	f.Add([]byte(``))
@@ -30,12 +36,12 @@ func FuzzSolveBody(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("x"), 8192))
 
 	failpoint.Reset()
-	const maxBody = 4096
+	const maxBody, solveTimeout = 4096, 2 * time.Second
 	_, mux, err := newSolveServer(serveConfig{
 		Registry:     metrics.NewRegistry(),
 		MaxInflight:  1,
 		MaxBody:      maxBody,
-		SolveTimeout: 2 * time.Second,
+		SolveTimeout: solveTimeout,
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -61,12 +67,20 @@ func FuzzSolveBody(f *testing.F) {
 		// The decoder contract: a body the model parser rejects, or one
 		// over the size limit, is the client's fault — 400 with a typed
 		// code, never a 5xx.
-		_, perr := modelio.Parse(bytes.NewReader(data))
+		spec, perr := modelio.Parse(bytes.NewReader(data))
 		if perr != nil || int64(len(data)) > maxBody {
 			if res.StatusCode != http.StatusBadRequest {
 				t.Fatalf("undecodable body answered %d (code %q, error %q), want 400",
 					res.StatusCode, resp.Code, resp.Error)
 			}
+		} else if _, serr := modelio.SolveWithOptions(spec, modelio.SolveOptions{Timeout: solveTimeout}); errors.Is(serr, modelio.ErrBadSpec) &&
+			resp.Code != "breaker-open" && (res.StatusCode != http.StatusUnprocessableEntity || resp.Code != "bad-spec") {
+			// The document contract: a document the solve rejects as
+			// faulty is the client's fault, whatever a breaker says.
+			t.Fatalf("document fault %q answered %d (code %q), want 422 bad-spec", serr, res.StatusCode, resp.Code)
+		}
+		if res.StatusCode >= http.StatusInternalServerError && resp.Code == "bad-spec" {
+			t.Fatalf("status %d carries code bad-spec: %q", res.StatusCode, resp.Error)
 		}
 		if !allowedChaosStatus[res.StatusCode] {
 			t.Fatalf("status %d outside the typed-outcome set (code %q, error %q)",

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"net/http"
 
 	"repro/internal/jobs"
@@ -34,12 +33,12 @@ func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request, ev
 	}
 	spec, err := jobs.ParseSpec(body)
 	if err != nil {
-		return http.StatusBadRequest, jobResponse{Error: err.Error(), Code: "bad-spec"}
+		return jobFailed(err)
 	}
 	spec.Corr = ev.Corr
 	snap, created, err := s.jobs.Submit(spec, r.Header.Get("Idempotency-Key"))
 	if err != nil {
-		return jobError(err)
+		return jobFailed(err)
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	if !created {
@@ -53,7 +52,7 @@ func (s *solveServer) handleJobSubmit(w http.ResponseWriter, r *http.Request, ev
 func (s *solveServer) handleJobGet(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	snap, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		return jobError(err)
+		return jobFailed(err)
 	}
 	return http.StatusOK, jobResponse{Job: snap}
 }
@@ -74,26 +73,16 @@ func (s *solveServer) handleJobList(w http.ResponseWriter, r *http.Request, ev *
 func (s *solveServer) handleJobCancel(w http.ResponseWriter, r *http.Request, ev *obs.WideEvent) (int, any) {
 	snap, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		return jobError(err)
+		return jobFailed(err)
 	}
 	return http.StatusOK, jobResponse{Job: snap}
 }
 
-// jobError maps the engine's typed sentinels onto HTTP and the
-// machine-readable code taxonomy.
-func jobError(err error) (int, any) {
-	status, code := http.StatusInternalServerError, "internal"
-	switch {
-	case errors.Is(err, jobs.ErrBadSpec):
-		status, code = http.StatusBadRequest, "bad-spec"
-	case errors.Is(err, jobs.ErrUnknownJob):
-		status, code = http.StatusNotFound, "unknown-job"
-	case errors.Is(err, jobs.ErrDraining):
-		status, code = http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, jobs.ErrTerminal):
-		status, code = http.StatusConflict, "terminal"
-	}
-	return status, jobResponse{Error: err.Error(), Code: code}
+// jobFailed is the /jobs reply to a failed request, as outcomeOf reads
+// its error.
+func jobFailed(err error) (int, any) {
+	o := outcomeOf(err)
+	return o.status, jobResponse{Error: err.Error(), Code: o.code}
 }
 
 // jobsHealth summarizes the engine for /healthz.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -32,9 +31,10 @@ var repeatTimeFields = regexp.MustCompile(`"(wall_ms|wall_ns|start|ts|time|uptim
 // document, and demands one byte sequence each, time fields masked. The
 // documents are models/*.json, the 9-machine in-test farm (its 512
 // states go through the auto-lump analysis and GTH; repairfarm.json
-// covers SOR) and a fault tree with repeated events. Go randomizes map order on every
-// range, so an output that follows map order anywhere would differ
-// within 20 copies.
+// covers SOR) and a fault tree with repeated events. The lint fixture's
+// solve fails every time with 422, which leaves the breaker alone, so its
+// replies repeat too. Go randomizes map order on every range, so an
+// output that follows map order anywhere would differ within 20 copies.
 func TestOutputsRepeatByteForByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves each document 40 times")
@@ -84,12 +84,6 @@ func TestOutputsRepeatByteForByte(t *testing.T) {
 	}
 	for name, doc := range docs {
 		for _, s := range surfaces {
-			if s.name == "POST /solve" && strings.HasPrefix(name, "broken_") {
-				// A lint fixture's solve fails every time, and failures
-				// in a row open the model class's breaker, so its replies
-				// follow the breaker's state.
-				continue
-			}
 			first := repeatTimeFields.ReplaceAll(s.produce(doc), []byte(`"$1": T`))
 			for i := 1; i < 20; i++ {
 				got := repeatTimeFields.ReplaceAll(s.produce(doc), []byte(`"$1": T`))

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/guard"
+	"repro/internal/jobs"
 	"repro/internal/modelio"
 )
 
@@ -91,10 +92,10 @@ func (a *admission) queueLen() int { return len(a.queue) }
 func (a *admission) queueCap() int { return cap(a.queue) }
 
 // Breaker states. A breaker guards one model class (the spec type): K
-// consecutive 5xx-class solve failures open it, after which requests of
-// that class short-circuit to degraded bounds-only answers (or 503 when
-// the class has no bounding path) until the cooldown elapses and a
-// single half-open probe succeeds.
+// consecutive solver failures open it, after which requests of that class
+// short-circuit to degraded bounds-only answers (or 503 when the class
+// has no bounding path) until the cooldown elapses and a single half-open
+// probe succeeds.
 const (
 	breakerClosed = iota
 	breakerOpen
@@ -165,27 +166,30 @@ func (b *breakerSet) allow(name string) (ok, probe bool) {
 	}
 }
 
-// record feeds one exact-path outcome back. failure means a 5xx-class
-// result (the solver itself broke — bad documents do not count).
-func (b *breakerSet) record(name string, probe, failure bool) {
+// record feeds one exact-path verdict back and releases the probe: a
+// success closes the class, a solver failure charges it, and a request
+// that says nothing about the solver (a document fault, a cancellation)
+// changes nothing else, so a half-open class waits for the next probe.
+func (b *breakerSet) record(name string, probe bool, heard breakerVerdict) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.class(name)
 	if probe {
 		c.probing = false
 	}
-	if !failure {
+	switch heard {
+	case heardSuccess:
 		c.state = breakerClosed
 		c.fails = 0
-		return
-	}
-	c.fails++
-	if (probe && c.state == breakerHalfOpen) || c.fails >= b.threshold {
-		c.state = breakerOpen
-		c.openUntil = b.now().Add(b.cooldown)
-		c.fails = 0
-		if b.onOpen != nil {
-			b.onOpen(name)
+	case heardFailure:
+		c.fails++
+		if (probe && c.state == breakerHalfOpen) || c.fails >= b.threshold {
+			c.state = breakerOpen
+			c.openUntil = b.now().Add(b.cooldown)
+			c.fails = 0
+			if b.onOpen != nil {
+				b.onOpen(name)
+			}
 		}
 	}
 }
@@ -244,28 +248,61 @@ func retryAfterSecs(p95 float64, queueLen int) int {
 	return min(max(secs, 1), 60)
 }
 
-// errorCode maps the typed solve-failure taxonomy onto the stable
-// machine-readable codes carried in JSON error bodies. The codes are
-// the contract chaos assertions and clients key on — human-readable
-// messages stay free to change.
-func errorCode(err error) string {
+// breakerVerdict is what one exact-path request tells its model class's
+// breaker.
+type breakerVerdict int
+
+const (
+	// heardNothing: the request says nothing about the solver (the
+	// document was at fault, or the client went away).
+	heardNothing breakerVerdict = iota
+	// heardSuccess: the solver answered; the class closes.
+	heardSuccess
+	// heardFailure: the solver broke; the class is charged.
+	heardFailure
+)
+
+// outcome is serve's one reading of how a request ended: the reply's
+// status and machine-readable code, the trace store's outcome, and what
+// the model class's breaker hears. The codes are the contract chaos
+// assertions and clients key on; human-readable messages stay free to
+// change.
+type outcome struct {
+	status  int
+	code    string
+	trace   string
+	breaker breakerVerdict
+}
+
+// outcomeOf classifies a request's error, nil for success. A document
+// fault (modelio.ErrBadSpec, which the solve boundary puts on every
+// failure the document caused) is 422 and a client cancellation 503, and
+// neither reaches the breaker; a deadline, an injected fault, a panic and
+// anything unclassified are the solver's. The jobs sentinels map onto the
+// /jobs replies.
+func outcomeOf(err error) outcome {
 	var ferr *failpoint.Error
-	var ierr *guard.InternalError
 	switch {
 	case err == nil:
-		return ""
+		return outcome{http.StatusOK, "", "ok", heardSuccess}
 	case errors.Is(err, guard.ErrDeadline):
-		return "deadline"
+		return outcome{http.StatusGatewayTimeout, "deadline", "deadline", heardFailure}
 	case errors.Is(err, guard.ErrCanceled):
-		return "canceled"
+		return outcome{http.StatusServiceUnavailable, "canceled", "canceled", heardNothing}
 	case errors.As(err, &ferr):
-		return "injected"
+		return outcome{http.StatusInternalServerError, "injected", "error", heardFailure}
 	case errors.Is(err, modelio.ErrBadSpec):
-		return "bad-spec"
-	case errors.As(err, &ierr):
-		return "internal"
+		return outcome{http.StatusUnprocessableEntity, "bad-spec", "error", heardNothing}
+	case errors.Is(err, jobs.ErrBadSpec):
+		return outcome{http.StatusBadRequest, "bad-spec", "error", heardNothing}
+	case errors.Is(err, jobs.ErrUnknownJob):
+		return outcome{http.StatusNotFound, "unknown-job", "error", heardNothing}
+	case errors.Is(err, jobs.ErrDraining):
+		return outcome{http.StatusServiceUnavailable, "draining", "error", heardNothing}
+	case errors.Is(err, jobs.ErrTerminal):
+		return outcome{http.StatusConflict, "terminal", "error", heardNothing}
 	default:
-		return "internal"
+		return outcome{http.StatusInternalServerError, "internal", "error", heardFailure}
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -350,7 +349,8 @@ func (s *solveServer) route(path string, h handler) http.HandlerFunc {
 			if s.cfg.Logger != nil {
 				s.cfg.Logger.Error("handler panic isolated", "route", path, "corr", corr, "err", err)
 			}
-			status, body = http.StatusInternalServerError, solveResponse{Error: err.Error(), Code: "internal"}
+			o := outcomeOf(err)
+			status, body = o.status, solveResponse{Error: err.Error(), Code: o.code}
 		}
 		switch b := body.(type) {
 		case solveResponse:
@@ -392,20 +392,17 @@ func (s *solveServer) route(path string, h handler) http.HandlerFunc {
 
 // readBody reads the request body up to MaxBody. A failed read returns
 // the reply's error text and code instead: too-large past the limit
-// (doc names the document in the message), body-read otherwise. A body
-// with a declared Content-Length is read by readDeclared, so its buffer
-// ends at the body's size; a chunked one grows as bytes.Buffer grows.
+// (doc names the document in the message), body-read otherwise. The body
+// is read by readDeclared up to its declared Content-Length, so its
+// buffer ends at the body's size; a chunked one (no declared length)
+// grows the same way up to the limit.
 func (s *solveServer) readBody(w http.ResponseWriter, r *http.Request, doc string) (body []byte, msg, code string) {
-	src := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	var err error
+	// One byte past MaxBody is what MaxBytesReader needs to see.
+	size := s.cfg.MaxBody + 1
 	if r.ContentLength >= 0 {
-		// One byte past MaxBody is what MaxBytesReader needs to see.
-		body, err = readDeclared(src, min(r.ContentLength, s.cfg.MaxBody+1))
-	} else {
-		var buf bytes.Buffer
-		_, err = buf.ReadFrom(src)
-		body = buf.Bytes()
+		size = min(r.ContentLength, size)
 	}
+	body, err := readDeclared(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), size)
 	switch {
 	case err == nil:
 		return body, "", ""
@@ -624,11 +621,14 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 
 	spec, err := modelio.ParseBytes(body)
 	if err != nil {
-		if errorCode(err) == "injected" {
-			// The parser itself broke (failpoint), not the document.
-			return http.StatusInternalServerError, solveResponse{ModelHash: hash, Error: err.Error(), Code: "injected"}
+		o := outcomeOf(err)
+		if o.code == "bad-spec" {
+			// The body does not decode as a model document: a malformed
+			// request (400), where a document that decodes but cannot be
+			// solved is 422. A parser that broke (failpoint) stays a 500.
+			o.status = http.StatusBadRequest
 		}
-		return http.StatusBadRequest, solveResponse{ModelHash: hash, Error: err.Error(), Code: "bad-spec"}
+		return o.status, solveResponse{ModelHash: hash, Error: err.Error(), Code: o.code}
 	}
 	ev.Model = spec.Name
 
@@ -667,32 +667,28 @@ func (s *solveServer) handleSolve(w http.ResponseWriter, r *http.Request, ev *ob
 	if s.cfg.Logger != nil {
 		obs.LogSpans(s.cfg.Logger, root, "corr", ev.Corr)
 	}
-	resp := solveResponse{Model: spec.Name, ModelHash: hash, Results: results}
+	// One reading of how the solve ended feeds the reply, the breaker and
+	// the trace record.
+	o := outcomeOf(solveErr)
+	resp := solveResponse{Model: spec.Name, ModelHash: hash, Results: results, Code: o.code}
 	if r.URL.Query().Get("trace") != "" {
 		resp.Trace = root
 	}
-	status := http.StatusOK
-	if solveErr != nil {
-		status = solveErrorStatus(solveErr)
-		resp.Error = solveErr.Error()
-		resp.Code = errorCode(solveErr)
-	}
-	// 5xx-class outcomes are solver breakage and feed the breaker; 4xx
-	// (bad documents, client cancellations) do not.
-	s.brk.record(spec.Type, probe, status >= http.StatusInternalServerError)
+	s.brk.record(spec.Type, probe, o.breaker)
 	// The record's window is the traced solve's own, [Start, Start+WallMS]:
 	// RecordFromTrace takes both from the trace, so the body read,
 	// admission and parse before it do not shift the window.
 	rec := obs.RecordFromTrace(tr, rootName(spec), "solve")
 	rec.Corr = ev.Corr
-	rec.Outcome = solveOutcome(solveErr)
+	rec.Outcome = o.trace
 	if solveErr != nil {
-		rec.Error = solveErr.Error()
+		resp.Error = solveErr.Error()
+		rec.Error = resp.Error
 	}
 	ev.Solver = rec.Solver
 	ev.Outcome = rec.Outcome
 	ev.Trace = s.storePut("/solve", rec)
-	return status, resp
+	return o.status, resp
 }
 
 // solveDegraded answers a breaker-open request: a bounds-only degraded
@@ -742,34 +738,6 @@ func (s *solveServer) handleAnalyze(w http.ResponseWriter, r *http.Request, ev *
 		WallMS:   float64(time.Since(ev.Time).Nanoseconds()) / 1e6,
 	})
 	return status, rep
-}
-
-// solveOutcome classifies how a solve ended for trace-store filtering.
-func solveOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, guard.ErrDeadline):
-		return "deadline"
-	case errors.Is(err, guard.ErrCanceled):
-		return "canceled"
-	default:
-		return "error"
-	}
-}
-
-// solveErrorStatus maps the typed solve-failure taxonomy onto HTTP.
-func solveErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, guard.ErrDeadline):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, guard.ErrCanceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, modelio.ErrBadSpec):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // rootName labels a request-scoped trace.

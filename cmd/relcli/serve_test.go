@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -198,6 +199,16 @@ func TestServeRejectsBadInput(t *testing.T) {
 	mux.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /solve: status %d, want 405", w.Code)
+	}
+
+	// A parser that broke is not the body's fault: 500 injected.
+	t.Cleanup(failpoint.Reset)
+	if err := failpoint.Arm("modelio.parse", "error"); err != nil {
+		t.Fatal(err)
+	}
+	if w := postModel(t, mux, filepath.Join("..", "..", "models", "duplex.json"), ""); w.Code != http.StatusInternalServerError ||
+		decodeSolve(t, w).Code != "injected" {
+		t.Errorf("broken parser: status %d %s, want 500 injected", w.Code, w.Body.String())
 	}
 }
 

@@ -1,8 +1,13 @@
 package bdd
 
 import (
+	"errors"
 	"fmt"
 )
+
+// ErrBadProb reports a variable probability outside [0,1]. Prob's error
+// ends with it: "bdd prob: p[0]=2 outside [0,1]".
+var ErrBadProb = errors.New("outside [0,1]")
 
 // Prob computes Pr[f = 1] given independent variable probabilities
 // p[i] = Pr[var i = 1], by a memoized Shannon expansion over the BDD
@@ -15,7 +20,7 @@ func (m *Manager) Prob(f Ref, p []float64) (float64, error) {
 	}
 	for i, pi := range p {
 		if pi < 0 || pi > 1 {
-			return 0, fmt.Errorf("bdd prob: p[%d]=%g outside [0,1]", i, pi)
+			return 0, fmt.Errorf("bdd prob: p[%d]=%g %w", i, pi, ErrBadProb)
 		}
 	}
 	if len(m.probMemo) < len(m.nodes) {

@@ -1,9 +1,7 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/modelio"
@@ -40,14 +38,12 @@ func compile(s *Spec) (*sweep, error) {
 	if len(s.Model) == 0 {
 		return nil, fmt.Errorf("%w: missing model document", ErrBadSpec)
 	}
-	// Unknown fields are refused as modelio.Parse refuses them, so a
-	// model /solve rejects is not swept. Parse itself is not called: it
-	// would evaluate the modelio.parse failpoint at submission and on
-	// every WAL replay.
-	var doc modelio.Spec
-	dec := json.NewDecoder(bytes.NewReader(s.Model))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
+	// The model decodes as modelio.Parse decodes it, unknown fields
+	// refused, so a model /solve rejects is not swept. Parse itself is not
+	// called: it would evaluate the modelio.parse failpoint at submission
+	// and on every WAL replay.
+	doc, err := modelio.DecodeBytes(s.Model)
+	if err != nil {
 		return nil, fmt.Errorf("%w: model document: %v", ErrBadSpec, err)
 	}
 	if doc.Type != "ctmc" || doc.CTMC == nil {

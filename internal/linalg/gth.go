@@ -76,7 +76,7 @@ func gth(rows, cols int, fill func(a []float64)) ([]float64, error) {
 			s += v
 		}
 		if s == 0 { //numvet:allow float-eq exactly-zero sum means a structurally reducible generator
-			return nil, fmt.Errorf("gth: state %d has no transitions to lower-indexed states; generator reducible", k)
+			return nil, fmt.Errorf("gth: state %d has no transitions to lower-indexed states; %w", k, ErrReducible)
 		}
 		for i := 0; i < k; i++ {
 			aik := a.At(i, k)

@@ -142,7 +142,7 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 				}
 			})
 			if out == 0 { //numvet:allow float-eq exactly-zero diagonal means a structurally reducible generator
-				return nil, 0, fmt.Errorf("sor: state %d has no outgoing rate; generator reducible", j)
+				return nil, 0, fmt.Errorf("sor: state %d has no outgoing rate; %w", j, ErrReducible)
 			}
 			d = -out
 		}

@@ -9,6 +9,12 @@ import (
 // ErrDimensionMismatch is returned when operand shapes are incompatible.
 var ErrDimensionMismatch = errors.New("linalg: dimension mismatch")
 
+// ErrReducible reports a generator that GTH or SOR cannot solve because a
+// state has no way out of its part of the chain. The solver's error ends
+// with it: "gth: state 3 has no transitions to lower-indexed states;
+// generator reducible".
+var ErrReducible = errors.New("generator reducible")
+
 // Dot returns the inner product of a and b.
 // It returns an error if the vectors have different lengths.
 func Dot(a, b []float64) (float64, error) {

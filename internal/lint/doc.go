@@ -20,7 +20,7 @@
 // Markov chains (CheckCTMC):
 //
 //	CT001  error    transition rate is not a positive finite number
-//	CT002  warning  self-loop transition (dropped by the solver)
+//	CT002  error    self-loop transition (the solver rejects it)
 //	CT003  warning  duplicate transition pair (rates are summed)
 //	CT004  error    initial/up/absorbing state not in any transition
 //	CT005  warning  state unreachable from the initial state
@@ -47,6 +47,8 @@
 //	FT007  error    cycle in the gate structure
 //	FT008  error    basic event declared more than once
 //	FT009  error    fault tree without a top gate
+//	FT010  error    topAt or mttf measure with an event that has no
+//	                lifetime distribution
 //
 // Reliability block diagrams (CheckRBD):
 //
@@ -58,6 +60,8 @@
 //	RBD006 error    malformed block (no children, unknown op, bad leaf)
 //	RBD007 error    component declared more than once
 //	RBD008 error    block diagram without a structure
+//	RBD009 error    availability measure with a component that has no
+//	                repair distribution
 //
 // Reliability graphs (CheckRelGraph):
 //
@@ -134,6 +138,7 @@ const (
 	CodeFTCycle          = "FT007"
 	CodeFTDuplicateEvent = "FT008"
 	CodeFTMissingTop     = "FT009"
+	CodeFTNoLifetime     = "FT010"
 
 	CodeRBDUnknownComp      = "RBD001"
 	CodeRBDArity            = "RBD002"
@@ -143,6 +148,7 @@ const (
 	CodeRBDBadBlock         = "RBD006"
 	CodeRBDDuplicateComp    = "RBD007"
 	CodeRBDMissingStructure = "RBD008"
+	CodeRBDNoRepair         = "RBD009"
 
 	CodeRGBadTerminal   = "RG001"
 	CodeRGRelRange      = "RG002"

@@ -47,8 +47,8 @@ func CheckCTMC(m *modelio.CTMCSpec) ([]Diagnostic, *relstruct.StructReport) {
 				"rate %g is not a positive finite number", tr.Rate)
 		}
 		if f == t {
-			ds = warnf(ds, CodeCTMCSelfLoop, transitionPath(i),
-				"self-loop on state %q has no effect in a CTMC and is dropped by the solver", tr.From)
+			ds = errf(ds, CodeCTMCSelfLoop, transitionPath(i),
+				"self-loop on state %q has no effect in a CTMC, and the solver rejects it", tr.From)
 			continue
 		}
 		key := [2]int{f, t}

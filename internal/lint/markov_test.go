@@ -65,7 +65,7 @@ func TestCheckCTMCSelfLoopAndDuplicate(t *testing.T) {
 		{From: "a", To: "b", Rate: 2},
 		{From: "b", To: "a", Rate: 1},
 	}})
-	wantCode(t, ds, CodeCTMCSelfLoop, SevWarning)
+	wantCode(t, ds, CodeCTMCSelfLoop, SevError)
 	wantCode(t, ds, CodeCTMCDuplicate, SevWarning)
 }
 

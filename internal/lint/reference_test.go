@@ -59,8 +59,8 @@ func refCheckCTMC(m *modelio.CTMCSpec) []Diagnostic {
 				"rate %g is not a positive finite number", tr.Rate)
 		}
 		if tr.From == tr.To {
-			ds = warnf(ds, CodeCTMCSelfLoop, path,
-				"self-loop on state %q has no effect in a CTMC and is dropped by the solver", tr.From)
+			ds = errf(ds, CodeCTMCSelfLoop, path,
+				"self-loop on state %q has no effect in a CTMC, and the solver rejects it", tr.From)
 			continue
 		}
 		key := [2]string{tr.From, tr.To}
@@ -401,7 +401,10 @@ var oddRates = []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-9, 1e9
 // state (none, an unknown name, or a state); bytes 3–5 the up set and
 // bytes 6–10 the sparser absorbing set, each possibly with an unknown or
 // empty name; then three bytes per transition: from, to (255 is the
-// empty name) and rate (1, 2 or 0.5, or 1 time in 32 an odd rate).
+// empty name) and rate (1, 2 or 0.5, or 1 time in 32 an odd rate). A
+// self-loop is an error, and an error skips the STR checks, so a draw that
+// lands on one keeps it only when its from byte is 224 or more (1 time in
+// 8, or always in a one-state chain); otherwise it runs to the next state.
 func chainFromBytes(b []byte) *modelio.CTMCSpec {
 	next := func() byte {
 		if len(b) == 0 {
@@ -449,7 +452,11 @@ func chainFromBytes(b []byte) *modelio.CTMCSpec {
 	m.UpStates = set(next(), next(), next())
 	m.Absorbing = set(next()&next(), next()&next(), next())
 	for i := 0; i < nt; i++ {
-		tr := modelio.CTMCTransition{From: name(next()), To: name(next())}
+		f, to := next(), next()
+		tr := modelio.CTMCTransition{From: name(f), To: name(to)}
+		if tr.From != "" && tr.From == tr.To && f < 224 && k > 1 {
+			tr.To = chainNames[(int(to)+1)%k]
+		}
 		switch c := next(); {
 		case c >= 248:
 			tr.Rate = oddRates[c-248]

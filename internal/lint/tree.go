@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/modelio"
 )
@@ -97,10 +98,15 @@ func CheckFaultTree(ft *modelio.FaultTreeSpec) []Diagnostic {
 				"basic event %q appears %d times in the tree; min-cut based bounds are safer than naive bottom-up evaluation here", name, n)
 		}
 	}
+	timed := slices.Contains(ft.Measures, "topAt") || slices.Contains(ft.Measures, "mttf")
 	for i, e := range ft.Events {
 		if e.Name != "" && used[e.Name] == 0 {
 			ds = warnf(ds, CodeFTUnusedEvent, fmt.Sprintf("faulttree.events[%d]", i),
 				"event %q is declared but never referenced by the gate tree", e.Name)
+		}
+		if timed && used[e.Name] > 0 && e.Lifetime == nil {
+			ds = errf(ds, CodeFTNoLifetime, fmt.Sprintf("faulttree.events[%d].lifetime", i),
+				"event %q has no lifetime distribution, which the topAt and mttf measures need", e.Name)
 		}
 	}
 	return ds
@@ -190,10 +196,15 @@ func CheckRBD(m *modelio.RBDSpec) []Diagnostic {
 				"component %q appears %d times in the structure; the copies are treated as statistically independent", name, n)
 		}
 	}
+	avail := slices.Contains(m.Measures, "availability")
 	for i, c := range m.Components {
 		if c.Name != "" && used[c.Name] == 0 {
 			ds = warnf(ds, CodeRBDUnusedComp, fmt.Sprintf("rbd.components[%d]", i),
 				"component %q is declared but never placed in the structure", c.Name)
+		}
+		if avail && used[c.Name] > 0 && c.Repair == nil {
+			ds = errf(ds, CodeRBDNoRepair, fmt.Sprintf("rbd.components[%d].repair", i),
+				"component %q has no repair distribution, which the availability measure needs", c.Name)
 		}
 	}
 	return ds

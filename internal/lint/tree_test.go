@@ -107,6 +107,31 @@ func TestCheckFaultTreeLifetimeDist(t *testing.T) {
 	}
 }
 
+// TestCheckFaultTreeNoLifetime: topAt and mttf need a lifetime on every
+// event in the tree; an unreferenced event, or a static measure, does not.
+func TestCheckFaultTreeNoLifetime(t *testing.T) {
+	ft := &modelio.FaultTreeSpec{
+		Events: []modelio.FTEvent{
+			{Name: "a", Prob: 0.1, Lifetime: &modelio.DistSpec{Kind: "exponential", Rate: 1}},
+			{Name: "b", Prob: 0.1},
+			{Name: "idle", Prob: 0.1},
+		},
+		Top:      &modelio.GateSpec{Op: "or", Children: []*modelio.GateSpec{{Event: "a"}, {Event: "b"}}},
+		Measures: []string{"top", "mttf"},
+	}
+	ds := CheckFaultTree(ft)
+	if d := wantCode(t, ds, CodeFTNoLifetime, SevError); d.Path != "faulttree.events[1].lifetime" {
+		t.Errorf("bad path %q", d.Path)
+	}
+	if n := codes(ds)[CodeFTNoLifetime]; n != 1 {
+		t.Errorf("%d FT010 diagnostics, want 1 (the unreferenced event needs no lifetime): %v", n, ds)
+	}
+	ft.Measures = []string{"top"}
+	if n := codes(CheckFaultTree(ft))[CodeFTNoLifetime]; n != 0 {
+		t.Errorf("static measures reported FT010")
+	}
+}
+
 func TestCheckFaultTreeClean(t *testing.T) {
 	ds := CheckFaultTree(&modelio.FaultTreeSpec{
 		Events: []modelio.FTEvent{{Name: "a", Prob: 0.1}, {Name: "b", Prob: 0.2}},
@@ -168,6 +193,32 @@ func TestCheckRBDMissingStructureAndLifetime(t *testing.T) {
 	ds := CheckRBD(&modelio.RBDSpec{Components: []modelio.RBDComponent{{Name: "a"}}})
 	wantCode(t, ds, CodeRBDMissingStructure, SevError)
 	wantCode(t, ds, CodeDistBadParam, SevError) // missing lifetime
+}
+
+// TestCheckRBDNoRepair: availability needs a repair distribution on every
+// component in the structure; an unplaced component, or mttf, does not.
+func TestCheckRBDNoRepair(t *testing.T) {
+	m := &modelio.RBDSpec{
+		Components: []modelio.RBDComponent{
+			{Name: "a", Lifetime: &modelio.DistSpec{Kind: "exponential", Rate: 1},
+				Repair: &modelio.DistSpec{Kind: "exponential", Rate: 1}},
+			{Name: "b", Lifetime: &modelio.DistSpec{Kind: "exponential", Rate: 1}},
+			{Name: "idle", Lifetime: &modelio.DistSpec{Kind: "exponential", Rate: 1}},
+		},
+		Structure: &modelio.BlockSpec{Op: "series", Children: []*modelio.BlockSpec{{Comp: "a"}, {Comp: "b"}}},
+		Measures:  []string{"mttf", "availability"},
+	}
+	ds := CheckRBD(m)
+	if d := wantCode(t, ds, CodeRBDNoRepair, SevError); d.Path != "rbd.components[1].repair" {
+		t.Errorf("bad path %q", d.Path)
+	}
+	if n := codes(ds)[CodeRBDNoRepair]; n != 1 {
+		t.Errorf("%d RBD009 diagnostics, want 1 (the unplaced component needs no repair): %v", n, ds)
+	}
+	m.Measures = []string{"mttf"}
+	if n := codes(CheckRBD(m))[CodeRBDNoRepair]; n != 0 {
+		t.Errorf("mttf reported RBD009")
+	}
 }
 
 func TestCheckRBDClean(t *testing.T) {

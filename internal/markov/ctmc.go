@@ -71,6 +71,9 @@ var (
 	ErrBadRate      = errors.New("markov: rate must be positive and finite")
 	ErrEmptyChain   = errors.New("markov: chain has no states")
 	ErrBadInitial   = errors.New("markov: initial distribution invalid")
+	// ErrSelfLoop reports a transition from a state to itself, which a
+	// CTMC cannot express.
+	ErrSelfLoop = errors.New("markov: self-transition")
 )
 
 // NewCTMC returns an empty chain.
@@ -112,7 +115,7 @@ func CheckRate(from, to string, rate float64) error {
 }
 
 func selfTransition(state string) error {
-	return fmt.Errorf("markov: self-transition %q has no effect in a CTMC", state)
+	return fmt.Errorf("%w %q has no effect in a CTMC", ErrSelfLoop, state)
 }
 
 // NewCTMCFrom returns the chain over states already numbered: state i is

@@ -10,15 +10,17 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bdd"
+	"repro/internal/dist"
 	"repro/internal/failpoint"
 	"repro/internal/faulttree"
 	"repro/internal/guard"
-	"repro/internal/hier"
 	"repro/internal/linalg"
 	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/rbd"
 	"repro/internal/relgraph"
+	"repro/internal/spn"
 )
 
 // Result is one computed measure.
@@ -73,26 +75,41 @@ type solveEnv struct {
 	rails guard.Rails
 }
 
-// ErrNoConvergence marks an iterative solver that exhausted its iteration
-// budget, surfaced uniformly through SolveWithOptions regardless of which
-// layer (linalg sweep, hierarchical fixed point) failed to converge. The
-// wrapped chain retains the typed per-layer error (linalg.ErrNoConvergence,
-// hier.NoConvergenceError) for errors.As.
-var ErrNoConvergence = errors.New("modelio: solver did not converge")
+// inputFaults are the model packages' sentinels for a fault in the
+// document itself: a bad rate or parameter, a name the model does not
+// declare, a malformed structure, a measure the model cannot support. A
+// solve that fails with one of them fails the same way on every solver
+// and every retry, until the document changes.
+var inputFaults = [...]error{
+	markov.ErrBadRate, markov.ErrUnknownState, markov.ErrSelfLoop, markov.ErrEmptyChain,
+	linalg.ErrReducible,
+	dist.ErrBadParam,
+	bdd.ErrBadProb,
+	rbd.ErrNotBuildable, rbd.ErrNoRepair,
+	faulttree.ErrMalformed, faulttree.ErrNoLifetime, faulttree.ErrNonCoherent,
+	relgraph.ErrBadEdge, relgraph.ErrNoSuchNode,
+	spn.ErrUnknownPlace, spn.ErrUnknownTransition, spn.ErrDuplicate, spn.ErrVanishingLoop,
+}
 
-// wrapConvergence folds the per-layer typed non-convergence errors into
-// the package-level ErrNoConvergence sentinel, keeping the original chain.
-func wrapConvergence(err error) error {
-	if err == nil {
-		return nil
+// specError is a solve failure the document caused. It matches ErrBadSpec
+// as well as everything err matches, and reads as err.
+type specError struct{ err error }
+
+func (e specError) Error() string   { return e.err.Error() }
+func (e specError) Unwrap() []error { return []error{ErrBadSpec, e.err} }
+
+// classify is the solve boundary's one reading of a failure: a failure
+// the document caused (one of the inputFaults) matches ErrBadSpec, its
+// text unchanged; any other (a solver that broke or did not converge, an
+// interrupt, an injected fault) is returned as it is.
+func classify(err error) error {
+	if err == nil || errors.Is(err, ErrBadSpec) {
+		return err
 	}
-	var lerr *linalg.ErrNoConvergence
-	if errors.As(err, &lerr) {
-		return fmt.Errorf("%w (%d iterations, residual %g): %w", ErrNoConvergence, lerr.Iter, lerr.Residual, err)
-	}
-	var herr *hier.NoConvergenceError
-	if errors.As(err, &herr) {
-		return fmt.Errorf("%w (%d sweeps, last delta %g): %w", ErrNoConvergence, herr.Iterations, herr.LastDelta, err)
+	for _, fault := range inputFaults {
+		if errors.Is(err, fault) {
+			return specError{err}
+		}
 	}
 	return err
 }
@@ -132,14 +149,14 @@ func solveWith(s *Spec, opts SolveOptions, run func(obs.Recorder, solveEnv) ([]R
 	}
 	env := solveEnv{ctx: ctx, rails: guard.Rails{Mode: mode, Recorder: rec}}
 	results, err = run(rec, env)
-	return results, wrapConvergence(err)
+	return results, classify(err)
 }
 
 // Solve evaluates every requested measure of the specification.
 func Solve(s *Spec) (results []Result, err error) {
 	defer guard.RecoverPanic(&err, nil, "modelio.solve")
 	results, err = solve(s, obs.Nop(), solveEnv{})
-	return results, wrapConvergence(err)
+	return results, classify(err)
 }
 
 // enter is the gate every solve passes before building its model: an

@@ -32,8 +32,9 @@ const starvedSOR = `{
 }`
 
 // TestUnwrapLinalgNoConvergence walks the whole error chain of a failed
-// solve: the package sentinel, the typed per-layer error, and the guard
-// failure classification must all survive the wrapping.
+// solve: the typed per-layer error and the guard failure classification
+// must survive it, and a solver that did not converge is not the
+// document's fault.
 func TestUnwrapLinalgNoConvergence(t *testing.T) {
 	spec, err := Parse(strings.NewReader(starvedSOR))
 	if err != nil {
@@ -43,8 +44,8 @@ func TestUnwrapLinalgNoConvergence(t *testing.T) {
 	if err == nil {
 		t.Fatal("starved SOR budget converged")
 	}
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("errors.Is(err, modelio.ErrNoConvergence) = false for %v", err)
+	if errors.Is(err, ErrBadSpec) {
+		t.Errorf("errors.Is(err, ErrBadSpec) = true for %v", err)
 	}
 	var lerr *linalg.ErrNoConvergence
 	if !errors.As(err, &lerr) {
@@ -58,14 +59,18 @@ func TestUnwrapLinalgNoConvergence(t *testing.T) {
 	}
 }
 
-// TestUnwrapHierNoConvergence checks wrapConvergence's hier branch: the
-// folded error must match both the modelio and hier sentinels and expose
-// the typed diagnostics.
+// TestUnwrapHierNoConvergence checks that the solve boundary returns
+// hier's typed error as it is: it matches the hier sentinel, exposes the
+// typed diagnostics, and is not the document's fault.
 func TestUnwrapHierNoConvergence(t *testing.T) {
 	inner := &hier.NoConvergenceError{Iterations: 7, LastDelta: 0.25}
-	err := wrapConvergence(fmt.Errorf("outer: %w", inner))
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("errors.Is(err, modelio.ErrNoConvergence) = false for %v", err)
+	in := fmt.Errorf("outer: %w", inner)
+	err := classify(in)
+	if err != in {
+		t.Errorf("classify(%v) = %v, want it unchanged", in, err)
+	}
+	if errors.Is(err, ErrBadSpec) {
+		t.Errorf("errors.Is(err, ErrBadSpec) = true for %v", err)
 	}
 	if !errors.Is(err, hier.ErrNoConvergence) {
 		t.Errorf("errors.Is(err, hier.ErrNoConvergence) = false for %v", err)
@@ -136,9 +141,9 @@ func TestUnwrapCanceled(t *testing.T) {
 	}
 }
 
-// TestUnwrapChainExhausted checks wrapConvergence on a chain that died
-// with a typed last attempt: the exhausted-chain wrapper, the modelio
-// sentinel, and the typed linalg error must all stay addressable.
+// TestUnwrapChainExhausted checks the solve boundary on a chain that died
+// with a typed last attempt: the exhausted-chain wrapper and the typed
+// linalg error must stay addressable, and the failure is the solver's.
 func TestUnwrapChainExhausted(t *testing.T) {
 	last := &linalg.ErrNoConvergence{Iter: 3, Residual: 0.5}
 	_, _, cerr := guard.RunChain(context.Background(), obs.Nop(), "steadystate",
@@ -148,9 +153,9 @@ func TestUnwrapChainExhausted(t *testing.T) {
 	if cerr == nil {
 		t.Fatal("single failing step produced no chain error")
 	}
-	err := wrapConvergence(fmt.Errorf("chain: %w", cerr))
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("errors.Is(err, modelio.ErrNoConvergence) = false for %v", err)
+	err := classify(fmt.Errorf("chain: %w", cerr))
+	if errors.Is(err, ErrBadSpec) {
+		t.Errorf("errors.Is(err, ErrBadSpec) = true for %v", err)
 	}
 	var ex *guard.ExhaustedError
 	if !errors.As(err, &ex) {
@@ -159,5 +164,33 @@ func TestUnwrapChainExhausted(t *testing.T) {
 	var lerr *linalg.ErrNoConvergence
 	if !errors.As(err, &lerr) {
 		t.Fatalf("errors.As to *linalg.ErrNoConvergence = false for %v", err)
+	}
+}
+
+// TestClassifyMarksDocumentFaults: every input sentinel, bare or wrapped
+// in context, comes back from the solve boundary matching ErrBadSpec and
+// the sentinel, with its text unchanged.
+func TestClassifyMarksDocumentFaults(t *testing.T) {
+	for _, fault := range inputFaults {
+		for _, in := range []error{
+			fmt.Errorf("%w: \"a\"", fault),
+			fmt.Errorf("component \"a\" lifetime: %w", fmt.Errorf("%w: \"a\"", fault)),
+		} {
+			err := classify(in)
+			if !errors.Is(err, ErrBadSpec) || !errors.Is(err, fault) {
+				t.Errorf("classify(%v): matches ErrBadSpec %v, its sentinel %v; want both",
+					in, errors.Is(err, ErrBadSpec), errors.Is(err, fault))
+			}
+			if err.Error() != in.Error() {
+				t.Errorf("classify changed the text: %q -> %q", in, err)
+			}
+		}
+	}
+	if err := classify(nil); err != nil {
+		t.Errorf("classify(nil) = %v", err)
+	}
+	bad := fmt.Errorf("%w: unknown type %q", ErrBadSpec, "x")
+	if err := classify(bad); err != bad {
+		t.Errorf("classify(%v) = %v, want it unchanged", bad, err)
 	}
 }

@@ -122,23 +122,6 @@ func TestSummaryPicksDominantSolver(t *testing.T) {
 	}
 }
 
-func TestCaptureAllocs(t *testing.T) {
-	tr := NewTrace("alloc")
-	tr.SetCaptureAllocs(true)
-	sp := tr.Span("work")
-	// Allocate something attributable.
-	buf := make([]byte, 1<<20)
-	_ = buf[0]
-	sp.End()
-	root := tr.Finish()
-	if len(root.Children) != 1 {
-		t.Fatal("missing child span")
-	}
-	if root.Children[0].AllocBytes == 0 {
-		t.Error("alloc capture recorded nothing for a 1MiB allocation")
-	}
-}
-
 func TestServeDebug(t *testing.T) {
 	ds, err := ServeDebug("127.0.0.1:0")
 	if err != nil {

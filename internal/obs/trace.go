@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -47,9 +46,6 @@ type Span struct {
 	Version int `json:"version,omitempty"`
 	// WallNS is the span's wall-clock duration in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
-	// AllocBytes is the heap allocated during the span (only when the
-	// trace captures allocations; see Trace.SetCaptureAllocs).
-	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 	// Attrs holds the typed attributes in insertion order.
 	Attrs []Attr `json:"-"`
 	// Iters holds per-iteration convergence records.
@@ -57,22 +53,20 @@ type Span struct {
 	// Children are nested spans in start order.
 	Children []*Span `json:"children,omitempty"`
 
-	start      time.Time
-	startAlloc uint64
-	open       bool
+	start time.Time
+	open  bool
 }
 
 // spanJSON is the marshaled shape of a Span; attrs become a JSON object
 // (keys sorted by encoding/json for deterministic output).
 type spanJSON struct {
-	Name       string         `json:"name"`
-	Version    int            `json:"version,omitempty"`
-	WallNS     int64          `json:"wall_ns"`
-	WallMS     float64        `json:"wall_ms"`
-	AllocBytes uint64         `json:"alloc_bytes,omitempty"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Iters      []IterPoint    `json:"iters,omitempty"`
-	Children   []*Span        `json:"children,omitempty"`
+	Name     string         `json:"name"`
+	Version  int            `json:"version,omitempty"`
+	WallNS   int64          `json:"wall_ns"`
+	WallMS   float64        `json:"wall_ms"`
+	Attrs    map[string]any `json:"attrs,omitempty"`
+	Iters    []IterPoint    `json:"iters,omitempty"`
+	Children []*Span        `json:"children,omitempty"`
 }
 
 // MarshalJSON renders the span with attributes as an object. The duration
@@ -80,13 +74,12 @@ type spanJSON struct {
 // wall_ms the unit-explicit value dashboards display without guessing.
 func (s *Span) MarshalJSON() ([]byte, error) {
 	out := spanJSON{
-		Name:       s.Name,
-		Version:    s.Version,
-		WallNS:     s.WallNS,
-		WallMS:     float64(s.WallNS) / 1e6,
-		AllocBytes: s.AllocBytes,
-		Iters:      s.Iters,
-		Children:   s.Children,
+		Name:     s.Name,
+		Version:  s.Version,
+		WallNS:   s.WallNS,
+		WallMS:   float64(s.WallNS) / 1e6,
+		Iters:    s.Iters,
+		Children: s.Children,
 	}
 	if len(s.Attrs) > 0 {
 		out.Attrs = make(map[string]any, len(s.Attrs))
@@ -120,9 +113,8 @@ func (s *Span) Walk(visit func(*Span)) {
 // value is not usable; construct with NewTrace. All methods are
 // mutex-guarded so parallel sweeps may share one trace.
 type Trace struct {
-	mu            sync.Mutex
-	root          *Span
-	captureAllocs bool
+	mu   sync.Mutex
+	root *Span
 }
 
 // NewTrace starts a trace whose root span carries the given name (the
@@ -131,24 +123,6 @@ func NewTrace(rootName string) *Trace {
 	ctrTraces.Add(1)
 	ctrSpans.Add(1)
 	return &Trace{root: &Span{Name: rootName, Version: TraceSchemaVersion, start: time.Now(), open: true}}
-}
-
-// SetCaptureAllocs toggles heap-allocation capture per span. It costs a
-// runtime.ReadMemStats call at every span boundary, so it is off by
-// default and only meaningful for single-goroutine solves.
-func (t *Trace) SetCaptureAllocs(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.captureAllocs = on
-	if on && t.root.open {
-		t.root.startAlloc = heapAlloc()
-	}
-}
-
-func heapAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
 }
 
 // Finish closes the root span (and any still-open descendants) and
@@ -162,16 +136,9 @@ func (t *Trace) Finish() *Span {
 
 func (t *Trace) finishLocked() {
 	now := time.Now()
-	var alloc uint64
-	if t.captureAllocs {
-		alloc = heapAlloc()
-	}
 	t.root.Walk(func(s *Span) {
 		if s.open {
 			s.WallNS = now.Sub(s.start).Nanoseconds()
-			if t.captureAllocs && alloc >= s.startAlloc {
-				s.AllocBytes = alloc - s.startAlloc
-			}
 			s.open = false
 		}
 	})
@@ -233,9 +200,6 @@ func (t *Trace) openSpan(parent *Span, name string, attrs []Attr) Recorder {
 	defer t.mu.Unlock()
 	ctrSpans.Add(1)
 	s := &Span{Name: name, Attrs: attrs, start: time.Now(), open: true}
-	if t.captureAllocs {
-		s.startAlloc = heapAlloc()
-	}
 	parent.Children = append(parent.Children, s)
 	return &spanRec{t: t, s: s}
 }
@@ -247,11 +211,6 @@ func (t *Trace) endSpan(s *Span) {
 		return
 	}
 	s.WallNS = time.Since(s.start).Nanoseconds()
-	if t.captureAllocs {
-		if alloc := heapAlloc(); alloc >= s.startAlloc {
-			s.AllocBytes = alloc - s.startAlloc
-		}
-	}
 	s.open = false
 }
 
@@ -312,9 +271,6 @@ func writeTextSpan(w io.Writer, s *Span, depth int) error {
 		}
 	}
 	line := fmt.Sprintf("%s [%s]", s.Name, time.Duration(s.WallNS))
-	if s.AllocBytes > 0 {
-		line += fmt.Sprintf(" alloc=%dB", s.AllocBytes)
-	}
 	for _, a := range s.Attrs {
 		line += fmt.Sprintf(" %s=%v", a.Key, a.Value())
 	}
