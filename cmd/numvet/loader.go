@@ -24,6 +24,15 @@ type loader struct {
 	modRoot string
 	std     types.Importer
 	pkgs    map[string]*types.Package
+	mod     map[string]*modPackage
+}
+
+// modPackage is one package of the module: its files, parsed once, and
+// what type-checking the non-test ones recorded.
+type modPackage struct {
+	pkg                  *types.Package
+	info                 *types.Info
+	files, tests, xtests []*ast.File
 }
 
 func newLoader(modRoot, modPath string) *loader {
@@ -34,23 +43,21 @@ func newLoader(modRoot, modPath string) *loader {
 		modRoot: modRoot,
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    map[string]*types.Package{},
+		mod:     map[string]*modPackage{},
 	}
 }
 
 // Import implements types.Importer over module-internal and stdlib paths.
 func (l *loader) Import(path string) (*types.Package, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		rel := strings.TrimPrefix(path, l.modPath)
-		dir := filepath.Join(l.modRoot, filepath.FromSlash(rel))
-		pkg, _, err := l.checkDir(path, dir, nil)
+		mp, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		l.pkgs[path] = pkg
-		return pkg, nil
+		return mp.pkg, nil
+	}
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
 	}
 	p, err := l.std.Import(path)
 	if err != nil {
@@ -60,40 +67,64 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// checkDir parses the non-test files of the package in dir and
-// type-checks them, filling info when non-nil. It returns the checked
-// package and its files.
-func (l *loader) checkDir(importPath, dir string, info *types.Info) (*types.Package, []*ast.File, error) {
+// load parses the module package at importPath and type-checks its
+// non-test files, once.
+func (l *loader) load(importPath string) (*modPackage, error) {
+	if mp, ok := l.mod[importPath]; ok {
+		return mp, nil
+	}
+	dir := filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(importPath, l.modPath)))
+	mp, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(mp.files) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	mp.info = &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	conf := types.Config{Importer: l}
+	if mp.pkg, err = conf.Check(importPath, l.fset, mp.files, mp.info); err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
+	}
+	l.mod[importPath] = mp
+	return mp, nil
+}
+
+// parseDir parses the Go files in dir, in file-name order: the package's
+// own files, its in-package test files and its external (_test package)
+// test files.
+func (l *loader) parseDir(dir string) (*modPackage, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") {
+			names = append(names, name)
 		}
-		names = append(names, name)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	var files []*ast.File
+	mp := &modPackage{}
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		files = append(files, f)
+		switch {
+		case !strings.HasSuffix(name, "_test.go"):
+			mp.files = append(mp.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			mp.xtests = append(mp.xtests, f)
+		default:
+			mp.tests = append(mp.tests, f)
+		}
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(importPath, l.fset, files, info)
-	if err != nil {
-		return nil, nil, fmt.Errorf("typecheck %s: %w", importPath, err)
-	}
-	return pkg, files, nil
+	return mp, nil
 }
 
 // findModule walks upward from dir to the enclosing go.mod and returns

@@ -5,7 +5,8 @@
 //
 //   - float-eq: == or != between floating-point values. Solver results
 //     come out of iterative algorithms and quadrature; exact comparison
-//     is almost always a latent bug. Use core.AlmostEqual.
+//     is almost always a latent bug. Compare within a stated tolerance,
+//     or add an allow comment giving the reason.
 //   - panic: panic() in a library (non-main) package outside a Must*
 //     convenience constructor. Library code must return errors so a
 //     service embedding the solvers can reject bad models gracefully.
@@ -25,6 +26,13 @@
 //     or enclosing function — taking *http.Request) in a main package
 //     without a "corr" field. Serve-path logs must carry the request's
 //     correlation ID so every line joins to its trace and wide event.
+//   - unused-export: an exported function or method under internal/ that
+//     no non-test code in the module references and no other package's
+//     tests do either. References are read from the whole module
+//     (commands, examples, nested modules, every test file), whatever
+//     packages are named; methods that satisfy an interface are exempt.
+//     Such code reaches no binary: delete it, or keep it with an allow
+//     comment that names the check or the inventory row it serves.
 //
 // A finding can be acknowledged with a same-line comment:
 //
@@ -39,9 +47,8 @@ package main
 
 import (
 	"fmt"
-	"go/ast"
-	"go/types"
 	"os"
+	"strings"
 )
 
 func main() {
@@ -88,21 +95,28 @@ func vetDirs(modRoot, modPath string, patterns []string) ([]Finding, error) {
 		return nil, err
 	}
 	l := newLoader(modRoot, modPath)
+	var refs *references
 	var findings []Finding
 	for _, dir := range dirs {
 		rel, err := importPathFor(modRoot, modPath, dir)
 		if err != nil {
 			return nil, err
 		}
-		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Uses:  map[*ast.Ident]types.Object{},
-		}
-		_, files, err := l.checkDir(rel, dir, info)
+		mp, err := l.load(rel)
 		if err != nil {
 			return nil, err
 		}
-		findings = append(findings, vetPackage(l.fset, files, info, modPath)...)
+		fs := vetPackage(l.fset, mp.files, mp.info, modPath)
+		if strings.HasPrefix(rel+"/", modPath+"/internal/") {
+			if refs == nil {
+				if refs, err = l.scanReferences(); err != nil {
+					return nil, err
+				}
+			}
+			fs = append(fs, refs.unusedExports(l.fset, mp)...)
+			sortFindings(fs)
+		}
+		findings = append(findings, fs...)
 	}
 	return findings, nil
 }

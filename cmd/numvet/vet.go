@@ -71,6 +71,12 @@ func vetPackage(fset *token.FileSet, files []*ast.File, info *types.Info, modPat
 		}
 		findings = append(findings, v.findings...)
 	}
+	sortFindings(findings)
+	return findings
+}
+
+// sortFindings orders findings by file, line and column.
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
 		if a.Filename != b.Filename {
@@ -81,7 +87,6 @@ func vetPackage(fset *token.FileSet, files []*ast.File, info *types.Info, modPat
 		}
 		return a.Column < b.Column
 	})
-	return findings
 }
 
 // allowMap collects "//numvet:allow <rule> [reason]" comments by line.
@@ -168,7 +173,7 @@ func (v *visitor) inspect(n ast.Node) bool {
 		if n.Op == token.EQL || n.Op == token.NEQ {
 			if v.isFloat(n.X) || v.isFloat(n.Y) {
 				v.report(n.OpPos, ruleFloatEq,
-					"floating-point %s comparison; use core.AlmostEqual or restructure", n.Op)
+					"floating-point %s comparison; compare within a stated tolerance, or add an allow comment giving the reason", n.Op)
 			}
 		}
 	case *ast.ForStmt:

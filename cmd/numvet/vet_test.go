@@ -4,6 +4,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -838,5 +840,86 @@ func builder() {
 	}
 	if fs[0].Pos.Line != 13 {
 		t.Errorf("finding at line %d, want 13 (inside the handler literal)", fs[0].Pos.Line)
+	}
+}
+
+func TestUnusedExportRule(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/lib/lib.go": `package lib
+
+func Unused() {}
+
+func OnlyOwnTests() {}
+
+func Recursive(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recursive(n - 1)
+}
+
+func CalledInPackage() {}
+
+func CalledFromOtherTest() {}
+
+func CalledFromMain() { CalledInPackage() }
+
+func Allowed() {} //numvet:allow unused-export oracle: fixture
+
+type Shape interface{ Area() float64 }
+
+type Square struct{}
+
+func (Square) Area() float64 { return 1 }
+
+type Fault struct{}
+
+func (*Fault) Error() string { return "fault" }
+
+func (*Fault) Unwrap() error { return nil }
+
+func (Square) Side() float64 { return 1 }
+`,
+		"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestOwn(t *testing.T) { OnlyOwnTests() }
+`,
+		"internal/other/other.go": "package other\n",
+		"internal/other/other_test.go": `package other
+
+import (
+	"testing"
+
+	"tmpmod/internal/lib"
+)
+
+func TestOther(t *testing.T) { lib.CalledFromOtherTest() }
+`,
+		"cmd/app/main.go": `package main
+
+import "tmpmod/internal/lib"
+
+func main() { lib.CalledFromMain() }
+`,
+		"lib/lib.go": `package lib
+
+func NotInternal() {}
+`,
+	})
+	fs := vetFixture(t, root, "./internal/...", "./lib")
+	var got []string
+	for _, f := range fs {
+		if f.Rule != ruleUnusedExport {
+			t.Errorf("unexpected finding: %v", f)
+			continue
+		}
+		got = append(got, strings.Fields(f.Msg)[0])
+	}
+	want := []string{"tmpmod/internal/lib.Unused", "tmpmod/internal/lib.OnlyOwnTests",
+		"tmpmod/internal/lib.Recursive", "(tmpmod/internal/lib.Square).Side"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("unused-export flagged %v, want %v", got, want)
 	}
 }

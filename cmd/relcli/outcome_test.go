@@ -86,6 +86,18 @@ var docFaults = []struct {
 		`{"type":"spn","spn":{"places":[{"name":"p","tokens":1},{"name":"p","tokens":0}],"transitions":[{"name":"t","kind":"timed","rate":1}],"arcs":[{"kind":"input","place":"p","transition":"t"}],"measures":["throughput:t"]}}`},
 	{"spn-vanishing-loop", "", `spn: cycle among vanishing markings (marking [0 1])`, spn.ErrVanishingLoop,
 		`{"type":"spn","spn":{"places":[{"name":"p","tokens":1},{"name":"q","tokens":0}],"transitions":[{"name":"t1","kind":"immediate","rate":1},{"name":"t2","kind":"immediate","rate":1}],"arcs":[{"kind":"input","place":"p","transition":"t1"},{"kind":"output","place":"q","transition":"t1"},{"kind":"input","place":"q","transition":"t2"},{"kind":"output","place":"p","transition":"t2"}],"measures":["throughput:t1"]}}`},
+	{"spn-tokens", lint.CodePNNegativeTokens, `spn: place "p" initial tokens -1 negative`, spn.ErrNegativeTokens,
+		`{"type":"spn","spn":{"places":[{"name":"p","tokens":-1}],"transitions":[{"name":"t","kind":"timed","rate":1}],"arcs":[{"kind":"input","place":"p","transition":"t"}],"measures":["throughput:t"]}}`},
+	{"spn-rate", lint.CodePNBadRate, `spn: transition "t" rate -1 invalid`, spn.ErrBadRate,
+		`{"type":"spn","spn":{"places":[{"name":"p","tokens":1}],"transitions":[{"name":"t","kind":"timed","rate":-1}],"arcs":[{"kind":"input","place":"p","transition":"t"}],"measures":["throughput:t"]}}`},
+	{"spn-weight", lint.CodePNBadRate, `spn: immediate "t" weight -1 invalid`, spn.ErrBadRate,
+		`{"type":"spn","spn":{"places":[{"name":"p","tokens":1},{"name":"q","tokens":0}],"transitions":[{"name":"t","kind":"immediate","rate":-1},{"name":"u","kind":"timed","rate":1}],"arcs":[{"kind":"input","place":"p","transition":"t"},{"kind":"output","place":"q","transition":"t"},{"kind":"input","place":"q","transition":"u"},{"kind":"output","place":"p","transition":"u"}],"measures":["throughput:u"]}}`},
+	{"spn-multiplicity", lint.CodePNBadMult, `spn: arc multiplicity -1 must be >= 1`, spn.ErrBadMultiplicity,
+		`{"type":"spn","spn":{"places":[{"name":"p","tokens":1}],"transitions":[{"name":"t","kind":"timed","rate":1}],"arcs":[{"kind":"input","place":"p","transition":"t","mult":-1}],"measures":["throughput:t"]}}`},
+	{"ctmc-mtta-uncertain", "", `markov absorbing: transient block singular (absorption not certain from every state?): lusolve: singular matrix at column 1`, markov.ErrAbsorptionUncertain,
+		`{"type":"ctmc","ctmc":{"transitions":[{"from":"a","to":"b","rate":1},{"from":"b","to":"a","rate":1},{"from":"a","to":"c","rate":1}],"initial":"a","absorbing":["b"],"measures":["mtta"]}}`},
+	{"ft-mttf-infinite", "", `faulttree: system survives forever with probability 1; MTTF infinite`, faulttree.ErrInfiniteMTTF,
+		`{"type":"faulttree","faulttree":{"events":[{"name":"e","lifetime":{"kind":"exponential","rate":1}},{"name":"f","lifetime":{"kind":"exponential","rate":2}}],"top":{"op":"and","children":[{"event":"e"},{"op":"not","children":[{"event":"f"}]}]},"measures":["mttf"]}}`},
 }
 
 // TestDocumentFaultsAnswer422: a document fault is the client's, so

@@ -85,9 +85,6 @@ func New(nvars int) *Manager {
 	return m
 }
 
-// NumVars returns the number of declared variables.
-func (m *Manager) NumVars() int { return m.nvars }
-
 // SetNodeLimit bounds the internal node table to limit nodes (terminals
 // excluded); 0 removes the bound. Once the limit trips, node construction
 // degrades to returning arbitrary existing refs — the manager's results
@@ -207,9 +204,6 @@ func (m *Manager) Or(f, g Ref) Ref { return m.ITE(f, True, g) }
 // Not returns ¬f.
 func (m *Manager) Not(f Ref) Ref { return m.ITE(f, False, True) }
 
-// Xor returns f ⊕ g.
-func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
-
 // AndN folds And over its arguments (True for none).
 func (m *Manager) AndN(fs ...Ref) Ref {
 	r := True
@@ -304,7 +298,7 @@ func (m *Manager) NodeCount(f Ref) int {
 
 // SatCount returns the number of satisfying assignments over all nvars
 // variables as a float64 (exact for counts below 2^53).
-func (m *Manager) SatCount(f Ref) float64 {
+func (m *Manager) SatCount(f Ref) float64 { //numvet:allow unused-export oracle: checks Prob in TestProbMatchesTruthTableProperty
 	memo := make(map[Ref]float64)
 	var rec func(Ref, int32) float64
 	rec = func(r Ref, fromLevel int32) float64 {

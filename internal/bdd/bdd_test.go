@@ -25,7 +25,7 @@ func TestBasicConnectives(t *testing.T) {
 	}{
 		{name: "and", f: m.And(a, b), tt: [4]bool{false, false, false, true}},
 		{name: "or", f: m.Or(a, b), tt: [4]bool{false, true, true, true}},
-		{name: "xor", f: m.Xor(a, b), tt: [4]bool{false, true, true, false}},
+		{name: "xor", f: m.ITE(a, m.Not(b), b), tt: [4]bool{false, true, true, false}},
 		{name: "not a", f: m.Not(a), tt: [4]bool{true, true, false, false}},
 	}
 	for _, tt := range tests {
@@ -332,7 +332,7 @@ func TestProbMatchesTruthTableProperty(t *testing.T) {
 				case 1:
 					r = m.Or(a, b)
 				default:
-					r = m.Xor(a, b)
+					r = m.ITE(a, m.Not(b), b)
 				}
 				stack = append(stack, r)
 			}

@@ -82,25 +82,3 @@ func (m *Manager) Birnbaum(f Ref, p []float64, v int) (float64, error) {
 	}
 	return p1 - p0, nil
 }
-
-// CriticalityImportance computes the criticality importance of variable v:
-// Birnbaum(v) · p[v] / Pr[f]. It measures the probability that v is both
-// critical and failed, given the system has failed (f interpreted as the
-// failure function).
-func (m *Manager) CriticalityImportance(f Ref, p []float64, v int) (float64, error) {
-	b, err := m.Birnbaum(f, p, v)
-	if err != nil {
-		return 0, err
-	}
-	sys, err := m.Prob(f, p)
-	if err != nil {
-		return 0, err
-	}
-	if sys == 0 { //numvet:allow float-eq exact zero guards the division below
-		return 0, nil
-	}
-	if v < 0 || v >= m.nvars {
-		return 0, fmt.Errorf("bdd: variable %d outside [0,%d)", v, m.nvars)
-	}
-	return b * p[v] / sys, nil
-}

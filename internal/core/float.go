@@ -2,35 +2,6 @@ package core
 
 import "math"
 
-// The solver packages compare floating-point quantities constantly —
-// probabilities against 1, residuals against 0, forward results against
-// backward results — and before this helper existed each site rolled its
-// own `math.Abs(a-b) > 1e-9` variant. These helpers centralize the
-// convention so the lint checks, the solvers, and the tests all agree on
-// what "equal" means for a computed probability or rate.
-
-// AlmostEqual reports whether a and b agree to within tol using a mixed
-// absolute/relative criterion: |a-b| ≤ tol·(1 + max(|a|, |b|)). Near zero
-// this behaves like an absolute tolerance; for large magnitudes it scales
-// relatively, matching the `tol*(1+|x|)` idiom used by the solvers.
-// NaN is never almost-equal to anything, including itself.
-func AlmostEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if a == b { //numvet:allow float-eq exact equality short-circuits infinities
-		return true
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return false
-	}
-	scale := math.Abs(a)
-	if ab := math.Abs(b); ab > scale {
-		scale = ab
-	}
-	return math.Abs(a-b) <= tol*(1+scale)
-}
-
 // RelativeError returns |actual-target| / |target|, falling back to the
 // absolute error when the target is zero (where a relative error is
 // undefined). It returns NaN if either argument is NaN.

@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-func TestAlmostEqual(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		name string
-		a, b float64
-		tol  float64
-		want bool
-	}{
-		{"identical", 1.0, 1.0, 1e-12, true},
-		{"within absolute near zero", 0, 1e-12, 1e-9, true},
-		{"outside absolute near zero", 0, 1e-6, 1e-9, false},
-		{"relative at large magnitude", 1e9, 1e9 * (1 + 1e-12), 1e-9, true},
-		{"relative failure at large magnitude", 1e9, 1.001e9, 1e-9, false},
-		{"negative pair", -0.5, -0.5 + 1e-12, 1e-9, true},
-		{"infinities equal", inf, inf, 1e-9, true},
-		{"opposite infinities", inf, -inf, 1e-9, false},
-		{"nan left", math.NaN(), 1, 1e-9, false},
-		{"nan both", math.NaN(), math.NaN(), 1e-9, false},
-	}
-	for _, c := range cases {
-		if got := AlmostEqual(c.a, c.b, c.tol); got != c.want {
-			t.Errorf("%s: AlmostEqual(%g, %g, %g) = %v, want %v", c.name, c.a, c.b, c.tol, got, c.want)
-		}
-	}
-}
-
 func TestRelativeError(t *testing.T) {
 	if got := RelativeError(2, 2.002); math.Abs(got-0.001) > 1e-12 {
 		t.Errorf("RelativeError(2, 2.002) = %g, want 0.001", got)

@@ -22,7 +22,7 @@ var _ Distribution = (*Empirical)(nil)
 
 // NewEmpirical builds the empirical distribution of the (nonnegative)
 // sample. The data is copied.
-func NewEmpirical(sample []float64) (*Empirical, error) {
+func NewEmpirical(sample []float64) (*Empirical, error) { //numvet:allow unused-export delete: empirical distribution; no binary reaches it, and it goes with its five tests
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("empirical: empty sample: %w", ErrBadParam)
 	}
@@ -52,7 +52,7 @@ func NewEmpirical(sample []float64) (*Empirical, error) {
 }
 
 // N returns the sample size.
-func (d *Empirical) N() int { return len(d.sorted) }
+func (d *Empirical) N() int { return len(d.sorted) } //numvet:allow unused-export delete: empirical distribution; no binary reaches it, and it goes with its five tests
 
 // CDF returns the fraction of observations ≤ t.
 func (d *Empirical) CDF(t float64) float64 {
@@ -100,7 +100,7 @@ func (d *Empirical) String() string {
 // between the empirical distribution and a reference distribution,
 // evaluated at the sample points (where the supremum of a step-vs-
 // continuous comparison is attained).
-func (d *Empirical) KolmogorovSmirnov(ref Distribution) (float64, error) {
+func (d *Empirical) KolmogorovSmirnov(ref Distribution) (float64, error) { //numvet:allow unused-export delete: empirical distribution; no binary reaches it, and it goes with its five tests
 	if ref == nil {
 		return 0, fmt.Errorf("empirical: nil reference: %w", ErrBadParam)
 	}

@@ -94,9 +94,6 @@ func NewDeterministic(v float64) (Deterministic, error) {
 	return Deterministic{value: v}, nil
 }
 
-// Value returns the point-mass location.
-func (d Deterministic) Value() float64 { return d.value }
-
 // CDF is the step function at the value.
 func (d Deterministic) CDF(t float64) float64 {
 	if t >= d.value {
@@ -143,9 +140,6 @@ func NewUniform(a, b float64) (Uniform, error) {
 	}
 	return Uniform{a: a, b: b}, nil
 }
-
-// Bounds returns (a, b).
-func (d Uniform) Bounds() (float64, float64) { return d.a, d.b }
 
 // CDF returns the uniform CDF.
 func (d Uniform) CDF(t float64) float64 {

@@ -22,12 +22,6 @@ func NewGamma(shape, rate float64) (Gamma, error) {
 	return Gamma{shape: shape, rate: rate}, nil
 }
 
-// Shape returns k.
-func (d Gamma) Shape() float64 { return d.shape }
-
-// Rate returns β.
-func (d Gamma) Rate() float64 { return d.rate }
-
 // CDF returns the regularized lower incomplete gamma P(k, βt).
 func (d Gamma) CDF(t float64) float64 {
 	if t <= 0 {

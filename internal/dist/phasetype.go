@@ -96,20 +96,6 @@ func NewPhaseType(alpha []float64, sub *linalg.Dense) (*PhaseType, error) {
 // Order returns the number of phases.
 func (d *PhaseType) Order() int { return len(d.alpha) }
 
-// Alpha returns a copy of the initial phase distribution.
-func (d *PhaseType) Alpha() []float64 { return linalg.Clone(d.alpha) }
-
-// Subgenerator returns a copy of S.
-func (d *PhaseType) Subgenerator() *linalg.Dense { return d.sub.Clone() }
-
-// Moment returns the k-th raw moment E[X^k] (k ≥ 1).
-func (d *PhaseType) Moment(k int) (float64, error) {
-	if k < 1 {
-		return 0, fmt.Errorf("phase-type moment %d: %w", k, ErrBadParam)
-	}
-	return d.moment(k)
-}
-
 // moment computes E[X^k] = k!·α·(-S)^{-k}·1 by repeated linear solves.
 func (d *PhaseType) moment(k int) (float64, error) {
 	n := len(d.alpha)
@@ -285,7 +271,7 @@ func NewErlang(k int, rate float64) (*PhaseType, error) {
 // NewHypoexponential returns the hypoexponential (generalized Erlang)
 // distribution: sequential exponential stages with the given rates.
 // Its squared coefficient of variation is below 1.
-func NewHypoexponential(rates ...float64) (*PhaseType, error) {
+func NewHypoexponential(rates ...float64) (*PhaseType, error) { //numvet:allow unused-export inventory: DESIGN row 2, hypoexponential
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("hypoexponential: no rates: %w", ErrBadParam)
 	}
@@ -332,7 +318,7 @@ func NewHyperexponential(probs, rates []float64) (*PhaseType, error) {
 
 // NewCoxian2 returns the 2-phase Coxian distribution: stage 1 with rate mu1,
 // continuing to stage 2 (rate mu2) with probability p and exiting otherwise.
-func NewCoxian2(mu1, mu2, p float64) (*PhaseType, error) {
+func NewCoxian2(mu1, mu2, p float64) (*PhaseType, error) { //numvet:allow unused-export delete: no binary reaches it, and it goes with TestCoxian2
 	if mu1 <= 0 || mu2 <= 0 || p < 0 || p > 1 {
 		return nil, fmt.Errorf("coxian2 mu1=%g mu2=%g p=%g: %w", mu1, mu2, p, ErrBadParam)
 	}

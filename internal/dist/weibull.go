@@ -26,12 +26,6 @@ func NewWeibull(shape, scale float64) (Weibull, error) {
 	return Weibull{shape: shape, scale: scale}, nil
 }
 
-// Shape returns k.
-func (d Weibull) Shape() float64 { return d.shape }
-
-// Scale returns λ.
-func (d Weibull) Scale() float64 { return d.scale }
-
 // CDF returns 1 - exp(-(t/λ)^k).
 func (d Weibull) CDF(t float64) float64 {
 	if t <= 0 {
@@ -133,9 +127,6 @@ func NewLognormalFromMoments(mean, cv float64) (Lognormal, error) {
 	mu := math.Log(mean) - sigma2/2
 	return Lognormal{mu: mu, sigma: math.Sqrt(sigma2)}, nil
 }
-
-// Params returns (mu, sigma).
-func (d Lognormal) Params() (float64, float64) { return d.mu, d.sigma }
 
 // CDF returns Φ((ln t - mu)/sigma).
 func (d Lognormal) CDF(t float64) float64 {

@@ -135,16 +135,6 @@ func Arm(name, spec string) error {
 	return nil
 }
 
-// Disarm removes one failpoint; unknown names are a no-op.
-func Disarm(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, exists := registry[name]; exists {
-		delete(registry, name)
-		armedCount.Add(-1)
-	}
-}
-
 // Reset disarms everything. Tests and the chaos harness call it in
 // cleanup so stray failpoints cannot leak across runs.
 func Reset() {

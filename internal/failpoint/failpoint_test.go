@@ -210,11 +210,10 @@ func TestDisarmAndOnTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = Inject("x.hook")
-	Disarm("x.hook")
+	Reset()
 	if err := Inject("x.hook"); err != nil {
 		t.Errorf("disarmed point tripped: %v", err)
 	}
-	Disarm("x.hook") // double-disarm is a no-op
 	mu.Lock()
 	defer mu.Unlock()
 	if len(names) != 1 || names[0] != "x.hook" {

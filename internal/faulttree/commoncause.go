@@ -30,7 +30,7 @@ type CCFGroup struct {
 // group with OR(independent-part, group-cause) and returns the new tree.
 // The input tree specification (events + root) is taken from the existing
 // compiled tree; the returned tree is freshly compiled.
-func (t *Tree) ApplyCCF(groups []CCFGroup) (*Tree, error) {
+func (t *Tree) ApplyCCF(groups []CCFGroup) (*Tree, error) { //numvet:allow unused-export inventory: beta-factor common-cause groups
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("%w: no CCF groups", ErrMalformed)
 	}

@@ -85,6 +85,10 @@ var (
 	ErrNonCoherent = errors.New("faulttree: operation requires a coherent tree (no NOT gates)")
 	ErrNoLifetime  = errors.New("faulttree: event lacks a lifetime distribution")
 	ErrNoBDD       = errors.New("faulttree: operation requires a compiled BDD (tree built with NewCutSetsOnly)")
+	// ErrInfiniteMTTF ends the error of an MTTF whose top event does not
+	// surely occur: "faulttree: system survives forever with probability
+	// 1; MTTF infinite".
+	ErrInfiniteMTTF = errors.New("MTTF infinite")
 )
 
 // New compiles the gate tree rooted at top.
@@ -227,9 +231,6 @@ func (t *Tree) Events() []*Event {
 	copy(out, t.events)
 	return out
 }
-
-// Coherent reports whether the tree contains no NOT gates.
-func (t *Tree) Coherent() bool { return t.coherent }
 
 // BDDSize returns the node count of the top-event BDD (0 for a
 // cut-sets-only tree).

@@ -90,7 +90,7 @@ func TestNotGateNonCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Coherent() {
+	if tr.coherent {
 		t.Error("tree with NOT should be non-coherent")
 	}
 	got, err := tr.TopStatic()

@@ -35,7 +35,7 @@ type AvailabilityChain struct {
 // ToCTMC expands the tree. Every event needs an exponential lifetime;
 // repairRate supplies each event's repair rate (return 0 for
 // non-repairable events).
-func (t *Tree) ToCTMC(repairRate func(*Event) float64) (*AvailabilityChain, error) {
+func (t *Tree) ToCTMC(repairRate func(*Event) float64) (*AvailabilityChain, error) { //numvet:allow unused-export oracle: the repairable CTMC of a tree, to check the BDD top event
 	if !t.coherent {
 		return nil, ErrNonCoherent
 	}
@@ -108,7 +108,7 @@ func (t *Tree) ToCTMC(repairRate func(*Event) float64) (*AvailabilityChain, erro
 // Availability returns the steady-state probability that the top event has
 // not occurred (requires every event repairable for a meaningful long-run
 // value).
-func (ac *AvailabilityChain) Availability() (float64, error) {
+func (ac *AvailabilityChain) Availability() (float64, error) { //numvet:allow unused-export oracle: steady state of the ToCTMC chain
 	pi, err := ac.Chain.SteadyState()
 	if err != nil {
 		return 0, err
@@ -121,9 +121,9 @@ func (ac *AvailabilityChain) Availability() (float64, error) {
 // rates supplied to ToCTMC, component repairs while the system is up
 // extend this first-passage time — the measure that forces the state-space
 // treatment.
-func (ac *AvailabilityChain) MTTF() (float64, error) {
+func (ac *AvailabilityChain) MTTF() (float64, error) { //numvet:allow unused-export oracle: first passage of the ToCTMC chain
 	if len(ac.DownStates) == 0 {
-		return 0, fmt.Errorf("faulttree: top event unreachable; MTTF infinite")
+		return 0, fmt.Errorf("faulttree: top event unreachable; %w", ErrInfiniteMTTF)
 	}
 	p0, err := ac.Chain.InitialAt("0")
 	if err != nil {

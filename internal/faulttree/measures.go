@@ -94,7 +94,7 @@ func (t *Tree) RareEventBound() (float64, error) {
 // even orders lower bounds (Bonferroni). It requires a coherent tree and is
 // exponential in the number of cut sets — it exists as an oracle and as the
 // basis of the bounding experiments, not as the production solver.
-func (t *Tree) InclusionExclusion(maxOrder int) (float64, error) {
+func (t *Tree) InclusionExclusion(maxOrder int) (float64, error) { //numvet:allow unused-export oracle: inclusion-exclusion, to check the BDD top event
 	if !t.coherent {
 		return 0, ErrNonCoherent
 	}

@@ -136,7 +136,7 @@ func (t *Tree) Modules() ([]Module, error) {
 // solving the reduced tree — and returns both the result and the reduced
 // tree's event count. The result must equal TopStatic (asserted in tests);
 // the reduction is what enables hybrid solutions.
-func (t *Tree) TopViaModules() (float64, int, error) {
+func (t *Tree) TopViaModules() (float64, int, error) { //numvet:allow unused-export oracle: modular decomposition, to check the BDD top event
 	mods, err := t.Modules()
 	if err != nil {
 		return 0, 0, err

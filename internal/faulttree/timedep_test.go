@@ -8,35 +8,6 @@ import (
 	"repro/internal/dist"
 )
 
-func TestTopCurveMonotone(t *testing.T) {
-	a := &Event{Name: "a", Lifetime: dist.MustExponential(0.5)}
-	b := &Event{Name: "b", Lifetime: dist.MustExponential(0.8)}
-	tr, err := New(And(Basic(a), Basic(b)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve, err := tr.TopCurve([]float64{0, 0.5, 1, 2, 5, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := -1.0
-	for _, pt := range curve {
-		if pt.Prob < prev {
-			t.Errorf("top curve not monotone at t=%g: %g < %g", pt.Time, pt.Prob, prev)
-		}
-		prev = pt.Prob
-	}
-	if curve[0].Prob != 0 {
-		t.Errorf("top(0) = %g, want 0", curve[0].Prob)
-	}
-	if curve[len(curve)-1].Prob < 0.99 {
-		t.Errorf("top(20) = %g, want ≈ 1", curve[len(curve)-1].Prob)
-	}
-	if _, err := tr.TopCurve([]float64{-1}); err == nil {
-		t.Error("negative time accepted")
-	}
-}
-
 func TestTreeMTTFMatchesClosedForms(t *testing.T) {
 	// OR of two exponentials = series system: MTTF = 1/(λ1+λ2).
 	a := &Event{Name: "a", Lifetime: dist.MustExponential(1)}
@@ -91,34 +62,5 @@ func TestTreeMTTFInfiniteDetected(t *testing.T) {
 	}
 	if _, err := tr.MTTF(); err == nil {
 		t.Error("infinite MTTF not detected")
-	}
-}
-
-func TestBirnbaumCurvePeaks(t *testing.T) {
-	// For a 2-of-3 system of identical exponentials the Birnbaum
-	// importance of any component rises then falls (zero at t=0 when
-	// nothing has failed, zero at t→∞ when everything has).
-	events := make([]*Node, 3)
-	var first string
-	for i := range events {
-		e := &Event{Name: "u" + string(rune('1'+i)), Lifetime: dist.MustExponential(1)}
-		if i == 0 {
-			first = e.Name
-		}
-		events[i] = Basic(e)
-	}
-	tr, err := New(AtLeast(2, events...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve, err := tr.BirnbaumCurve(first, []float64{0.05, 0.7, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(curve[1].Prob > curve[0].Prob && curve[1].Prob > curve[2].Prob) {
-		t.Errorf("Birnbaum curve should peak in the middle: %+v", curve)
-	}
-	if _, err := tr.BirnbaumCurve("ghost", []float64{1}); err == nil {
-		t.Error("unknown event accepted")
 	}
 }

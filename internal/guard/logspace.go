@@ -43,22 +43,6 @@ func LogSumExp(xs []float64) float64 {
 	return m + math.Log(sum)
 }
 
-// Log1mExp returns log(1 - exp(x)) for x ≤ 0, switching between expm1 and
-// log1p at the standard x = -ln 2 crossover for full precision (the
-// Mächler scheme).
-func Log1mExp(x float64) float64 {
-	if x > 0 {
-		return math.NaN()
-	}
-	if x == 0 { //numvet:allow float-eq log(1-e^0) is exactly log(0) = -Inf
-		return math.Inf(-1)
-	}
-	if x > -math.Ln2 {
-		return math.Log(-math.Expm1(x))
-	}
-	return math.Log1p(-math.Exp(x))
-}
-
 // LogCutProb returns the log-probability of one cut set: Σ log p_i over
 // the cut's component failure probabilities.
 func LogCutProb(probs []float64) (float64, error) {

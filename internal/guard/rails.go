@@ -87,14 +87,6 @@ func (r Rails) enforce(err *NumericalError) error {
 	}
 }
 
-// CheckFinite verifies every entry of v is finite.
-func (r Rails) CheckFinite(op string, v []float64) error {
-	if r.Mode == Off {
-		return nil
-	}
-	return r.enforce(firstNonFinite(op, v))
-}
-
 // CheckProbVector verifies v is a probability vector: finite entries
 // within [-tol, 1+tol] and total mass within tol of 1.
 func (r Rails) CheckProbVector(op string, v []float64) error {
@@ -142,23 +134,6 @@ func (r Rails) CheckFiniteScalar(op string, v float64) error {
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return r.enforce(&NumericalError{Op: op, Detail: fmt.Sprintf("non-finite value %g", v)})
-	}
-	return nil
-}
-
-// CheckRowSums verifies generator rows sum to ~0 (or stochastic rows to
-// ~1, per want). rowSum is called for each of the n rows.
-func (r Rails) CheckRowSums(op string, n int, want float64, rowSum func(i int) float64) error {
-	if r.Mode == Off {
-		return nil
-	}
-	tol := r.tol()
-	for i := 0; i < n; i++ {
-		s := rowSum(i)
-		if math.IsNaN(s) || math.IsInf(s, 0) || math.Abs(s-want) > tol {
-			return r.enforce(&NumericalError{Op: op,
-				Detail: fmt.Sprintf("row %d sums to %g, want %g", i, s, want)})
-		}
 	}
 	return nil
 }

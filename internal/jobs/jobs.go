@@ -167,7 +167,7 @@ type Snapshot struct {
 }
 
 // Progress returns the completed-shard fraction in [0,1].
-func (s *Snapshot) Progress() float64 {
+func (s *Snapshot) Progress() float64 { //numvet:allow unused-export template: index.gohtml calls .Progress for the Jobs panel
 	if s.Shards == 0 {
 		return 0
 	}

@@ -20,24 +20,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseFromRows builds a matrix from row slices, copying the data.
-// All rows must have equal length.
-func NewDenseFromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return NewDense(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("dense from rows: row %d has %d cols, want %d: %w",
-				i, len(r), cols, ErrDimensionMismatch)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -64,7 +46,7 @@ func (m *Dense) Clone() *Dense {
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
 // MulVec computes y = m·x. It returns an error on shape mismatch.
-func (m *Dense) MulVec(x []float64) ([]float64, error) {
+func (m *Dense) MulVec(x []float64) ([]float64, error) { //numvet:allow unused-export oracle: checks LUSolve in TestLUSolveRandomProperty
 	if len(x) != m.cols {
 		return nil, fmt.Errorf("mulvec: %d cols vs len %d: %w", m.cols, len(x), ErrDimensionMismatch)
 	}

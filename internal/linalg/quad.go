@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Simpson integrates f over [a, b] with n (forced even) uniform panels
 // using composite Simpson's rule.
@@ -67,72 +64,4 @@ func IntegrateToInf(f func(float64) float64) float64 {
 	}
 	rough := Simpson(g, 0, 1-1e-9, 200)
 	return AdaptiveSimpson(g, 0, 1-1e-12, 1e-9*(1+math.Abs(rough)))
-}
-
-// Brent finds a root of f in [a, b] using Brent's method. f(a) and f(b)
-// must have opposite signs.
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 { //numvet:allow float-eq exact root short-circuit; tolerance is handled by the bracket test
-		return a, nil
-	}
-	if fb == 0 { //numvet:allow float-eq exact root short-circuit; tolerance is handled by the bracket test
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, fmt.Errorf("brent: f(%g)=%g and f(%g)=%g do not bracket a root", a, fa, b, fb)
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) < tol { //numvet:allow float-eq exact root short-circuit; tolerance is handled by the bracket test
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc { //numvet:allow float-eq coincident ordinates must be excluded exactly before interpolating
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = (a + b) / 2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if fa*fs < 0 {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return b, nil
 }

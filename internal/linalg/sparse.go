@@ -310,22 +310,6 @@ func (m *CSR) RowRange(i int, fn func(col int, val float64)) {
 	}
 }
 
-// MulVec computes y = m·x.
-func (m *CSR) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("csr mulvec: %d cols vs len %d: %w", m.cols, len(x), ErrDimensionMismatch)
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
-		}
-		y[i] = s
-	}
-	return y, nil
-}
-
 // VecMul computes y = xᵀ·m.
 func (m *CSR) VecMul(x []float64) ([]float64, error) {
 	y := make([]float64, m.cols)

@@ -48,15 +48,6 @@ func NormInf(v []float64) float64 {
 	return m
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Sum returns the sum of the elements of v.
 func Sum(v []float64) float64 {
 	var s float64

@@ -88,7 +88,7 @@ func (c *CTMC) Absorbing(p0 []float64, absorbing ...string) (*AbsorbingAnalysis,
 	}
 	tau, err := linalg.LUSolve(negQTTt, p0T)
 	if err != nil {
-		return nil, fmt.Errorf("markov absorbing: transient block singular (absorption not certain from every state?): %w", err)
+		return nil, fmt.Errorf("markov absorbing: %w: %w", ErrAbsorptionUncertain, err)
 	}
 	res := &AbsorbingAnalysis{
 		Sojourn:    make(map[string]float64, nt),
@@ -134,7 +134,7 @@ func (c *CTMC) MTTF(initial string, failureStates ...string) (float64, error) {
 
 // ExpectedAccumulatedReward returns E[∫₀^T r(X(u)) du] where T is the
 // absorption time: Σ_i sojourn_i · r(i).
-func (c *CTMC) ExpectedAccumulatedReward(p0 []float64, reward func(state string) float64, absorbing ...string) (float64, error) {
+func (c *CTMC) ExpectedAccumulatedReward(p0 []float64, reward func(state string) float64, absorbing ...string) (float64, error) { //numvet:allow unused-export inventory: DESIGN row 8, reward measures
 	res, err := c.Absorbing(p0, absorbing...)
 	if err != nil {
 		return 0, err

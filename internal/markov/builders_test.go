@@ -71,7 +71,7 @@ func TestBuildKOfNMTTFClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.MTTF()
+	got, err := m.Chain.MTTF("f0", "f2")
 	if err != nil {
 		t.Fatal(err)
 	}

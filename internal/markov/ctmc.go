@@ -74,6 +74,10 @@ var (
 	// ErrSelfLoop reports a transition from a state to itself, which a
 	// CTMC cannot express.
 	ErrSelfLoop = errors.New("markov: self-transition")
+	// ErrAbsorptionUncertain reports an absorbing analysis whose transient
+	// block is singular: some transient state cannot reach the absorbing
+	// set, so the time to absorption is not finite.
+	ErrAbsorptionUncertain = errors.New("transient block singular (absorption not certain from every state?)")
 )
 
 // NewCTMC returns an empty chain.

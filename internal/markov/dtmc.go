@@ -44,16 +44,6 @@ func (d *DTMC) AddProb(from, to string, p float64) error {
 	return nil
 }
 
-// NumStates returns the number of states.
-func (d *DTMC) NumStates() int { return len(d.names) }
-
-// StateNames returns the state names in index order.
-func (d *DTMC) StateNames() []string {
-	out := make([]string, len(d.names))
-	copy(out, d.names)
-	return out
-}
-
 // Index returns the index of a named state.
 func (d *DTMC) Index(name string) (int, error) {
 	i, ok := d.index[name]
@@ -186,7 +176,7 @@ func (d *DTMC) SteadyStateWithOptions(opts SteadyStateOptions) ([]float64, error
 }
 
 // StepN returns p0·P^n.
-func (d *DTMC) StepN(p0 []float64, n int) ([]float64, error) {
+func (d *DTMC) StepN(p0 []float64, n int) ([]float64, error) { //numvet:allow unused-export delete: no binary reaches it, and it goes with TestDTMCStepN
 	if len(p0) != len(d.names) {
 		return nil, fmt.Errorf("%w: len %d for %d states", ErrBadInitial, len(p0), len(d.names))
 	}

@@ -43,7 +43,7 @@ func (c *CTMC) EmbeddedDTMC() (*DTMC, error) {
 // expected number of visits to every transient state before absorption,
 // starting from the given state (the fundamental-matrix row of the
 // embedded chain).
-func (c *CTMC) ExpectedVisits(initial string, absorbing ...string) (map[string]float64, error) {
+func (c *CTMC) ExpectedVisits(initial string, absorbing ...string) (map[string]float64, error) { //numvet:allow unused-export oracle: checks MTTA in TestExpectedVisitsConsistentWithMTTA
 	d, err := c.EmbeddedDTMC()
 	if err != nil {
 		return nil, err
@@ -105,19 +105,4 @@ func (d *DTMC) ExpectedVisits(initial string, absorbing ...string) (map[string]f
 		out[d.names[gi]] = n[pos[gi]]
 	}
 	return out, nil
-}
-
-// MeanStepsToAbsorption returns the expected number of jumps before
-// absorption from the initial state (the sum of expected visits).
-func (d *DTMC) MeanStepsToAbsorption(initial string, absorbing ...string) (float64, error) {
-	visits, err := d.ExpectedVisits(initial, absorbing...)
-	if err != nil {
-		return 0, err
-	}
-	// Sum in state-index order: visits is a map.
-	var total float64
-	for _, name := range d.names {
-		total += visits[name]
-	}
-	return total, nil
 }

@@ -47,7 +47,7 @@ func Product(a, b *CTMC) (*CTMC, error) {
 
 // ProductN folds Product over several chains (left-associative naming:
 // "a|b|c").
-func ProductN(chains ...*CTMC) (*CTMC, error) {
+func ProductN(chains ...*CTMC) (*CTMC, error) { //numvet:allow unused-export oracle: Kronecker product of independent chains, to check hierarchical composition
 	if len(chains) == 0 {
 		return nil, ErrEmptyChain
 	}

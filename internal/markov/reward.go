@@ -14,7 +14,7 @@ import (
 type RewardFunc func(state string) float64
 
 // SteadyStateRewardRate returns lim_{t→∞} E[r(X(t))] = Σ_i π_i·r(i).
-func (c *CTMC) SteadyStateRewardRate(reward RewardFunc) (float64, error) {
+func (c *CTMC) SteadyStateRewardRate(reward RewardFunc) (float64, error) { //numvet:allow unused-export inventory: DESIGN row 8, reward measures
 	if reward == nil {
 		return 0, fmt.Errorf("markov: nil reward function")
 	}
@@ -26,7 +26,7 @@ func (c *CTMC) SteadyStateRewardRate(reward RewardFunc) (float64, error) {
 }
 
 // ExpectedRewardAt returns E[r(X(t))] from the initial distribution p0.
-func (c *CTMC) ExpectedRewardAt(t float64, p0 []float64, reward RewardFunc, opts TransientOptions) (float64, error) {
+func (c *CTMC) ExpectedRewardAt(t float64, p0 []float64, reward RewardFunc, opts TransientOptions) (float64, error) { //numvet:allow unused-export inventory: DESIGN row 8, reward measures
 	if reward == nil {
 		return 0, fmt.Errorf("markov: nil reward function")
 	}
@@ -57,7 +57,7 @@ func (c *CTMC) AccumulatedReward(t float64, p0 []float64, reward RewardFunc, opt
 // CapacityOrientedAvailability returns the ratio of expected accumulated
 // reward over [0, t] to the full-capacity reward rate times t — the
 // fraction of nominal work the degradable system actually delivers.
-func (c *CTMC) CapacityOrientedAvailability(t float64, p0 []float64, reward RewardFunc, fullRate float64, opts TransientOptions) (float64, error) {
+func (c *CTMC) CapacityOrientedAvailability(t float64, p0 []float64, reward RewardFunc, fullRate float64, opts TransientOptions) (float64, error) { //numvet:allow unused-export inventory: DESIGN row 8, reward measures
 	if fullRate <= 0 {
 		return 0, fmt.Errorf("markov: full-capacity rate %g must be positive", fullRate)
 	}

@@ -80,7 +80,7 @@ func (c *CTMC) SteadyStateSensitivity(dRate func(from, to string) float64) (map[
 
 // MeasureSensitivity returns d(Σ_{s∈S} π_s)/dθ for a set of states S,
 // composing SteadyStateSensitivity.
-func (c *CTMC) MeasureSensitivity(states []string, dRate func(from, to string) float64) (float64, error) {
+func (c *CTMC) MeasureSensitivity(states []string, dRate func(from, to string) float64) (float64, error) { //numvet:allow unused-export inventory: DESIGN row 8, parametric sensitivity
 	dpi, err := c.SteadyStateSensitivity(dRate)
 	if err != nil {
 		return 0, err

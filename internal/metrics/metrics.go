@@ -398,16 +398,3 @@ func (h *Histogram) Quantile(q float64, labelValues ...string) float64 {
 	}
 	return h.f.bounds[len(h.f.bounds)-1]
 }
-
-// Count returns the observation count of the selected series.
-func (h *Histogram) Count(labelValues ...string) uint64 {
-	if h.f == nil {
-		return 0
-	}
-	h.f.mu.Lock()
-	defer h.f.mu.Unlock()
-	if s, ok := h.f.series[joinKey(labelValues)]; ok && len(labelValues) == len(h.f.labels) {
-		return s.count
-	}
-	return 0
-}

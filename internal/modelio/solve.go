@@ -82,13 +82,15 @@ type solveEnv struct {
 // and every retry, until the document changes.
 var inputFaults = [...]error{
 	markov.ErrBadRate, markov.ErrUnknownState, markov.ErrSelfLoop, markov.ErrEmptyChain,
+	markov.ErrAbsorptionUncertain,
 	linalg.ErrReducible,
 	dist.ErrBadParam,
 	bdd.ErrBadProb,
 	rbd.ErrNotBuildable, rbd.ErrNoRepair,
-	faulttree.ErrMalformed, faulttree.ErrNoLifetime, faulttree.ErrNonCoherent,
+	faulttree.ErrMalformed, faulttree.ErrNoLifetime, faulttree.ErrNonCoherent, faulttree.ErrInfiniteMTTF,
 	relgraph.ErrBadEdge, relgraph.ErrNoSuchNode,
 	spn.ErrUnknownPlace, spn.ErrUnknownTransition, spn.ErrDuplicate, spn.ErrVanishingLoop,
+	spn.ErrNegativeTokens, spn.ErrBadRate, spn.ErrBadMultiplicity,
 }
 
 // specError is a solve failure the document caused. It matches ErrBadSpec

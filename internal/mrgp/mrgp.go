@@ -51,10 +51,9 @@ type detEntry struct {
 
 // Errors returned by process construction and analysis.
 var (
-	ErrUnknownState = errors.New("mrgp: unknown state")
-	ErrBadRate      = errors.New("mrgp: invalid rate")
-	ErrBadDelay     = errors.New("mrgp: invalid delay")
-	ErrEmpty        = errors.New("mrgp: no states")
+	ErrBadRate  = errors.New("mrgp: invalid rate")
+	ErrBadDelay = errors.New("mrgp: invalid delay")
+	ErrEmpty    = errors.New("mrgp: no states")
 )
 
 // New returns an empty process.
@@ -189,60 +188,4 @@ func (p *Process) SteadyState() (map[string]float64, error) {
 		out[name] = w[i]
 	}
 	return out, nil
-}
-
-// MeanTimeToAbsorption returns the expected time to reach any of the named
-// states from the initial state.
-func (p *Process) MeanTimeToAbsorption(initial string, absorbing ...string) (float64, error) {
-	jump, sojourn, err := p.embedded()
-	if err != nil {
-		return 0, err
-	}
-	start, ok := p.index[initial]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownState, initial)
-	}
-	if len(absorbing) == 0 {
-		return 0, fmt.Errorf("mrgp: no absorbing states given")
-	}
-	isAbs := make(map[int]bool, len(absorbing))
-	for _, name := range absorbing {
-		i, ok := p.index[name]
-		if !ok {
-			return 0, fmt.Errorf("%w: %q", ErrUnknownState, name)
-		}
-		isAbs[i] = true
-	}
-	if isAbs[start] {
-		return 0, nil
-	}
-	var transIdx []int
-	pos := make(map[int]int)
-	for i := range p.names {
-		if !isAbs[i] {
-			pos[i] = len(transIdx)
-			transIdx = append(transIdx, i)
-		}
-	}
-	nt := len(transIdx)
-	a := linalg.NewDense(nt, nt)
-	b := make([]float64, nt)
-	for _, gi := range transIdx {
-		q := pos[gi]
-		a.Set(q, q, 1)
-		if sojourn[gi] < 0 {
-			return 0, fmt.Errorf("mrgp: transient state %q is absorbing; MTTA infinite", p.names[gi])
-		}
-		b[q] = sojourn[gi]
-		for _, e := range jump[gi] {
-			if !isAbs[e.to] {
-				a.Add(q, pos[e.to], -e.rate)
-			}
-		}
-	}
-	m, err := linalg.LUSolve(a, b)
-	if err != nil {
-		return 0, fmt.Errorf("mrgp MTTA: %w", err)
-	}
-	return m[pos[start]], nil
 }

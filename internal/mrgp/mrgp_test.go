@@ -141,53 +141,6 @@ func TestRejuvenationSteadyStateVsSimulation(t *testing.T) {
 	}
 }
 
-func TestRejuvenationMTTAVsSimulation(t *testing.T) {
-	// Time to first failure with rejuvenation resets.
-	lam, tau, muR := 0.05, 5.0, 1.0
-	p := New()
-	_ = p.AddExp("up", "failed", lam)
-	_ = p.SetDeterministic("up", "rejuv", tau)
-	_ = p.AddExp("rejuv", "up", muR)
-	got, err := p.MeanTimeToAbsorption("up", "failed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Monte Carlo oracle.
-	rng := rand.New(rand.NewSource(7))
-	const reps = 200000
-	var sum float64
-	for r := 0; r < reps; r++ {
-		now := 0.0
-		state := "up"
-		for state != "failed" {
-			if state == "up" {
-				x := rng.ExpFloat64() / lam
-				if x < tau {
-					now += x
-					state = "failed"
-				} else {
-					now += tau
-					state = "rejuv"
-				}
-			} else {
-				now += rng.ExpFloat64() / muR
-				state = "up"
-			}
-		}
-		sum += now
-	}
-	mc := sum / reps
-	if relErr(got, mc) > 0.02 {
-		t.Errorf("MTTA analytic %g vs simulated %g", got, mc)
-	}
-	// Note: because the deterministic clock resets the exponential race
-	// memorylessly, MTTF equals 1/λ plus the added rejuvenation dwell
-	// overhead; the analytic value must exceed 1/λ.
-	if got <= 1/lam {
-		t.Errorf("MTTA %g should exceed 1/λ = %g (rejuvenation adds dwell)", got, 1/lam)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	p := New()
 	if err := p.AddExp("a", "a", 1); err == nil {

@@ -65,7 +65,9 @@ func TestTraceTreeAndJSON(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+	enc := json.NewEncoder(&sb)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(root); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any

@@ -250,14 +250,6 @@ func (r *spanRec) OpenPath() []string { return r.t.OpenPath() }
 
 // --- export ---
 
-// WriteJSON finalizes the trace and writes the span tree as indented JSON.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	root := t.Finish()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(root)
-}
-
 // WriteText finalizes the trace and writes a human-readable indented tree.
 func (t *Trace) WriteText(w io.Writer) error {
 	root := t.Finish()

@@ -69,7 +69,7 @@ func (m *Model) ImportanceWith(q func(*Component) float64) ([]FullImportance, er
 // component's steady-state unavailability MTTR/(MTTF+MTTR); this is the
 // ranking used to direct design effort in availability studies (which
 // component's improvement buys the most system uptime).
-func (m *Model) AvailabilityImportance() ([]FullImportance, error) {
+func (m *Model) AvailabilityImportance() ([]FullImportance, error) { //numvet:allow unused-export delete: importance variant; no binary reaches it, and it goes with ImportanceWith and their five tests
 	return m.ImportanceWith(func(c *Component) float64 {
 		if c.Repair == nil {
 			// No repair: treat as eventually-down only for mission-style
@@ -84,7 +84,7 @@ func (m *Model) AvailabilityImportance() ([]FullImportance, error) {
 
 // MissionImportance evaluates the importance measures at mission time t
 // with no repair (unreliability F_i(t)).
-func (m *Model) MissionImportance(t float64) ([]FullImportance, error) {
+func (m *Model) MissionImportance(t float64) ([]FullImportance, error) { //numvet:allow unused-export delete: importance variant; no binary reaches it, and it goes with ImportanceWith and their five tests
 	return m.ImportanceWith(func(c *Component) float64 {
 		return c.Lifetime.CDF(t)
 	})
@@ -94,7 +94,7 @@ func (m *Model) MissionImportance(t float64) ([]FullImportance, error) {
 // unavailability reduction from making that component perfect (q_i = 0) —
 // the "what if we fixed X completely" ranking used in the tutorial's
 // industrial studies.
-func (m *Model) UnavailabilityContribution() (map[string]float64, error) {
+func (m *Model) UnavailabilityContribution() (map[string]float64, error) { //numvet:allow unused-export delete: importance variant; no binary reaches it, and it goes with ImportanceWith and their five tests
 	baseQ, err := m.systemUnavailability(nil)
 	if err != nil {
 		return nil, err

@@ -147,10 +147,6 @@ func NewHandler(cfg Config) (*Handler, error) {
 	return &Handler{cfg: cfg, tmpl: tmpl}, nil
 }
 
-// Window returns the request window the handler reports on, so the
-// serve layer can Record into it.
-func (h *Handler) Window() *metrics.SlidingCounter { return h.cfg.Window }
-
 // Register mounts every dashboard route on mux.
 func (h *Handler) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /ui", h.handleIndex)

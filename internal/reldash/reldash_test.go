@@ -145,9 +145,9 @@ func TestHandlerTraceNotFound(t *testing.T) {
 func TestHandlerSummary(t *testing.T) {
 	h, store := newTestHandler(t, "")
 	store.Put(obs.TraceRecord{Model: "m"})
-	h.Window().Record(false)
-	h.Window().Record(false)
-	h.Window().Record(true)
+	h.cfg.Window.Record(false)
+	h.cfg.Window.Record(false)
+	h.cfg.Window.Record(true)
 
 	w := get(t, h, "/api/summary")
 	var p summaryPayload

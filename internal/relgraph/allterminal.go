@@ -16,7 +16,7 @@ import (
 const maxAllTerminalEdges = 40
 
 // AllTerminalReliability returns P(all nodes connected).
-func (g *Graph) AllTerminalReliability() (float64, error) {
+func (g *Graph) AllTerminalReliability() (float64, error) { //numvet:allow unused-export delete: all-terminal reliability; no binary reaches it, and it goes with its six tests
 	if len(g.nodes) == 0 {
 		return 0, fmt.Errorf("relgraph: empty graph")
 	}

@@ -21,12 +21,12 @@ type DiGraph struct {
 }
 
 // NewDirected returns an empty directed graph.
-func NewDirected() *DiGraph {
+func NewDirected() *DiGraph { //numvet:allow unused-export oracle: BDD path solver, to check factoring on symmetric edges
 	return &DiGraph{nodes: make(map[string]bool)}
 }
 
 // AddEdge appends a directed edge From → To.
-func (g *DiGraph) AddEdge(e Edge) error {
+func (g *DiGraph) AddEdge(e Edge) error { //numvet:allow unused-export oracle: part of the DiGraph path solver
 	if e.Name == "" || e.From == "" || e.To == "" || e.From == e.To {
 		return fmt.Errorf("%w: %+v", ErrBadEdge, e)
 	}
@@ -45,7 +45,7 @@ func (g *DiGraph) AddEdge(e Edge) error {
 }
 
 // Edges returns a copy of the edge list.
-func (g *DiGraph) Edges() []Edge {
+func (g *DiGraph) Edges() []Edge { //numvet:allow unused-export oracle: part of the DiGraph path solver
 	out := make([]Edge, len(g.edges))
 	copy(out, g.edges)
 	return out
@@ -98,7 +98,7 @@ func (g *DiGraph) MinimalPaths(source, target string) ([][]string, error) {
 
 // Reliability computes P(a working directed s→t path exists) exactly via
 // the BDD of the path-coverage function.
-func (g *DiGraph) Reliability(source, target string) (float64, error) {
+func (g *DiGraph) Reliability(source, target string) (float64, error) { //numvet:allow unused-export oracle: part of the DiGraph path solver
 	paths, err := g.MinimalPaths(source, target)
 	if err != nil {
 		return 0, err
@@ -131,7 +131,7 @@ func (g *DiGraph) Reliability(source, target string) (float64, error) {
 }
 
 // MinimalCuts returns the minimal directed s→t edge cut sets.
-func (g *DiGraph) MinimalCuts(source, target string) ([][]string, error) {
+func (g *DiGraph) MinimalCuts(source, target string) ([][]string, error) { //numvet:allow unused-export oracle: part of the DiGraph path solver
 	paths, err := g.MinimalPaths(source, target)
 	if err != nil {
 		return nil, err

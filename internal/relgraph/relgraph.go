@@ -70,9 +70,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// NumNodes returns the number of distinct nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // --- factoring solver ------------------------------------------------------
 
 // workGraph is the mutable graph used during factoring. Nodes are ints after

@@ -103,7 +103,7 @@ func (s *CTMCPathSimulator) EstimateTransientProb(rng *rand.Rand, initial string
 
 // EstimateOccupancy estimates the expected fraction of [0, horizon] spent
 // in the given states (interval availability) from reps paths.
-func (s *CTMCPathSimulator) EstimateOccupancy(rng *rand.Rand, initial string, horizon float64, states []string, reps int, level float64) (CI, error) {
+func (s *CTMCPathSimulator) EstimateOccupancy(rng *rand.Rand, initial string, horizon float64, states []string, reps int, level float64) (CI, error) { //numvet:allow unused-export oracle: simulation, to check uniformization and MTTA
 	from, err := s.chain.Index(initial)
 	if err != nil {
 		return CI{}, err
@@ -159,7 +159,7 @@ func (s *CTMCPathSimulator) EstimateOccupancy(rng *rand.Rand, initial string, ho
 // EstimateMTTA estimates the mean time to reach any of the given absorbing
 // states (capped at horizon, which must dominate the true MTTA for an
 // unbiased estimate).
-func (s *CTMCPathSimulator) EstimateMTTA(rng *rand.Rand, initial string, absorbing []string, horizon float64, reps int, level float64) (CI, error) {
+func (s *CTMCPathSimulator) EstimateMTTA(rng *rand.Rand, initial string, absorbing []string, horizon float64, reps int, level float64) (CI, error) { //numvet:allow unused-export oracle: simulation, to check uniformization and MTTA
 	from, err := s.chain.Index(initial)
 	if err != nil {
 		return CI{}, err

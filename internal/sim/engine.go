@@ -45,10 +45,9 @@ func (h *eventHeap) Pop() interface{} {
 // Engine is a sequential discrete-event simulator. The zero value is not
 // usable; create engines with NewEngine.
 type Engine struct {
-	now    float64
-	queue  eventHeap
-	seq    uint64
-	halted bool
+	now   float64
+	queue eventHeap
+	seq   uint64
 }
 
 // ErrPastEvent is returned when an event is scheduled before current time.
@@ -72,15 +71,11 @@ func (e *Engine) Schedule(delay float64, fn Handler) error {
 	return nil
 }
 
-// Halt stops the run loop after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // Run executes events in time order until the queue empties or until the
 // clock passes `until` (events beyond it remain queued and the clock is
 // left at `until`).
 func (e *Engine) Run(until float64) {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
+	for len(e.queue) > 0 {
 		if e.queue[0].time > until {
 			e.now = until
 			return
@@ -89,10 +84,7 @@ func (e *Engine) Run(until float64) {
 		e.now = ev.time
 		ev.fn()
 	}
-	if e.now < until && !e.halted {
+	if e.now < until {
 		e.now = until
 	}
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

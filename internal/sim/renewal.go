@@ -30,7 +30,7 @@ type SystemSimulator struct {
 }
 
 // NewSystemSimulator validates inputs and returns a simulator.
-func NewSystemSimulator(comps []ComponentProcess, structure func(up []bool) bool) (*SystemSimulator, error) {
+func NewSystemSimulator(comps []ComponentProcess, structure func(up []bool) bool) (*SystemSimulator, error) { //numvet:allow unused-export oracle: simulation, to check the analytic solvers
 	if len(comps) == 0 {
 		return nil, fmt.Errorf("sim: no components")
 	}
@@ -105,7 +105,7 @@ func (s *SystemSimulator) onChange(eng *Engine, up []bool, sysUp *bool, lastChan
 
 // EstimateIntervalAvailability returns a CI on the expected fraction of
 // [0, horizon] the system is up.
-func (s *SystemSimulator) EstimateIntervalAvailability(rng *rand.Rand, horizon float64, reps int, level float64) (CI, error) {
+func (s *SystemSimulator) EstimateIntervalAvailability(rng *rand.Rand, horizon float64, reps int, level float64) (CI, error) { //numvet:allow unused-export oracle: simulation, to check the analytic solvers
 	if reps < 2 {
 		return CI{}, fmt.Errorf("sim: need at least 2 replications, got %d", reps)
 	}
@@ -118,7 +118,7 @@ func (s *SystemSimulator) EstimateIntervalAvailability(rng *rand.Rand, horizon f
 }
 
 // EstimatePointAvailability returns a CI on P(system up at time t).
-func (s *SystemSimulator) EstimatePointAvailability(rng *rand.Rand, t float64, reps int, level float64) (CI, error) {
+func (s *SystemSimulator) EstimatePointAvailability(rng *rand.Rand, t float64, reps int, level float64) (CI, error) { //numvet:allow unused-export oracle: simulation, to check the analytic solvers
 	if reps < 2 {
 		return CI{}, fmt.Errorf("sim: need at least 2 replications, got %d", reps)
 	}
@@ -137,7 +137,7 @@ func (s *SystemSimulator) EstimatePointAvailability(rng *rand.Rand, t float64, r
 // EstimateReliability returns a CI on P(no system failure during [0, t])
 // (meaningful for non-repairable systems or as mission reliability for
 // repairable ones).
-func (s *SystemSimulator) EstimateReliability(rng *rand.Rand, t float64, reps int, level float64) (CI, error) {
+func (s *SystemSimulator) EstimateReliability(rng *rand.Rand, t float64, reps int, level float64) (CI, error) { //numvet:allow unused-export oracle: simulation, to check the analytic solvers
 	if reps < 2 {
 		return CI{}, fmt.Errorf("sim: need at least 2 replications, got %d", reps)
 	}
@@ -156,7 +156,7 @@ func (s *SystemSimulator) EstimateReliability(rng *rand.Rand, t float64, reps in
 // EstimateMTTF returns a CI on the mean time to first system failure,
 // simulating up to horizon per replication (horizon must comfortably exceed
 // the true MTTF for an unbiased estimate).
-func (s *SystemSimulator) EstimateMTTF(rng *rand.Rand, horizon float64, reps int, level float64) (CI, error) {
+func (s *SystemSimulator) EstimateMTTF(rng *rand.Rand, horizon float64, reps int, level float64) (CI, error) { //numvet:allow unused-export oracle: simulation, to check the analytic solvers
 	if reps < 2 {
 		return CI{}, fmt.Errorf("sim: need at least 2 replications, got %d", reps)
 	}

@@ -58,8 +58,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("clock = %g, want 3", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Errorf("pending = %d, want 1", len(e.queue))
 	}
 	e.Run(6)
 	if !fired {
@@ -127,8 +127,8 @@ func TestAccumulator(t *testing.T) {
 	if a.N() != 8 {
 		t.Errorf("n = %d", a.N())
 	}
-	if math.Abs(a.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %g, want 5", a.Mean())
+	if math.Abs(a.mean-5) > 1e-12 {
+		t.Errorf("mean = %g, want 5", a.mean)
 	}
 	// Population variance is 4; sample variance is 32/7.
 	if math.Abs(a.Variance()-32.0/7) > 1e-12 {

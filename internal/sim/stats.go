@@ -23,9 +23,6 @@ func (a *Accumulator) Add(x float64) {
 // N returns the number of observations.
 func (a *Accumulator) N() int { return a.n }
 
-// Mean returns the sample mean.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
 // Variance returns the unbiased sample variance.
 func (a *Accumulator) Variance() float64 {
 	if a.n < 2 {

@@ -25,7 +25,7 @@ type BatchMeansOptions struct {
 
 // EstimateSteadyStateOccupancy estimates the long-run fraction of time the
 // chain spends in the given states from one long path.
-func (s *CTMCPathSimulator) EstimateSteadyStateOccupancy(rng *rand.Rand, initial string, states []string, opts BatchMeansOptions) (CI, error) {
+func (s *CTMCPathSimulator) EstimateSteadyStateOccupancy(rng *rand.Rand, initial string, states []string, opts BatchMeansOptions) (CI, error) { //numvet:allow unused-export oracle: simulation, to check steady state
 	from, err := s.chain.Index(initial)
 	if err != nil {
 		return CI{}, err

@@ -63,13 +63,6 @@ func (m *SelfModel) Step(state string, at time.Time) {
 	m.steps++
 }
 
-// Steps reports how many observations have been recorded.
-func (m *SelfModel) Steps() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.steps
-}
-
 // Prediction is the outcome of solving the fitted self-CTMC.
 type Prediction struct {
 	// Availability is the predicted steady-state probability of being in

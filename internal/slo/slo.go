@@ -247,15 +247,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Objectives returns the configured objectives.
-func (e *Engine) Objectives() []Objective {
-	out := make([]Objective, len(e.objs))
-	for i, st := range e.objs {
-		out[i] = st.obj
-	}
-	return out
-}
-
 // Observe judges one finished request against every matching objective.
 // Safe for concurrent use (the sliding counters serialize internally).
 func (e *Engine) Observe(route string, status int, latency time.Duration) {

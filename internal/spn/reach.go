@@ -2,7 +2,6 @@ package spn
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/markov"
 )
@@ -207,7 +206,7 @@ func (tc *TangibleChain) Throughput(transition string) (float64, error) {
 
 // Utilization returns the steady-state probability that the transition is
 // enabled.
-func (tc *TangibleChain) Utilization(transition string) (float64, error) {
+func (tc *TangibleChain) Utilization(transition string) (float64, error) { //numvet:allow unused-export inventory: DESIGN row 9, utilization
 	ti, ok := tc.net.transIdx[transition]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTransition, transition)
@@ -229,7 +228,7 @@ func (tc *TangibleChain) Utilization(transition string) (float64, error) {
 // ExpectedReward returns the steady-state expectation of an arbitrary
 // marking-dependent reward rate Σ_m π(m)·rate(m) — utilization-weighted
 // power draw, marking-dependent throughput, and similar measures.
-func (tc *TangibleChain) ExpectedReward(rate func(Marking) float64) (float64, error) {
+func (tc *TangibleChain) ExpectedReward(rate func(Marking) float64) (float64, error) { //numvet:allow unused-export delete: no binary reaches it, and it goes with TestExpectedRewardMarkingDependent
 	if rate == nil {
 		return 0, fmt.Errorf("spn: nil reward rate")
 	}
@@ -242,19 +241,6 @@ func (tc *TangibleChain) ExpectedReward(rate func(Marking) float64) (float64, er
 		e += probs[i] * rate(m)
 	}
 	return e, nil
-}
-
-// MarkingIndexWhere returns the chain-state indices whose marking satisfies
-// cond, in state order.
-func (tc *TangibleChain) MarkingIndexWhere(cond func(Marking) bool) []int {
-	var out []int
-	for i, m := range tc.Markings {
-		if cond(m) {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // StatesWhere returns the chain-state names whose marking satisfies cond
