@@ -3,7 +3,8 @@ package repro
 // Ablation benchmarks for the design decisions DESIGN.md commits to:
 //
 //   - GTH (dense, exact) vs SOR (sparse, iterative) steady-state solvers —
-//     locates the crossover behind markov's 600-state switch;
+//     locates the crossover behind markov's auto policy (GTH up to 256
+//     states, SOR capped at GTH's predicted cost up to 600, SOR above);
 //   - uniformization with vs without steady-state detection on stiff
 //     horizons — justifies exposing the option;
 //   - BDD variable ordering: interleaved vs blocked orderings of a

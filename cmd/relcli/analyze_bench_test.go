@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -20,9 +21,38 @@ func farmDoc(tb testing.TB, m int) []byte {
 }
 
 // farmDocFor is farmDoc with one measure: availability, steadystate, or
-// transient at t = 10 from the all-up state.
+// transient at t = 10 from the all-up state. Machine i fails at
+// 0.02·(1 + i/7) and is repaired at 0.5·(1 + i/3), so distinct states can
+// share an exit rate.
 func farmDocFor(tb testing.TB, m int, measure string) []byte {
 	tb.Helper()
+	lam, mu := make([]float64, m), make([]float64, m)
+	for i := range lam {
+		lam[i] = 0.02 * (1 + float64(i)/7)
+		mu[i] = 0.5 * (1 + float64(i)/3)
+	}
+	return farmDocRates(tb, measure, lam, mu)
+}
+
+// randomFarmDoc is farmDocFor with seeded random rates, drawn as relperf
+// draws its serve-large farms': failure from [0.02, 0.08) and repair from
+// [0.5, 1.5) per machine. No two states then share an exit rate.
+func randomFarmDoc(tb testing.TB, m int, measure string, seed int64) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	lam, mu := make([]float64, m), make([]float64, m)
+	for i := range lam {
+		lam[i] = 0.02 + 0.06*rng.Float64()
+		mu[i] = 0.5 + rng.Float64()
+	}
+	return farmDocRates(tb, measure, lam, mu)
+}
+
+// farmDocRates renders the farm whose machine i fails at lam[i] and is
+// repaired at mu[i].
+func farmDocRates(tb testing.TB, measure string, lam, mu []float64) []byte {
+	tb.Helper()
+	m := len(lam)
 	state := func(s int) string {
 		b := make([]byte, m)
 		for i := range b {
@@ -39,9 +69,9 @@ func farmDocFor(tb testing.TB, m int, measure string) []byte {
 			c.UpStates = append(c.UpStates, state(s))
 		}
 		for i := 0; i < m; i++ {
-			rate := 0.02 * (1 + float64(i)/7) // failure
+			rate := lam[i] // failure
 			if s>>i&1 == 1 {
-				rate = 0.5 * (1 + float64(i)/3) // repair
+				rate = mu[i] // repair
 			}
 			c.Transitions = append(c.Transitions, modelio.CTMCTransition{From: state(s), To: state(s ^ 1<<i), Rate: rate})
 		}

@@ -98,6 +98,28 @@ var docFaults = []struct {
 		`{"type":"ctmc","ctmc":{"transitions":[{"from":"a","to":"b","rate":1},{"from":"b","to":"a","rate":1},{"from":"a","to":"c","rate":1}],"initial":"a","absorbing":["b"],"measures":["mtta"]}}`},
 	{"ft-mttf-infinite", "", `faulttree: system survives forever with probability 1; MTTF infinite`, faulttree.ErrInfiniteMTTF,
 		`{"type":"faulttree","faulttree":{"events":[{"name":"e","lifetime":{"kind":"exponential","rate":1}},{"name":"f","lifetime":{"kind":"exponential","rate":2}}],"top":{"op":"and","children":[{"event":"e"},{"op":"not","children":[{"event":"f"}]}]},"measures":["mttf"]}}`},
+	{"ctmc-two-rings", lint.CodeCTMCReducible, `markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible`, linalg.ErrReducible,
+		twoRings(350)},
+}
+
+// twoRings is a ctmc document of two closed rings of n states each, with
+// a steady-state measure. Its long-run distribution depends on where the
+// chain starts; at 2n = 700 states auto solves it by SOR, which would
+// answer with the start vector's split, so only the closed-class check
+// rejects it.
+func twoRings(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"type":"ctmc","ctmc":{"transitions":[`)
+	for ring := 0; ring < 2; ring++ {
+		for i := 0; i < n; i++ {
+			if ring > 0 || i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"from":"r%d-%d","to":"r%d-%d","rate":1}`, ring, i, ring, (i+1)%n)
+		}
+	}
+	b.WriteString(`],"measures":["steadystate"]}}`)
+	return b.String()
 }
 
 // TestDocumentFaultsAnswer422: a document fault is the client's, so

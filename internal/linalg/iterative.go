@@ -27,6 +27,11 @@ type SOROptions struct {
 	Tol float64
 	// MaxIter bounds the number of sweeps.
 	MaxIter int
+	// Relative measures each state's change per sweep relative to its
+	// larger value, before or after the sweep, instead of absolutely, so
+	// a state with little mass must settle as tightly as a heavy one. A
+	// state whose value does not change counts as settled.
+	Relative bool
 	// Recorder receives per-sweep convergence telemetry (nil disables).
 	Recorder obs.Recorder
 	// Ctx interrupts the iteration between sweeps; nil never interrupts.
@@ -177,7 +182,13 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 			if next < 0 {
 				next = 0
 			}
-			if d := math.Abs(next - pi[j]); d > maxDelta {
+			d := math.Abs(next - pi[j])
+			if opts.Relative && d > 0 && d < math.MaxFloat64 {
+				// d/m > maxDelta, without a division per state.
+				if m := max(next, pi[j]); d > maxDelta*m {
+					maxDelta = d / m
+				}
+			} else if d > maxDelta {
 				maxDelta = d
 			}
 			pi[j] = next

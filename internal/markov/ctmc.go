@@ -198,15 +198,35 @@ func (c *CTMC) Generator() (*linalg.CSR, error) {
 	return p.Fill(c)
 }
 
-// gthThreshold is the state count above which SteadyState switches from
-// dense GTH to sparse SOR.
-const gthThreshold = 600
+// gthCutoff is the largest chain auto always solves by dense GTH: every
+// model document's chain, and the 243- and 256-state chains of the
+// experiments. gthThreshold is the largest it may: above it a CTMC
+// solves by SOR and a DTMC by power iteration. In between, auto picks a
+// CTMC's method by its structure (see SteadyStateOptions.Method).
+const (
+	gthCutoff    = 256
+	gthThreshold = 600
+)
 
 // SteadyStateOptions tunes the stationary solve.
 type SteadyStateOptions struct {
-	// Method selects the solver: "" or "auto" (GTH up to gthThreshold
-	// states, SOR beyond), "gth", "sor", or "chain" (SOR first, escalating
-	// to exact GTH when the iteration fails to converge or diverges).
+	// Method selects the solver: "gth", "sor", "chain" (SOR first,
+	// escalating to exact GTH when the iteration fails to converge or
+	// diverges), or "" and "auto", which pick by the chain's size:
+	//   - up to gthCutoff (256) states, GTH;
+	//   - up to gthThreshold (600), SOR when one pass over the chain
+	//     finds one closed class of several states with a rate spread
+	//     inside it below relstruct.StiffThreshold, and GTH otherwise.
+	//     That SOR run solves the closed class alone, judges convergence
+	//     by each state's relative change and stops after as many sweeps
+	//     as GTH's predicted work on the pattern (see sorBudget;
+	//     ⌈n³/(3·nnz)⌉ for a dense fill), or SOR.MaxIter if that is
+	//     smaller. If it fails for any reason but an interrupt, GTH
+	//     solves the whole chain;
+	//   - above that, SOR.
+	// "auto" above gthThreshold and "chain" at any size fail a chain with
+	// several closed classes, whose long-run distribution is not unique,
+	// with an error matching linalg.ErrReducible.
 	Method string
 	// SOR tunes the iterative solver when it is used. Its Recorder field
 	// is overridden by Recorder below.
@@ -217,9 +237,11 @@ type SteadyStateOptions struct {
 	Ctx context.Context
 }
 
-// SteadyState computes the stationary distribution π of an irreducible
-// chain. Chains up to gthThreshold states use GTH (exact, subtraction-free);
-// larger chains use SOR.
+// SteadyState computes the stationary distribution π of a chain with one
+// closed class by the method "auto" picks: GTH (exact, subtraction-free)
+// up to 256 states, and up to 600 for a stiff chain, one whose closed
+// class is a single absorbing state, or one SOR cannot settle within
+// GTH's predicted cost; SOR otherwise (see SteadyStateOptions.Method).
 func (c *CTMC) SteadyState() ([]float64, error) {
 	return c.SteadyStateWithOptions(SteadyStateOptions{})
 }
@@ -238,12 +260,27 @@ func (c *CTMC) SteadyStateWithOptions(opts SteadyStateOptions) ([]float64, error
 // the caller has already built (by Generator, or on a Pattern).
 func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float64, error) {
 	method := opts.Method
+	// budget is the sweep budget of auto's SOR between the cutoffs; 0
+	// leaves SOR as the options set it. class, when set, holds the states
+	// of the chain's one closed class, which that SOR solves alone.
+	budget := 0
+	var class []int
+	var structErr error
 	switch method {
 	case "", "auto":
-		if q.Rows() <= gthThreshold {
+		switch n := q.Rows(); {
+		case n <= gthCutoff:
 			method = "gth"
-		} else {
+		case n <= gthThreshold:
+			method = "gth"
+			if cl, ok := c.sorClass(q); ok {
+				method, budget, class = "sor", sorBudget(q, opts.SOR.MaxIter), cl
+			}
+		default:
 			method = "sor"
+			if _, closed := closedClasses(q); closed > 1 {
+				structErr = notUnique(closed)
+			}
 		}
 	case "gth", "sor", "chain":
 	default:
@@ -255,18 +292,16 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 			obs.I("states", q.Rows()), obs.I("transitions", len(c.from)),
 			obs.S("method", method))
 		defer rec.End()
+		if budget > 0 {
+			rec.Set(obs.I("sor_budget", budget))
+		}
+	}
+	if structErr != nil {
+		return nil, structErr
 	}
 	switch method {
 	case "gth":
-		if err := guard.Ctx(opts.Ctx, "markov.steadystate", 0, math.NaN()); err != nil {
-			guard.RecordInterrupt(rec, err)
-			return nil, err
-		}
-		pi, err := solveGTH(q, rec)
-		if err != nil {
-			return nil, fmt.Errorf("markov steady state: %w", err)
-		}
-		return pi, nil
+		return gthSteadyState(opts.Ctx, q, rec)
 	case "chain":
 		chainSteps := func(q *linalg.CSR) []guard.Step[[]float64] {
 			return []guard.Step[[]float64]{
@@ -291,19 +326,19 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 		// the fallback steps (exact method first on a stiff chain). Both
 		// decisions are recorded on the steadystate span.
 		var members []int
-		if rep, serr := c.StructReport(); serr == nil {
+		if rep, serr := c.structure(); serr == nil {
+			if rep.RecurrentClasses > 1 {
+				return nil, notUnique(rep.RecurrentClasses)
+			}
 			h := rep.Hint
 			if h.Reason != "" && (h.Method != "" || h.Reduce == "restrict-recurrent") {
 				rec.Set(obs.S("struct_hint", h.Reason))
 			}
 			if h.Reduce == "restrict-recurrent" {
-				if sub, ms, rerr := c.restrictRecurrent(rep); rerr == nil {
-					if qsub, gerr := sub.Generator(); gerr == nil {
-						members = ms
-						steps = chainSteps(qsub)
-						rec.Set(obs.S("struct_reduce", "restrict-recurrent"),
-							obs.I("restrict_states", len(ms)))
-					}
+				ms := rep.RecurrentMembers(0)
+				if qsub := c.restricted(ms, rec); qsub != nil {
+					members = ms
+					steps = chainSteps(qsub)
 				}
 			}
 			if h.Method != "" {
@@ -315,21 +350,100 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 		if err != nil {
 			return nil, fmt.Errorf("markov steady state: %w", err)
 		}
-		if members != nil {
-			full := make([]float64, len(c.names))
-			for j, s := range members {
-				full[s] = pi[j]
-			}
-			pi = full
-		}
-		return pi, nil
+		return pad(pi, members, len(c.names)), nil
 	}
 	sorOpts := opts.SOR
 	sorOpts.Recorder = rec
 	if sorOpts.Ctx == nil {
 		sorOpts.Ctx = opts.Ctx
 	}
-	pi, _, err := linalg.SORSteadyState(q, sorOpts)
+	sq, members := q, []int(nil)
+	if budget > 0 {
+		sorOpts.MaxIter, sorOpts.Relative = budget, true
+		if class != nil {
+			if qsub := c.restricted(class, rec); qsub != nil {
+				sq, members = qsub, class
+			}
+		}
+	}
+	pi, _, err := linalg.SORSteadyState(sq, sorOpts)
+	if err != nil {
+		if budget > 0 && !interrupted(err) {
+			rec.Set(obs.S("fallback", "gth"))
+			return gthSteadyState(opts.Ctx, q, rec)
+		}
+		return nil, fmt.Errorf("markov steady state: %w", err)
+	}
+	return pad(pi, members, len(c.names)), nil
+}
+
+// pad spreads pi, the stationary vector of the sub-chain over members
+// (see restricted), over all n states, zero outside members; it returns
+// pi itself when members is nil.
+func pad(pi []float64, members []int, n int) []float64 {
+	if members == nil {
+		return pi
+	}
+	full := make([]float64, n)
+	for j, s := range members {
+		full[s] = pi[j]
+	}
+	return full
+}
+
+// sorBudget is the sweep budget of auto's SOR on q: GTH's predicted work
+// on q's pattern in sweeps of q's nnz entries, rounded up, or maxIter
+// when that is positive and smaller.
+//
+// GTH eliminates the states from the last down. Eliminating state k reads
+// the first k entries of row k and of column k, and updates the first k
+// entries of each row i < k whose entry in column k is nonzero by then;
+// back substitution reads 2k more. Fill only ever lands left of a
+// nonzero, so a row's last nonzero never moves right, and the rows
+// updated at k are among the u_k rows i < k whose last nonzero lies in a
+// column ≥ k. The prediction is Σ k·(4 + u_k): about n³/3 when every row
+// reaches the last column, and about 2.5·n² for a birth–death chain,
+// whose zero multipliers GTH skips.
+func sorBudget(q *linalg.CSR, maxIter int) int {
+	n := q.Rows()
+	// reach[k] is the change in u_k from k-1 to k.
+	reach := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		if cols, _ := q.Row(i); len(cols) > 0 && cols[len(cols)-1] > i {
+			reach[i+1]++
+			reach[cols[len(cols)-1]+1]--
+		}
+	}
+	work, u := 0, 0
+	for k := 1; k < n; k++ {
+		u += reach[k]
+		work += k * (4 + u)
+	}
+	budget := (work + q.NNZ() - 1) / q.NNZ()
+	if maxIter > 0 && maxIter < budget {
+		return maxIter
+	}
+	return budget
+}
+
+// interrupted reports whether err is a cancellation or a deadline, which
+// stops the whole solve instead of falling back to another method.
+func interrupted(err error) bool {
+	switch guard.Classify(err) {
+	case guard.ClassCanceled, guard.ClassDeadline:
+		return true
+	}
+	return false
+}
+
+// gthSteadyState is the "gth" method: a last check of ctx, since GTH
+// cannot be interrupted, and the elimination.
+func gthSteadyState(ctx context.Context, q *linalg.CSR, rec obs.Recorder) ([]float64, error) {
+	if err := guard.Ctx(ctx, "markov.steadystate", 0, math.NaN()); err != nil {
+		guard.RecordInterrupt(rec, err)
+		return nil, err
+	}
+	pi, err := solveGTH(q, rec)
 	if err != nil {
 		return nil, fmt.Errorf("markov steady state: %w", err)
 	}

@@ -157,7 +157,7 @@ func (d *DTMC) SteadyStateWithOptions(opts SteadyStateOptions) ([]float64, error
 		// A stiff or periodic chain defeats power iteration; the static
 		// analysis moves the exact method first instead of paying for the
 		// doomed attempt.
-		if rep, serr := d.StructReport(); serr == nil && rep.Hint.Method != "" {
+		if rep, serr := d.structure(); serr == nil && rep.Hint.Method != "" {
 			steps = guard.Prefer(rep.Hint.Method, steps...)
 			rec.Set(obs.S("struct_hint", rep.Hint.Reason),
 				obs.S("struct_prefer", rep.Hint.Method))

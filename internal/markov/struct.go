@@ -2,7 +2,11 @@ package markov
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/relstruct"
 )
 
@@ -11,6 +15,8 @@ import (
 // or periodic chain reorders its fallback steps exact-method-first, and a
 // reducible chain with a single recurrent class solves only that class
 // and zero-pads the transient states (which carry no stationary mass).
+// The "auto" method reads only the closed classes and the rate spread,
+// and between its cutoffs solves a lone closed class the same way.
 
 // structInput hands a chain's states and transition arrays to relstruct
 // as they are: both number states by index, so nothing is copied.
@@ -18,25 +24,80 @@ func structInput(names []string, e *edges, discrete bool) relstruct.Input {
 	return relstruct.Input{States: len(names), Names: names, From: e.from, To: e.to, Weight: e.rate, Discrete: discrete}
 }
 
-// StructReport statically analyzes the chain (SCC condensation,
-// stiffness, lumpability, solver hint) without solving it.
-func (c *CTMC) StructReport() (*relstruct.StructReport, error) {
-	return relstruct.Analyze(structInput(c.names, &c.edges, false))
+// structure statically analyzes the chain (SCC condensation, stiffness,
+// solver hint) for the chain solver, without the lumping partition,
+// which the solver does not read.
+func (c *CTMC) structure() (*relstruct.StructReport, error) {
+	return relstruct.AnalyzeClasses(structInput(c.names, &c.edges, false))
 }
 
-// StructReport statically analyzes the discrete chain, including the
-// periodicity of its recurrent classes.
-func (d *DTMC) StructReport() (*relstruct.StructReport, error) {
-	return relstruct.Analyze(structInput(d.names, &d.edges, true))
+// structure statically analyzes the discrete chain, including the
+// periodicity of its recurrent classes, without the lumping partition.
+func (d *DTMC) structure() (*relstruct.StructReport, error) {
+	return relstruct.AnalyzeClasses(structInput(d.names, &d.edges, true))
 }
 
-// restrictRecurrent builds the sub-chain over the chain's single
-// recurrent class, returning it with the original state indices of its
-// members (ascending; member j of the sub-chain is state members[j]).
-func (c *CTMC) restrictRecurrent(rep *relstruct.StructReport) (*CTMC, []int, error) {
-	members := rep.RecurrentMembers(0)
+// closedClasses finds the closed classes of a generator's chain from q's
+// pattern alone (see relstruct.ClosedClasses): the class of each state,
+// -1 for a transient one, and their number.
+func closedClasses(q *linalg.CSR) ([]int, int) {
+	return relstruct.ClosedClasses(q.Rows(), func(v int) []int {
+		cols, _ := q.Row(v)
+		return cols
+	})
+}
+
+// sorClass reports whether auto may solve c, whose generator is q, by SOR
+// between the cutoffs: c has one closed class of several states, and the
+// ratio of its largest to its smallest rate inside that class (the
+// class's RateRatio in c's relstruct report) is below
+// relstruct.StiffThreshold. When other states lie outside the class, it
+// also returns the class's states, ascending, for SOR to solve the class
+// alone: transient states carry no stationary mass, and judged by
+// relative change SOR cannot settle a cycle of them, whose mass shrinks
+// by a constant factor each sweep until it underflows.
+func (c *CTMC) sorClass(q *linalg.CSR) (class []int, ok bool) {
+	closedOf, closed := closedClasses(q)
+	if closed != 1 {
+		return nil, false
+	}
+	lo, hi := math.Inf(1), 0.0
+	for k, f := range c.from {
+		// A closed class's transitions all stay inside it.
+		if closedOf[f] == 0 {
+			lo = math.Min(lo, c.rate[k])
+			hi = math.Max(hi, c.rate[k])
+		}
+	}
+	if !(hi > 0 && hi/lo < relstruct.StiffThreshold) {
+		return nil, false
+	}
+	if !slices.Contains(closedOf, -1) {
+		return nil, true
+	}
+	for s, cl := range closedOf {
+		if cl == 0 {
+			class = append(class, s)
+		}
+	}
+	return class, true
+}
+
+// notUnique is the error for a chain with several closed classes, whose
+// long-run distribution depends on where it starts.
+func notUnique(closed int) error {
+	return fmt.Errorf("markov steady state: %d closed classes, so the long-run distribution is not unique; %w",
+		closed, linalg.ErrReducible)
+}
+
+// restricted returns the generator of c's sub-chain over members, the
+// ascending states of a closed class (member j of the sub-chain is state
+// members[j]), and records the reduction on rec. It returns nil when
+// members is empty or not closed, or the generator cannot be built; the
+// caller then solves the whole chain.
+func (c *CTMC) restricted(members []int, rec obs.Recorder) *linalg.CSR {
 	if len(members) == 0 {
-		return nil, nil, fmt.Errorf("markov: no recurrent class to restrict to")
+		return nil
 	}
 	pos := make(map[int]int, len(members))
 	sub := NewCTMC()
@@ -52,12 +113,16 @@ func (c *CTMC) restrictRecurrent(rep *relstruct.StructReport) (*CTMC, []int, err
 		}
 		jt, ok := pos[t.to]
 		if !ok {
-			// A recurrent class is closed; an escaping edge means the
-			// report does not describe this chain.
-			return nil, nil, fmt.Errorf("markov: transition %q -> %q leaves the recurrent class",
-				c.names[t.from], c.names[t.to])
+			// A closed class has no escaping edge; one means members do
+			// not describe this chain.
+			return nil
 		}
 		sub.add(jf, jt, t.rate)
 	}
-	return sub, members, nil
+	q, err := sub.Generator()
+	if err != nil {
+		return nil
+	}
+	rec.Set(obs.S("struct_reduce", "restrict-recurrent"), obs.I("restrict_states", len(members)))
+	return q
 }

@@ -131,10 +131,12 @@ func StructReport(spec *CTMCSpec) (*relstruct.StructReport, error) {
 	return relstruct.Analyze(x.analysis(spec, weights))
 }
 
-// autoLump analyzes the chain c, the plan's at the given rates, one per
-// transition, and, when it is exactly lumpable under a partition
-// separating the up and absorbing sets, returns the aggregated chain and
-// the state→block-representative mapping. A nil chain means "no
+// autoLump computes the lumping partition of the chain c, the plan's at
+// the given rates, one per transition (relstruct.AnalyzeLumping: the
+// partition alone, none of the rest of the structural report), and,
+// when it is exactly lumpable under a partition separating the up and
+// absorbing sets, returns the aggregated chain and the
+// state→block-representative mapping. A nil chain means "no
 // reduction" (not lumpable, analysis failed, or markov.Lump vetoed the
 // partition) and the caller solves the original. An applied lump is
 // announced on a "relstruct.lump" span whose lump_ratio attribute feeds
@@ -144,14 +146,14 @@ func (p *CTMCPlan) autoLump(c *markov.CTMC, rates []float64, rec obs.Recorder) (
 	if in.States == 0 {
 		return nil, nil
 	}
-	rep, err := relstruct.Analyze(in)
-	if err != nil || !rep.Lumping.Lumpable {
+	lump, err := relstruct.AnalyzeLumping(in)
+	if err != nil || !lump.Lumpable {
 		return nil, nil
 	}
-	names := rep.StateNames()
-	blockOf := rep.Lumping.BlockOf()
+	names := in.Names
+	blockOf := lump.BlockOf()
 	// Each block is represented by its smallest-index member's name.
-	repName := make([]string, rep.Lumping.Blocks)
+	repName := make([]string, lump.Blocks)
 	for s := len(names) - 1; s >= 0; s-- {
 		repName[blockOf[s]] = names[s]
 	}
@@ -167,9 +169,9 @@ func (p *CTMCPlan) autoLump(c *markov.CTMC, rates []float64, rec obs.Recorder) (
 	}
 	if rec.Enabled() {
 		sp := rec.Span("relstruct.lump",
-			obs.I("lump_states", rep.States),
-			obs.I("lump_blocks", rep.Lumping.Blocks),
-			obs.F("lump_ratio", rep.Lumping.Ratio))
+			obs.I("lump_states", in.States),
+			obs.I("lump_blocks", lump.Blocks),
+			obs.F("lump_ratio", lump.Ratio))
 		sp.End()
 	}
 	return lumped, toBlock

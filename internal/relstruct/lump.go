@@ -2,6 +2,7 @@ package relstruct
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"hash/maphash"
 	"math"
@@ -34,16 +35,86 @@ import (
 // under the tolerance then costs a binary search and an insertion into a
 // sorted slice per group, plus one signature comparison per
 // representative whose exit lies within tolerance of the group's (see
-// splitBlock). That is a few per group when exit rates are spread out,
+// split). That is a few per group when exit rates are spread out,
 // as in a repair farm of unlike machines, and G²/2 in all only when every
 // exit lies within tolerance of every other, as in a DTMC whose rows all
 // sum to 1.
+//
+// Before any of that, alone checks the exit weights: when they show that
+// no two states can share a block, the partition is every state alone,
+// and coarsestPartition returns it at the cost of one sort.
 func coarsestPartition(in Input) ([]int, int) {
-	n := in.States
 	tol := in.Tol
 	if tol <= 0 {
 		tol = 1e-9
 	}
+	if alone(in, tol) {
+		blockOf := make([]int, in.States)
+		for s := range blockOf {
+			blockOf[s] = s
+		}
+		return blockOf, in.States
+	}
+	return refine(in, tol)
+}
+
+// alone reports whether no two states can share a block of the coarsest
+// partition, from the seed labels and exit weights alone.
+//
+// Every member of a block refine returns was merged by a split into the
+// group of one representative, itself a member, so its exit either has
+// the representative's bits or lies within tol of it (closeEnough,
+// relative to the larger magnitude). The members of one block share a
+// seed label and a sign, since closeEnough fails across a sign change or
+// against zero, and sorted by exit, each lies within tol/(1−tol) of the
+// next (relative to the larger): on either side of the representative,
+// the one nearer to it is between the other and it. Sorted by label and
+// exit, then, two members of one block are joined by a run of
+// neighbours with one label, each pair within that bound of each other.
+// So when no pair of neighbours with one label lies within 2·tol, which
+// leaves the bound room for rounding, every state is alone. A NaN or
+// infinite difference counts as close, which only keeps the check from
+// firing. A tol above 1/16 runs refine.
+func alone(in Input, tol float64) bool {
+	n := in.States
+	if n < 2 || tol > 1.0/16 {
+		return n == 1
+	}
+	exits := make([]labeledExit, n)
+	for s := range exits {
+		if in.Seed != nil {
+			exits[s].label = in.Seed[s]
+		}
+	}
+	// Summed in transition order, as aggregateEdges sums them.
+	for k, f := range in.From {
+		exits[f].exit += in.Weight[k]
+	}
+	slices.SortFunc(exits, func(a, b labeledExit) int {
+		if a.label != b.label {
+			return cmp.Compare(a.label, b.label)
+		}
+		return cmp.Compare(a.exit, b.exit)
+	})
+	for i := 1; i < n; i++ {
+		a, b := exits[i-1], exits[i]
+		if a.label == b.label && !(math.Abs(b.exit-a.exit) > 2*tol*math.Max(math.Abs(a.exit), math.Abs(b.exit))) {
+			return false
+		}
+	}
+	return true
+}
+
+// labeledExit is one state's seed label and total exit weight.
+type labeledExit struct {
+	label int
+	exit  float64
+}
+
+// refine is coarsestPartition's worklist refinement, from the seed
+// partition, at tolerance tol.
+func refine(in Input, tol float64) ([]int, int) {
+	n := in.States
 	blockOf := make([]int, n)
 	nblocks := 1
 	if in.Seed != nil {
@@ -319,28 +390,7 @@ func (sc *sigScratch) sigOf(s int, blockOf []int, adj csr, totalOut []float64) s
 	}
 }
 
-// splitBlock partitions one block's members (in state-index order) into
-// groups with matching signatures. Exact-bit grouping handles the common
-// symmetric-model case in O(members + signature entries). The exact
-// groups are then merged under the relative tolerance, first fit: each
-// joins the earliest merged group whose representative matches it.
-//
-// sameSig fails unless the exits are closeEnough, so a group is compared
-// only with the representatives whose exit lies within tolerance of its
-// own exit e. index keeps the representatives sorted by exit. For
-// tol < 1/2, closeEnough(x, e) is monotone in x on each side of e: on the
-// side toward zero it divides by |e| itself, and on the far side x−e is
-// exact (Sterbenz) up to 2e, beyond which the relative gap exceeds 1/2.
-// The representatives within tolerance therefore form one run of index
-// around e's insertion point, and two binary searches find it. Among its
-// matches the group joins the lowest-numbered one, which is the one
-// first fit would pick. A wider tol compares the group with every
-// representative. A NaN exit matches nothing, so it is never indexed.
-func splitBlock(members []int, sigs []sig, tol float64) [][]int {
-	return new(splitScratch).split(members, sigs, tol)
-}
-
-// splitScratch holds splitBlock's working arrays, which coarsestPartition
+// splitScratch holds split's working arrays, which coarsestPartition
 // reuses from one block to the next: a block then costs two allocations
 // for its groups whatever their number, instead of a key string and a
 // member list per group.
@@ -390,8 +440,26 @@ func (sp *splitScratch) group(k []byte, s sig) int {
 	return g
 }
 
-// split is splitBlock on sp's reused arrays. The groups it returns are
-// carved from one new array, so they outlive the next call.
+// split partitions one block's members (in state-index order) into
+// groups with matching signatures. Exact-bit grouping handles the common
+// symmetric-model case in O(members + signature entries). The exact
+// groups are then merged under the relative tolerance, first fit: each
+// joins the earliest merged group whose representative matches it.
+//
+// sameSig fails unless the exits are closeEnough, so a group is compared
+// only with the representatives whose exit lies within tolerance of its
+// own exit e. index keeps the representatives sorted by exit. For
+// tol < 1/2, closeEnough(x, e) is monotone in x on each side of e: on the
+// side toward zero it divides by |e| itself, and on the far side x−e is
+// exact (Sterbenz) up to 2e, beyond which the relative gap exceeds 1/2.
+// The representatives within tolerance therefore form one run of index
+// around e's insertion point, and two binary searches find it. Among its
+// matches the group joins the lowest-numbered one, which is the one
+// first fit would pick. A wider tol compares the group with every
+// representative. A NaN exit matches nothing, so it is never indexed.
+//
+// split works on sp's reused arrays. The groups it returns are carved
+// from one new array, so they outlive the next call.
 func (sp *splitScratch) split(members []int, sigs []sig, tol float64) [][]int {
 	if len(members) <= 1 {
 		return [][]int{members}
@@ -465,7 +533,7 @@ func (sp *splitScratch) split(members []int, sigs []sig, tol float64) [][]int {
 	return merged
 }
 
-// exitRep is one entry of splitBlock's exit-sorted representative index:
+// exitRep is one entry of split's exit-sorted representative index:
 // a merged group's number and its representative's exit.
 type exitRep struct {
 	exit float64

@@ -28,6 +28,21 @@
 // list per group, so an analysis costs a few allocations per
 // refinement step rather than a few per state.
 //
+// Callers that need only part of the report ask for that part.
+// AnalyzeLumping computes the partition alone, for the automatic lumping
+// pre-pass. AnalyzeClasses skips the partition, for the chain solvers,
+// which read only the hint and the recurrent classes. ClosedClasses
+// counts the closed classes of any adjacency, for the steady-state
+// solver's choice of method.
+//
+// Exit weights bound the partition from below. Two states share a block
+// only if they share a seed label and their exit weights lie within
+// 2·tol of each other, so before refining, the partition sorts the
+// states by label and exit weight. When no two neighbours in that order
+// could share a block, every state is alone, and it returns that
+// partition without building the aggregated adjacency. A repair farm of
+// unlike machines ends there.
+//
 // The package is deliberately dependency-free (stdlib only): internal/lint,
 // internal/markov, and internal/modelio all build on it, so it must sit
 // below every solver package in the import graph.
@@ -257,6 +272,73 @@ var (
 
 // Analyze computes the full structural report.
 func Analyze(in Input) (*StructReport, error) {
+	rep, err := classes(in)
+	if err != nil {
+		return nil, err
+	}
+	rep.Lumping = lumping(in, rep.names)
+	rep.Hint = hint(rep)
+	return rep, nil
+}
+
+// AnalyzeClasses is Analyze without the lumping refinement: the classes,
+// components, periods, stiffness and hint, with the Lumping section left
+// zero, so the hint never advises lumping. The chain solvers read only
+// the hint's method and the recurrent classes, which do not depend on the
+// partition.
+func AnalyzeClasses(in Input) (*StructReport, error) {
+	rep, err := classes(in)
+	if err != nil {
+		return nil, err
+	}
+	rep.Hint = hint(rep)
+	return rep, nil
+}
+
+// classes computes every section of the report but the partition and
+// the hint.
+func classes(in Input) (*StructReport, error) {
+	names, err := check(in)
+	if err != nil {
+		return nil, err
+	}
+	n := in.States
+	adj := adjacency(n, in.From, in.To)
+	rep := &StructReport{
+		States:      n,
+		Transitions: len(in.From),
+		Discrete:    in.Discrete,
+		names:       names,
+		adj:         adj,
+	}
+
+	rep.classOf, rep.Classes = condense(n, adj, names)
+	markClosedClasses(rep, in.From, in.To)
+	rep.Components = weakComponents(n, in.From, in.To)
+	if in.Discrete {
+		periods(rep, adj)
+	}
+	stiffness(rep, in)
+	return rep, nil
+}
+
+// AnalyzeLumping computes only the Lumping section of Analyze's report,
+// the same partition, for the automatic lumping pre-pass. It builds none
+// of the condensation, weak components, stiffness or hint, which the
+// partition does not read, and it reads in.Names only to spell out the
+// partition.
+func AnalyzeLumping(in Input) (*Lumping, error) {
+	names, err := check(in)
+	if err != nil {
+		return nil, err
+	}
+	l := lumping(in, names)
+	return &l, nil
+}
+
+// check validates in, as every analysis does before reading it, and
+// returns the state names, synthesizing "s0", "s1", … when in has none.
+func check(in Input) ([]string, error) {
 	n := in.States
 	if n <= 0 {
 		return nil, ErrEmpty
@@ -277,41 +359,21 @@ func Analyze(in Input) (*StructReport, error) {
 	if len(in.To) != len(in.From) || len(in.Weight) != len(in.From) {
 		return nil, fmt.Errorf("%w: %d sources, %d targets and %d weights", ErrBadInput, len(in.From), len(in.To), len(in.Weight))
 	}
-	adj, err := adjacency(n, in.From, in.To)
-	if err != nil {
-		return nil, err
+	for k, f := range in.From {
+		if t := in.To[k]; f < 0 || f >= n || t < 0 || t >= n {
+			return nil, fmt.Errorf("%w: transition %d -> %d outside 0..%d", ErrBadInput, f, t, n-1)
+		}
 	}
-
-	rep := &StructReport{
-		States:      n,
-		Transitions: len(in.From),
-		Discrete:    in.Discrete,
-		names:       names,
-		adj:         adj,
-	}
-
-	rep.classOf, rep.Classes = condense(n, adj, names)
-	markClosedClasses(rep, in.From, in.To)
-	rep.Components = weakComponents(n, in.From, in.To)
-	if in.Discrete {
-		periods(rep, adj)
-	}
-	stiffness(rep, in)
-	lumpability(rep, in, names)
-	rep.Hint = hint(rep)
-	return rep, nil
+	return names, nil
 }
 
 // adjacency lists each state's out-neighbours in transition order,
-// self-loops and repeats kept. The lists are carved from one backing
-// array, sized by a count per state, so building them allocates three
-// times whatever the chain's size.
-func adjacency(n int, from, to []int) ([][]int, error) {
+// self-loops and repeats kept; check has validated the indices. The
+// lists are carved from one backing array, sized by a count per state,
+// so building them allocates three times whatever the chain's size.
+func adjacency(n int, from, to []int) [][]int {
 	start := make([]int, n+1)
-	for k, f := range from {
-		if t := to[k]; f < 0 || f >= n || t < 0 || t >= n {
-			return nil, fmt.Errorf("%w: transition %d -> %d outside 0..%d", ErrBadInput, f, t, n-1)
-		}
+	for _, f := range from {
 		start[f+1]++
 	}
 	for i := 0; i < n; i++ {
@@ -325,7 +387,7 @@ func adjacency(n int, from, to []int) ([][]int, error) {
 	for k, f := range from {
 		adj[f] = append(adj[f], to[k])
 	}
-	return adj, nil
+	return adj
 }
 
 // markClosedClasses flags recurrent/absorbing classes and fills the
@@ -457,20 +519,23 @@ func stiffness(rep *StructReport, in Input) {
 	rep.Stiffness.Stiff = rep.Stiffness.MaxClassRatio >= StiffThreshold
 }
 
-// lumpability runs the partition refinement and fills the Lumping section.
-func lumpability(rep *StructReport, in Input, names []string) {
+// lumping runs the partition refinement and returns the Lumping section.
+func lumping(in Input, names []string) Lumping {
 	blockOf, blocks := coarsestPartition(in)
-	rep.Lumping.blockOf = blockOf
-	rep.Lumping.Blocks = blocks
-	rep.Lumping.Ratio = float64(rep.States) / float64(blocks)
-	rep.Lumping.Lumpable = blocks < rep.States
-	if rep.Lumping.Lumpable && rep.States <= partitionCap {
+	l := Lumping{
+		blockOf:  blockOf,
+		Blocks:   blocks,
+		Ratio:    float64(in.States) / float64(blocks),
+		Lumpable: blocks < in.States,
+	}
+	if l.Lumpable && in.States <= partitionCap {
 		members := make([][]string, blocks)
 		for s, b := range blockOf {
 			members[b] = append(members[b], names[s])
 		}
-		rep.Lumping.Partition = members
+		l.Partition = members
 	}
+	return l
 }
 
 // hint distills the solver advice.

@@ -1,53 +1,106 @@
 package relstruct
 
+import "math"
+
 // condense computes the strongly connected components of the chain graph
-// with an iterative Tarjan (the recursive form overflows the goroutine
-// stack on deep chains like long birth-death ladders) and returns the
-// per-state class index plus the classes ordered deterministically by
-// smallest member state index.
+// and returns the per-state class index plus the classes ordered
+// deterministically by smallest member state index.
 func condense(n int, adj [][]int, names []string) ([]int, []Class) {
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
+	rawOf, comps := sccs(n, func(v int) []int { return adj[v] })
+	// Renumber components by smallest member index so reports are stable
+	// regardless of traversal order.
+	classOf := renumberBySmallestMember(rawOf, comps)
+	classes := make([]Class, comps)
+	for i := range classes {
+		classes[i].Index = i
+	}
+	for s, c := range classOf {
+		classes[c].States = append(classes[c].States, names[s])
+	}
+	return classOf, classes
+}
+
+// ClosedClasses finds the closed classes of the graph on states 0..n-1
+// whose state v has the out-neighbours out(v), self-loops and repeats
+// allowed: the communicating classes that no edge leaves, which hold
+// every stationary distribution's mass. closedOf[v] numbers v's closed
+// class from 0, or is -1 for a state outside every closed class (a
+// transient state), and closed counts the classes. out is called twice
+// per state, and its slices are only read. The pass is O(states + edges)
+// and allocates three arrays.
+func ClosedClasses(n int, out func(v int) []int) (closedOf []int, closed int) {
+	comp, comps := sccs(n, out)
+	id := make([]int, comps) // 0 while closed, -1 once an edge leaves
+	for v := 0; v < n; v++ {
+		for _, w := range out(v) {
+			if comp[w] != comp[v] {
+				id[comp[v]] = -1
+			}
+		}
+	}
+	for c, open := range id {
+		if open == 0 {
+			id[c] = closed
+			closed++
+		}
+	}
+	for v, c := range comp {
+		comp[v] = id[c]
+	}
+	return comp, closed
+}
+
+// sccs numbers the strongly connected components of the graph on states
+// 0..n-1 whose state v has the out-neighbours out(v), with an iterative
+// Tarjan (the recursive form overflows the goroutine stack on deep chains
+// like long birth-death ladders). comp[v] is v's component, numbered in
+// the order Tarjan closes them, and comps counts them. out is called
+// once per state. The per-state arrays share one allocation and the
+// suspended activations another, so the pass allocates twice whatever
+// the graph.
+func sccs(n int, out func(v int) []int) (comp []int, comps int) {
+	const unvisited, done = -1, math.MaxInt
+	// A state's index is its visiting order while it is on Tarjan's
+	// stack, and done once its component is closed, which keeps it out of
+	// every later low-link.
+	buf := make([]int, 4*n)
+	index, low := buf[:n:n], buf[n:2*n:2*n]
+	comp, stack := buf[2*n:3*n:3*n], buf[3*n:3*n:4*n]
 	for i := range index {
 		index[i] = unvisited
 	}
-	var stack []int
-	rawOf := make([]int, n)
-	comps := 0
 	next := 0
 
-	// frame is one suspended strongconnect activation.
+	// frame is one suspended strongconnect activation: state v, its
+	// out-neighbours and the next one to visit.
 	type frame struct {
 		v    int
+		row  []int
 		edge int
 	}
-	var frames []frame
+	frames := make([]frame, 0, n)
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames = append(frames[:0], frame{v: root})
+		frames = append(frames, frame{v: root, row: out(root)})
 		index[root] = next
 		low[root] = next
 		next++
 		stack = append(stack, root)
-		onStack[root] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			if f.edge < len(adj[v]) {
-				w := adj[v][f.edge]
+			if f.edge < len(f.row) {
+				w := f.row[f.edge]
 				f.edge++
 				if index[w] == unvisited {
 					index[w] = next
 					low[w] = next
 					next++
 					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
+					frames = append(frames, frame{v: w, row: out(w)})
+				} else if index[w] < low[v] {
 					low[v] = index[w]
 				}
 				continue
@@ -58,8 +111,8 @@ func condense(n int, adj [][]int, names []string) ([]int, []Class) {
 				for len(stack) > 0 {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					rawOf[w] = comps
+					index[w] = done
+					comp[w] = comps
 					if w == v {
 						break
 					}
@@ -75,18 +128,7 @@ func condense(n int, adj [][]int, names []string) ([]int, []Class) {
 			}
 		}
 	}
-
-	// Renumber components by smallest member index so reports are stable
-	// regardless of traversal order.
-	classOf := renumberBySmallestMember(rawOf, comps)
-	classes := make([]Class, comps)
-	for i := range classes {
-		classes[i].Index = i
-	}
-	for s, c := range classOf {
-		classes[c].States = append(classes[c].States, names[s])
-	}
-	return classOf, classes
+	return comp, comps
 }
 
 // weakComponents counts weakly connected components (union-find over the

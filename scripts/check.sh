@@ -94,9 +94,10 @@ trap - EXIT
 # dominant solver and iteration count of each experiment must match
 # exactly; heap allocations must stay within max(0.5%, 48 allocations) of
 # the baseline in either direction; wall time only backstops at 10x +
-# 250ms. TestSolveLargeAllocs holds parse plus solve of the 11-machine
-# availability farm and the 10-machine transient farm to their byte and
-# allocation bounds. All three build only without -race, so the pass
+# 250ms. TestSolveLargeAllocs holds parse plus solve of four farms (11
+# machines availability, with even and with random rates; 10 machines
+# transient; 9 machines steady state) to their byte and allocation
+# bounds. All three build only without -race, so the pass
 # above skips them. Regenerate intended changes with -update.
 echo "== suite baseline gate"
 go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs|TestSolveLargeAllocs)$' . ./cmd/relcli
