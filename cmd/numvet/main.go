@@ -26,13 +26,14 @@
 //     or enclosing function — taking *http.Request) in a main package
 //     without a "corr" field. Serve-path logs must carry the request's
 //     correlation ID so every line joins to its trace and wide event.
-//   - unused-export: an exported function or method under internal/ that
-//     no non-test code in the module references and no other package's
-//     tests do either. References are read from the whole module
-//     (commands, examples, nested modules, every test file), whatever
-//     packages are named; methods that satisfy an interface are exempt.
-//     Such code reaches no binary: delete it, or keep it with an allow
-//     comment that names the check or the inventory row it serves.
+//   - unused-export: a function or method under internal/, exported or
+//     not, that no non-test code in the module references and no other
+//     package's tests do either. References are read from the whole
+//     module (commands, examples, nested modules, every test file),
+//     whatever packages are named; methods that satisfy an interface and
+//     init are exempt. Such code reaches no binary: delete it, or keep it
+//     with an allow comment that names the check or the inventory row it
+//     serves.
 //
 // A finding can be acknowledged with a same-line comment:
 //

@@ -9,14 +9,15 @@ import (
 	"strings"
 )
 
-// ruleUnusedExport flags an exported function or method declared under
-// the module's internal/ tree that nothing which counts as a caller
-// references: no non-test file anywhere in the module (its own package
-// included, its own body excluded) and no test file in another package.
-// Such code reaches no binary and is checked only by its own tests; it
-// is either an oracle another test should use, a capability an
+// ruleUnusedExport flags a function or method declared under the
+// module's internal/ tree, exported or not, that nothing which counts as
+// a caller references: no non-test file anywhere in the module (its own
+// package included, its own body excluded) and no test file in another
+// package. Such code reaches no binary and is checked only by its own
+// tests; it is either an oracle another test should use, a capability an
 // experiment should show, or dead. A method that satisfies an interface
-// is exempt, since it is called through the interface.
+// is exempt, since it is called through the interface, and so is init,
+// which the runtime calls.
 const ruleUnusedExport = "unused-export"
 
 // references records what the whole module's code references, for the
@@ -170,15 +171,15 @@ func (r *references) satisfiesInterface(fn *types.Func) bool {
 	return false
 }
 
-// unusedExports reports the package's exported functions and methods
-// that nothing counting references.
+// unusedExports reports the package's functions and methods that
+// nothing counting references.
 func (r *references) unusedExports(fset *token.FileSet, mp *modPackage) []Finding {
 	var findings []Finding
 	for _, f := range mp.files {
 		allowed := allowMap(fset, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+			if !ok || (fd.Recv == nil && fd.Name.Name == "init") {
 				continue
 			}
 			fn, ok := mp.info.Defs[fd.Name].(*types.Func)

@@ -879,12 +879,20 @@ func (*Fault) Error() string { return "fault" }
 func (*Fault) Unwrap() error { return nil }
 
 func (Square) Side() float64 { return 1 }
+
+func helperOnlyOwnTests() {}
+
+func helperCalled() {}
+
+func CallsHelper() { helperCalled() }
+
+func init() {}
 `,
 		"internal/lib/lib_test.go": `package lib
 
 import "testing"
 
-func TestOwn(t *testing.T) { OnlyOwnTests() }
+func TestOwn(t *testing.T) { OnlyOwnTests(); helperOnlyOwnTests() }
 `,
 		"internal/other/other.go": "package other\n",
 		"internal/other/other_test.go": `package other
@@ -901,7 +909,7 @@ func TestOther(t *testing.T) { lib.CalledFromOtherTest() }
 
 import "tmpmod/internal/lib"
 
-func main() { lib.CalledFromMain() }
+func main() { lib.CalledFromMain(); lib.CallsHelper() }
 `,
 		"lib/lib.go": `package lib
 
@@ -918,7 +926,8 @@ func NotInternal() {}
 		got = append(got, strings.Fields(f.Msg)[0])
 	}
 	want := []string{"tmpmod/internal/lib.Unused", "tmpmod/internal/lib.OnlyOwnTests",
-		"tmpmod/internal/lib.Recursive", "(tmpmod/internal/lib.Square).Side"}
+		"tmpmod/internal/lib.Recursive", "(tmpmod/internal/lib.Square).Side",
+		"tmpmod/internal/lib.helperOnlyOwnTests"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("unused-export flagged %v, want %v", got, want)
 	}

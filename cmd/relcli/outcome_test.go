@@ -72,9 +72,9 @@ var docFaults = []struct {
 	{"rg-target", lint.CodeRGBadTerminal, `relgraph: node not in graph: "zz"`, relgraph.ErrNoSuchNode,
 		`{"type":"relgraph","relgraph":{"edges":[{"name":"x","from":"s","to":"t","rel":0.9}],"source":"s","target":"zz","measures":["reliability"]}}`},
 	// The rest of the solve boundary's input sentinels.
-	{"ctmc-empty", "", `markov: chain has no states`, markov.ErrEmptyChain,
+	{"ctmc-empty", lint.CodeCTMCNoStates, `markov: chain has no states`, markov.ErrEmptyChain,
 		`{"type":"ctmc","ctmc":{"transitions":[],"measures":["steadystate"]}}`},
-	{"ctmc-sor-absorbing", "", `markov steady state: sor: state 3 has no outgoing rate; generator reducible`, linalg.ErrReducible,
+	{"ctmc-sor-absorbing", lint.CodeCTMCAbsorbing, `markov steady state: sor: state 3 has no outgoing rate; generator reducible`, linalg.ErrReducible,
 		`{"type":"ctmc","ctmc":{"transitions":[{"from":"a","to":"b","rate":1},{"from":"b","to":"c","rate":1},{"from":"c","to":"a","rate":1},{"from":"a","to":"d","rate":1}],"measures":["steadystate"],"solver":"sor","lump":"off"}}`},
 	{"ft-not-rare-event", "", `faulttree: operation requires a coherent tree (no NOT gates)`, faulttree.ErrNonCoherent,
 		`{"type":"faulttree","faulttree":{"events":[{"name":"e","prob":0.1},{"name":"f","prob":0.2}],"top":{"op":"and","children":[{"event":"e"},{"op":"not","children":[{"event":"f"}]}]},"measures":["rare-event"]}}`},
@@ -99,15 +99,18 @@ var docFaults = []struct {
 	{"ft-mttf-infinite", "", `faulttree: system survives forever with probability 1; MTTF infinite`, faulttree.ErrInfiniteMTTF,
 		`{"type":"faulttree","faulttree":{"events":[{"name":"e","lifetime":{"kind":"exponential","rate":1}},{"name":"f","lifetime":{"kind":"exponential","rate":2}}],"top":{"op":"and","children":[{"event":"e"},{"op":"not","children":[{"event":"f"}]}]},"measures":["mttf"]}}`},
 	{"ctmc-two-rings", lint.CodeCTMCReducible, `markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible`, linalg.ErrReducible,
-		twoRings(350)},
+		twoRings(350, "")},
+	{"ctmc-two-rings-sor", lint.CodeCTMCReducible, `markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible`, linalg.ErrReducible,
+		twoRings(350, "sor")},
 }
 
 // twoRings is a ctmc document of two closed rings of n states each, with
-// a steady-state measure. Its long-run distribution depends on where the
-// chain starts; at 2n = 700 states auto solves it by SOR, which would
+// a steady-state measure and the given solver ("" for auto). Its
+// long-run distribution depends on where the chain starts; at 2n = 700
+// states auto solves it by SOR, which, like an explicit "sor", would
 // answer with the start vector's split, so only the closed-class check
 // rejects it.
-func twoRings(n int) string {
+func twoRings(n int, solver string) string {
 	var b strings.Builder
 	b.WriteString(`{"type":"ctmc","ctmc":{"transitions":[`)
 	for ring := 0; ring < 2; ring++ {
@@ -118,7 +121,11 @@ func twoRings(n int) string {
 			fmt.Fprintf(&b, `{"from":"r%d-%d","to":"r%d-%d","rate":1}`, ring, i, ring, (i+1)%n)
 		}
 	}
-	b.WriteString(`],"measures":["steadystate"]}}`)
+	b.WriteString(`],"measures":["steadystate"]`)
+	if solver != "" {
+		fmt.Fprintf(&b, `,"solver":%q`, solver)
+	}
+	b.WriteString(`}}`)
 	return b.String()
 }
 

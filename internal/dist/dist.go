@@ -1,6 +1,6 @@
 // Package dist provides the lifetime distributions used throughout the
 // reliability models: exponential, Weibull, lognormal, gamma/Erlang,
-// hypoexponential, hyperexponential, Coxian, deterministic, uniform, and
+// hypoexponential, hyperexponential, deterministic, uniform, and
 // general phase-type. Each distribution exposes its CDF, density, hazard
 // rate, moments, quantile function, and a sampler, so the same object can
 // drive both the analytic solvers and the discrete-event simulator.

@@ -257,26 +257,6 @@ func TestHypoHyperSCV(t *testing.T) {
 	}
 }
 
-func TestCoxian2(t *testing.T) {
-	// p=1 gives hypoexponential(mu1, mu2).
-	cox, err := NewCoxian2(1, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hypo, _ := NewHypoexponential(1, 2)
-	if relErr(cox.Mean(), hypo.Mean()) > 1e-12 {
-		t.Errorf("coxian p=1 mean %g vs hypo %g", cox.Mean(), hypo.Mean())
-	}
-	// p=0 gives exponential(mu1).
-	cox0, err := NewCoxian2(3, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relErr(cox0.Mean(), 1.0/3) > 1e-12 {
-		t.Errorf("coxian p=0 mean = %g", cox0.Mean())
-	}
-}
-
 func TestPhaseTypeValidation(t *testing.T) {
 	if _, err := NewErlang(0, 1); err == nil {
 		t.Error("want error for k=0")
@@ -286,9 +266,6 @@ func TestPhaseTypeValidation(t *testing.T) {
 	}
 	if _, err := NewHypoexponential(); err == nil {
 		t.Error("want error for empty rates")
-	}
-	if _, err := NewCoxian2(1, 1, 2); err == nil {
-		t.Error("want error for p>1")
 	}
 }
 

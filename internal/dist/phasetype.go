@@ -315,16 +315,3 @@ func NewHyperexponential(probs, rates []float64) (*PhaseType, error) {
 	}
 	return NewPhaseType(probs, s)
 }
-
-// NewCoxian2 returns the 2-phase Coxian distribution: stage 1 with rate mu1,
-// continuing to stage 2 (rate mu2) with probability p and exiting otherwise.
-func NewCoxian2(mu1, mu2, p float64) (*PhaseType, error) { //numvet:allow unused-export delete: no binary reaches it, and it goes with TestCoxian2
-	if mu1 <= 0 || mu2 <= 0 || p < 0 || p > 1 {
-		return nil, fmt.Errorf("coxian2 mu1=%g mu2=%g p=%g: %w", mu1, mu2, p, ErrBadParam)
-	}
-	s := linalg.NewDense(2, 2)
-	s.Set(0, 0, -mu1)
-	s.Set(0, 1, p*mu1)
-	s.Set(1, 1, -mu2)
-	return NewPhaseType([]float64{1, 0}, s)
-}

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/failpoint"
 )
@@ -100,22 +101,43 @@ func gth(rows, cols int, fill func(a []float64)) ([]float64, error) {
 			}
 		}
 	}
-	// Back substitution: π̃(0)=1, π̃(k) = Σ_{i<k} π̃(i)·a(i,k)/s(k).
+	// Back substitution: π̃(0)=1, π̃(k) = Σ_{i<k} π̃(i)·a(i,k)/s(k). On a
+	// chain whose probabilities grow fast along the numbering π̃ can
+	// overflow; only then is π̃(0..k-1) scaled down by a power of two,
+	// which is exact, and π̃(k) computed again. total is Σ π̃ in Sum's
+	// order, so a vector Normalize1 accepts is never rescaled.
 	pi := make([]float64, n)
 	pi[0] = 1
+	total := 1.0
 	for k := 1; k < n; k++ {
 		var s float64
 		for _, v := range a.Row(k)[:k] {
 			s += v
 		}
-		var num float64
-		for i := 0; i < k; i++ {
-			num += pi[i] * a.At(i, k)
+		pk := gthBack(pi[:k], a, k) / s
+		if math.IsInf(pk, 1) || math.IsInf(total+pk, 1) {
+			_, e := math.Frexp(total)
+			for i := range pi[:k] {
+				pi[i] = math.Ldexp(pi[i], -e)
+			}
+			total = math.Ldexp(total, -e)
+			pk = gthBack(pi[:k], a, k) / s
 		}
-		pi[k] = num / s
+		pi[k] = pk
+		total += pk
 	}
 	if err := Normalize1(pi); err != nil {
 		return nil, fmt.Errorf("gth: %w", err)
 	}
 	return pi, nil
+}
+
+// gthBack is the numerator of GTH's back substitution for state k:
+// Σ_{i<k} π̃(i)·a(i,k), summed in index order.
+func gthBack(pi []float64, a *Dense, k int) float64 {
+	var num float64
+	for i, p := range pi {
+		num += p * a.At(i, k)
+	}
+	return num
 }

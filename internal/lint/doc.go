@@ -26,8 +26,10 @@
 //	CT005  warning  state unreachable from the initial state
 //	CT006  error*   multiple closed communicating classes (*warning
 //	                unless a steady-state measure is requested)
-//	CT007  warning  absorbing state in a steady-state/availability model
+//	CT007  warning* absorbing state in a steady-state/availability model
+//	                (*error under "solver": "sor", which rejects it)
 //	CT008  error    transition with an empty endpoint name
+//	CT009  error    measure on a chain with no transitions, so no states
 //	GEN001 retired  raw generator checks: no document type, CLI path
 //	GEN002 retired  or solver hands lint a raw matrix
 //	GEN003 retired
@@ -125,6 +127,7 @@ const (
 	CodeCTMCReducible    = "CT006"
 	CodeCTMCAbsorbing    = "CT007"
 	CodeCTMCEmptyState   = "CT008"
+	CodeCTMCNoStates     = "CT009"
 
 	// GEN001–GEN003 and STO001–STO003 are retired: no input reached the
 	// raw-matrix checks that issued them.

@@ -75,6 +75,10 @@ func CheckCTMC(m *modelio.CTMCSpec) ([]Diagnostic, *relstruct.StructReport) {
 		known(s, fmt.Sprintf("ctmc.absorbing[%d]", i))
 	}
 
+	if len(m.Transitions) == 0 && len(m.Measures) > 0 {
+		ds = errf(ds, CodeCTMCNoStates, "ctmc.transitions",
+			"chain has no transitions, so no states to measure")
+	}
 	if len(names) == 0 {
 		return ds, nil
 	}
@@ -109,11 +113,16 @@ func CheckCTMC(m *modelio.CTMCSpec) ([]Diagnostic, *relstruct.StructReport) {
 	}
 
 	// Absorbing states: single-state closed classes, which are exactly
-	// the states with no transition to another state.
+	// the states with no transition to another state. The sor solver
+	// rejects every one, declared or not.
 	steady := needsSteadyState(m)
 	if steady {
 		for _, s := range rep.AbsorbingStates {
-			if !declared[s] {
+			switch {
+			case m.Solver == "sor":
+				ds = errf(ds, CodeCTMCAbsorbing, "ctmc",
+					"state %q is absorbing, and the sor solver rejects a state with no outgoing rate", s)
+			case !declared[s]:
 				ds = warnf(ds, CodeCTMCAbsorbing, "ctmc",
 					"state %q is absorbing; the steady-state/availability result will concentrate all probability in it", s)
 			}

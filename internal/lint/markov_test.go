@@ -126,6 +126,22 @@ func TestCheckCTMCAbsorbingInAvailabilityModel(t *testing.T) {
 	m.Measures = nil
 	m.Absorbing = []string{"dead"}
 	wantNoCode(t, ctmcDiags(m), CodeCTMCAbsorbing)
+
+	// The sor solver rejects an absorbing state, declared or not.
+	m.Measures = []string{"steadystate"}
+	m.Solver = "sor"
+	wantCode(t, ctmcDiags(m), CodeCTMCAbsorbing, SevError)
+}
+
+func TestCheckCTMCNoStates(t *testing.T) {
+	m := &modelio.CTMCSpec{Measures: []string{"steadystate"}}
+	d := wantCode(t, ctmcDiags(m), CodeCTMCNoStates, SevError)
+	if d.Path != "ctmc.transitions" {
+		t.Errorf("bad path %q", d.Path)
+	}
+	// With nothing to measure, the empty chain solves to no results.
+	m.Measures = nil
+	wantNoCode(t, ctmcDiags(m), CodeCTMCNoStates)
 }
 
 func TestCheckCTMCCleanModel(t *testing.T) {

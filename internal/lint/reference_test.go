@@ -88,6 +88,10 @@ func refCheckCTMC(m *modelio.CTMCSpec) []Diagnostic {
 		known(s, fmt.Sprintf("ctmc.absorbing[%d]", i))
 	}
 
+	if len(m.Transitions) == 0 && len(m.Measures) > 0 {
+		ds = errf(ds, CodeCTMCNoStates, "ctmc.transitions",
+			"chain has no transitions, so no states to measure")
+	}
 	n := len(names)
 	if n == 0 {
 		return ds
@@ -129,7 +133,13 @@ func refCheckCTMC(m *modelio.CTMCSpec) []Diagnostic {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if !hasOut[i] && !declared[names[i]] && refNeedsSteadyState(m) {
+		if hasOut[i] || !refNeedsSteadyState(m) {
+			continue
+		}
+		if m.Solver == "sor" {
+			ds = errf(ds, CodeCTMCAbsorbing, "ctmc",
+				"state %q is absorbing, and the sor solver rejects a state with no outgoing rate", names[i])
+		} else if !declared[names[i]] {
 			ds = warnf(ds, CodeCTMCAbsorbing, "ctmc",
 				"state %q is absorbing; the steady-state/availability result will concentrate all probability in it", names[i])
 		}
@@ -396,12 +406,13 @@ var chainNames = []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k",
 var oddRates = []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-9, 1e9, 1e12}
 
 // chainFromBytes decodes a chain of 1–12 named states from b, reading
-// zeros past its end. Byte 0 holds the steady-state flag (bit 0) and the
-// alphabet size; byte 1 the transition count (0–24); byte 2 the initial
-// state (none, an unknown name, or a state); bytes 3–5 the up set and
-// bytes 6–10 the sparser absorbing set, each possibly with an unknown or
-// empty name; then three bytes per transition: from, to (255 is the
-// empty name) and rate (1, 2 or 0.5, or 1 time in 32 an odd rate). A
+// zeros past its end. Byte 0 holds the steady-state flag (bit 0), the
+// alphabet size and, from 224 up, the "sor" solver; byte 1 the
+// transition count (0–24); byte 2 the initial state (none, an unknown
+// name, or a state); bytes 3–5 the up set and bytes 6–10 the sparser
+// absorbing set, each possibly with an unknown or empty name; then three
+// bytes per transition: from, to (255 is the empty name) and rate (1, 2
+// or 0.5, or 1 time in 32 an odd rate). A
 // self-loop is an error, and an error skips the STR checks, so a draw that
 // lands on one keeps it only when its from byte is 224 or more (1 time in
 // 8, or always in a one-state chain); otherwise it runs to the next state.
@@ -418,6 +429,9 @@ func chainFromBytes(b []byte) *modelio.CTMCSpec {
 	h := next()
 	if h&1 == 1 {
 		m.Measures = []string{"steadystate"}
+	}
+	if h >= 224 {
+		m.Solver = "sor"
 	}
 	k := 1 + int(h>>1)%len(chainNames)
 	name := func(c byte) string {
@@ -508,14 +522,20 @@ func TestCheckCTMCMatchesReference(t *testing.T) {
 		if m.Initial != "" && sinkOnly(m, m.Initial) {
 			seen["sink-only initial"]++
 		}
+		for _, d := range ds {
+			if d.Code == CodeCTMCAbsorbing && d.Severity == SevError {
+				seen["absorbing under sor"]++
+				break
+			}
+		}
 	}
 	t.Logf("cases reached over %d chains: %v", seeds, seen)
 	for _, c := range []string{
 		CodeCTMCBadRate, CodeCTMCSelfLoop, CodeCTMCDuplicate, CodeCTMCUnknownState, CodeCTMCUnreachable,
-		CodeCTMCReducible, CodeCTMCAbsorbing, CodeCTMCEmptyState,
+		CodeCTMCReducible, CodeCTMCAbsorbing, CodeCTMCEmptyState, CodeCTMCNoStates,
 		CodeStructTransientMass, CodeStructUnreachableClass, CodeStructStiff, CodeStructLumpable,
 		CodeStructTransientInitial, CodeStructDisconnected, CodeStructSolverHint, CodeStructRateSpan,
-		"steady-state", "closed classes", "declared-absorbing class", "sink-only initial",
+		"steady-state", "closed classes", "declared-absorbing class", "sink-only initial", "absorbing under sor",
 	} {
 		if seen[c] < 10 {
 			t.Errorf("only %d of %d chains reached %s", seen[c], seeds, c)

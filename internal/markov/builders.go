@@ -5,11 +5,10 @@ import (
 	"strconv"
 )
 
-// This file provides builders for the canonical availability chains the
-// tutorial walks through: k-of-n systems with limited repair crews, and
-// cold/warm/hot standby pairs with imperfect switch-over coverage. They
-// encode the standard textbook generators so examples and user models
-// don't re-derive them (and mis-derive them) by hand.
+// This file provides a builder for the canonical availability chain the
+// tutorial walks through: k-of-n systems with limited repair crews. It
+// encodes the standard textbook generator so examples and user models
+// don't re-derive it (and mis-derive it) by hand.
 
 // KOfNOptions parameterizes BuildKOfN.
 type KOfNOptions struct {
@@ -89,114 +88,4 @@ func (m *KOfNModel) Availability() (float64, error) {
 		return 0, err
 	}
 	return m.Chain.ProbSum(pi, m.UpStates()...)
-}
-
-// StandbyKind selects the standby regime of BuildStandbyPair.
-type StandbyKind int
-
-// Standby regimes.
-const (
-	// ColdStandby: the spare cannot fail while waiting.
-	ColdStandby StandbyKind = iota + 1
-	// WarmStandby: the spare fails at a reduced (dormancy) rate.
-	WarmStandby
-	// HotStandby: the spare fails at the full rate.
-	HotStandby
-)
-
-// StandbyOptions parameterizes BuildStandbyPair.
-type StandbyOptions struct {
-	// Kind selects cold/warm/hot standby.
-	Kind StandbyKind
-	// FailureRate is the active unit's failure rate.
-	FailureRate float64
-	// DormancyFactor scales the spare's failure rate for WarmStandby
-	// (0 < factor < 1); ignored otherwise.
-	DormancyFactor float64
-	// RepairRate is the (single-crew) repair rate.
-	RepairRate float64
-	// Coverage is the probability the switch-over to the spare succeeds;
-	// an uncovered switch-over takes the system down until repair.
-	Coverage float64
-}
-
-// StandbyModel packages the generated standby chain.
-//
-// States: "both" (active + good spare), "one" (one good unit active),
-// "down" (no unit serving — either both failed or an uncovered
-// switch-over).
-type StandbyModel struct {
-	// Chain is the generated 3-state chain.
-	Chain *CTMC
-}
-
-// BuildStandbyPair constructs the classic standby-redundancy chain with
-// imperfect switch-over coverage.
-func BuildStandbyPair(opts StandbyOptions) (*StandbyModel, error) { //numvet:allow unused-export delete: standby builder; no binary reaches it, and it goes with its four tests
-	if opts.FailureRate <= 0 || opts.RepairRate <= 0 {
-		return nil, fmt.Errorf("markov: standby rates λ=%g μ=%g", opts.FailureRate, opts.RepairRate)
-	}
-	if opts.Coverage < 0 || opts.Coverage > 1 {
-		return nil, fmt.Errorf("markov: standby coverage %g", opts.Coverage)
-	}
-	var spareRate float64
-	switch opts.Kind {
-	case ColdStandby:
-		spareRate = 0
-	case WarmStandby:
-		if opts.DormancyFactor <= 0 || opts.DormancyFactor >= 1 {
-			return nil, fmt.Errorf("markov: warm standby dormancy factor %g", opts.DormancyFactor)
-		}
-		spareRate = opts.DormancyFactor * opts.FailureRate
-	case HotStandby:
-		spareRate = opts.FailureRate
-	default:
-		return nil, fmt.Errorf("markov: unknown standby kind %d", opts.Kind)
-	}
-	lam, mu, c := opts.FailureRate, opts.RepairRate, opts.Coverage
-	chain := NewCTMC()
-	// Active fails: covered switch-over → "one"; uncovered → "down".
-	if c > 0 {
-		if err := chain.AddRate("both", "one", lam*c); err != nil {
-			return nil, err
-		}
-	}
-	if c < 1 {
-		if err := chain.AddRate("both", "down", lam*(1-c)); err != nil {
-			return nil, err
-		}
-	}
-	// Spare fails silently in "both" (detected, repaired): same "one"
-	// state (one good unit, one in repair).
-	if spareRate > 0 {
-		if err := chain.AddRate("both", "one", spareRate); err != nil {
-			return nil, err
-		}
-	}
-	// From "one": the serving unit fails → down; repair completes → both.
-	if err := chain.AddRate("one", "down", lam); err != nil {
-		return nil, err
-	}
-	if err := chain.AddRate("one", "both", mu); err != nil {
-		return nil, err
-	}
-	// From "down": repair restores one unit into service.
-	if err := chain.AddRate("down", "one", mu); err != nil {
-		return nil, err
-	}
-	return &StandbyModel{Chain: chain}, nil
-}
-
-// Availability returns the steady-state availability (up in "both"/"one").
-func (m *StandbyModel) Availability() (float64, error) { //numvet:allow unused-export delete: standby builder; no binary reaches it, and it goes with its four tests
-	pi, err := m.Chain.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	return m.Chain.ProbSum(pi, "both", "one")
-}
-
-// MTTF returns the mean time to first entry into "down" from "both".
-func (m *StandbyModel) MTTF() (float64, error) { //numvet:allow unused-export delete: standby builder; no binary reaches it, and it goes with its four tests
-	return m.Chain.MTTF("both", "down")
 }

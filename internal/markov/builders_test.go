@@ -112,89 +112,3 @@ func TestBuildKOfNValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestStandbyColdBeatsWarmBeatsHot(t *testing.T) {
-	mk := func(kind StandbyKind) float64 {
-		t.Helper()
-		opts := StandbyOptions{
-			Kind: kind, FailureRate: 0.1, RepairRate: 1.0, Coverage: 0.98,
-		}
-		if kind == WarmStandby {
-			opts.DormancyFactor = 0.3
-		}
-		m, err := BuildStandbyPair(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mttf, err := m.MTTF()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mttf
-	}
-	cold, warm, hot := mk(ColdStandby), mk(WarmStandby), mk(HotStandby)
-	if !(cold > warm && warm > hot) {
-		t.Errorf("MTTF ordering violated: cold %g, warm %g, hot %g", cold, warm, hot)
-	}
-}
-
-func TestStandbyColdPerfectCoverageClosedForm(t *testing.T) {
-	// Cold standby, perfect coverage, no repair of MTTF path… with repair
-	// the classic result is MTTF = (2λ+μ)/λ². Verify.
-	lam, mu := 0.2, 1.5
-	m, err := BuildStandbyPair(StandbyOptions{
-		Kind: ColdStandby, FailureRate: lam, RepairRate: mu, Coverage: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.MTTF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (2*lam + mu) / (lam * lam)
-	if relErr(got, want) > 1e-12 {
-		t.Errorf("MTTF = %g, want %g", got, want)
-	}
-}
-
-func TestStandbyCoverageSensitivity(t *testing.T) {
-	// Lower coverage → lower MTTF and availability.
-	av := func(cov float64) (float64, float64) {
-		t.Helper()
-		m, err := BuildStandbyPair(StandbyOptions{
-			Kind: HotStandby, FailureRate: 0.05, RepairRate: 1, Coverage: cov,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := m.Availability()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mttf, err := m.MTTF()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, mttf
-	}
-	a99, m99 := av(0.99)
-	a90, m90 := av(0.90)
-	if !(a99 > a90 && m99 > m90) {
-		t.Errorf("coverage should help: A %g vs %g, MTTF %g vs %g", a99, a90, m99, m90)
-	}
-}
-
-func TestStandbyValidation(t *testing.T) {
-	bad := []StandbyOptions{
-		{Kind: ColdStandby, FailureRate: 0, RepairRate: 1, Coverage: 1},
-		{Kind: ColdStandby, FailureRate: 1, RepairRate: 1, Coverage: 2},
-		{Kind: WarmStandby, FailureRate: 1, RepairRate: 1, Coverage: 1, DormancyFactor: 1.5},
-		{Kind: StandbyKind(99), FailureRate: 1, RepairRate: 1, Coverage: 1},
-	}
-	for i, opts := range bad {
-		if _, err := BuildStandbyPair(opts); err == nil {
-			t.Errorf("case %d accepted: %+v", i, opts)
-		}
-	}
-}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/guard"
 	"repro/internal/linalg"
@@ -29,6 +30,18 @@ type CTMC struct {
 	names []string
 	index map[string]int
 	edges
+	// classes keeps the closed classes of a chain whose structure a
+	// pattern has fixed (see NewPattern) once a solve has found them; the
+	// chains WithRates makes from it share them. nil: each solve finds
+	// them.
+	classes *closedClassCache
+}
+
+// closedClassCache holds closedClasses' answer for one chain structure.
+type closedClassCache struct {
+	once     sync.Once
+	closedOf []int
+	closed   int
 }
 
 // edges holds a chain's transitions in the order they were added, as
@@ -90,6 +103,7 @@ func (c *CTMC) State(name string) int {
 	if i, ok := c.index[name]; ok {
 		return i
 	}
+	c.classes = nil
 	i := len(c.names)
 	c.index[name] = i
 	c.names = append(c.names, name)
@@ -105,6 +119,7 @@ func (c *CTMC) AddRate(from, to string, rate float64) error {
 	if from == to {
 		return selfTransition(from)
 	}
+	c.classes = nil
 	c.add(c.State(from), c.State(to), rate)
 	return nil
 }
@@ -164,7 +179,7 @@ func (c *CTMC) WithRates(rates []float64) (*CTMC, error) {
 	}
 	n := len(c.from)
 	e := edges{from: c.from[:n:n], to: c.to[:n:n], rate: append([]float64(nil), rates...)}
-	return &CTMC{names: c.names, index: c.index, edges: e}, nil
+	return &CTMC{names: c.names, index: c.index, edges: e, classes: c.classes}, nil
 }
 
 // NumStates returns the number of states created so far.
@@ -224,9 +239,9 @@ type SteadyStateOptions struct {
 	//     smaller. If it fails for any reason but an interrupt, GTH
 	//     solves the whole chain;
 	//   - above that, SOR.
-	// "auto" above gthThreshold and "chain" at any size fail a chain with
-	// several closed classes, whose long-run distribution is not unique,
-	// with an error matching linalg.ErrReducible.
+	// "auto" above gthThreshold, and "sor" and "chain" at any size, fail
+	// a chain with several closed classes, whose long-run distribution is
+	// not unique, with an error matching linalg.ErrReducible.
 	Method string
 	// SOR tunes the iterative solver when it is used. Its Recorder field
 	// is overridden by Recorder below.
@@ -278,11 +293,15 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 			}
 		default:
 			method = "sor"
-			if _, closed := closedClasses(q); closed > 1 {
+			if _, closed := c.closedClasses(q); closed > 1 {
 				structErr = notUnique(closed)
 			}
 		}
-	case "gth", "sor", "chain":
+	case "sor":
+		if _, closed := c.closedClasses(q); closed > 1 {
+			structErr = notUnique(closed)
+		}
+	case "gth", "chain":
 	default:
 		return nil, fmt.Errorf("markov steady state: unknown method %q (want auto, gth, sor, or chain)", opts.Method)
 	}

@@ -175,25 +175,6 @@ func (d *DTMC) SteadyStateWithOptions(opts SteadyStateOptions) ([]float64, error
 	return pi, nil
 }
 
-// StepN returns p0·P^n.
-func (d *DTMC) StepN(p0 []float64, n int) ([]float64, error) { //numvet:allow unused-export delete: no binary reaches it, and it goes with TestDTMCStepN
-	if len(p0) != len(d.names) {
-		return nil, fmt.Errorf("%w: len %d for %d states", ErrBadInitial, len(p0), len(d.names))
-	}
-	p, err := d.Matrix()
-	if err != nil {
-		return nil, err
-	}
-	v := linalg.Clone(p0)
-	for i := 0; i < n; i++ {
-		v, err = p.VecMul(v)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
 // AbsorptionProbs computes, for a DTMC whose named absorbing states have
 // P(i,i)=1, the probability of eventually being absorbed in each absorbing
 // state starting from the given state.

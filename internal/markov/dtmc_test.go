@@ -39,24 +39,6 @@ func TestDTMCRowSumValidation(t *testing.T) {
 	}
 }
 
-func TestDTMCStepN(t *testing.T) {
-	d := NewDTMC()
-	_ = d.AddProb("a", "b", 1)
-	_ = d.AddProb("b", "a", 1)
-	p0 := []float64{1, 0}
-	p2, err := d.StepN(p0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2[0] != 1 || p2[1] != 0 {
-		t.Errorf("period-2 chain after 2 steps: %v", p2)
-	}
-	p3, _ := d.StepN(p0, 3)
-	if p3[0] != 0 || p3[1] != 1 {
-		t.Errorf("after 3 steps: %v", p3)
-	}
-}
-
 func TestDTMCAbsorptionGambler(t *testing.T) {
 	// Gambler's ruin on {0..4}, fair coin, start at 2:
 	// P(reach 4 before 0) = 2/4 = 0.5. Start at 1 → 0.25.

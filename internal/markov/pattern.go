@@ -35,13 +35,16 @@ func layout(c *CTMC) (Pattern, error) {
 // NewPattern lays out c's generator and records where each of c's
 // transitions and diagonals lands in it. The pattern keeps its transpose
 // as well, so SOR on a generator filled into it places values instead of
-// transposing the pattern again.
+// transposing the pattern again. Since the pattern fixes c's structure,
+// c keeps its closed classes from the first solve that finds them on,
+// for itself and for every chain WithRates makes from it.
 func NewPattern(c *CTMC) (*Pattern, error) {
 	p, err := layout(c)
 	if err != nil {
 		return nil, err
 	}
 	p.q = p.q.WithTranspose()
+	c.classes = new(closedClassCache)
 	return &p, nil
 }
 

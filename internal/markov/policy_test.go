@@ -254,6 +254,33 @@ func TestAutoKeepsGTHUpToTheCutoff(t *testing.T) {
 	}
 }
 
+// TestBirthDeathOverflowingGTH: a 600-state birth–death chain whose up
+// rate is five times its down rate, π(k) = 4·5^k/(5^600−1). GTH's
+// unnormalized back substitution grows 5^599-fold from state 0, so it
+// rescales on the way; auto reaches GTH once SOR spends its budget. Both
+// answer within 1e-12 relative of the closed form in the top states,
+// where the mass is.
+func TestBirthDeathOverflowingGTH(t *testing.T) {
+	b := &bandCase{n: 600}
+	for s := 0; s+1 < b.n; s++ {
+		b.add(s, s+1, 5)
+		b.add(s+1, s, 1)
+	}
+	c := b.chain(t)
+	for _, method := range []string{"gth", "auto"} {
+		pi, err := c.SteadyStateWithOptions(SteadyStateOptions{Method: method})
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		for k := 300; k < b.n; k++ {
+			want := 4 * math.Pow(5, float64(k-b.n))
+			if math.Abs(pi[k]-want) > 1e-12*want {
+				t.Fatalf("%s: π(s%d) = %.17g, want %.17g", method, k, pi[k], want)
+			}
+		}
+	}
+}
+
 // cancelAfter is a context that reports itself canceled from its
 // (after+1)-th Done call on, so a solve is interrupted at a fixed sweep.
 type cancelAfter struct {
@@ -305,8 +332,10 @@ func TestAutoBandInterruptAndBudget(t *testing.T) {
 }
 
 // TestMultiClassChainsAreReducible: a chain of two closed rings fails
-// under auto above 600 states and under chain at any size with an error
-// matching linalg.ErrReducible; in the band auto gives GTH's error.
+// under auto above 600 states and under sor and chain at any size with
+// an error matching linalg.ErrReducible; in the band auto gives GTH's
+// error. Once transitions join the rings, sor solves the chain, even
+// though a pattern of it kept the closed classes it found before.
 func TestMultiClassChainsAreReducible(t *testing.T) {
 	for _, tc := range []struct {
 		n      int
@@ -316,15 +345,32 @@ func TestMultiClassChainsAreReducible(t *testing.T) {
 		{700, "", "markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible"},
 		{700, "chain", "markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible"},
 		{40, "chain", "markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible"},
+		{700, "sor", "markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible"},
+		{40, "sor", "markov steady state: 2 closed classes, so the long-run distribution is not unique; generator reducible"},
 		{310, "", "markov steady state: gth: state 155 has no transitions to lower-indexed states; generator reducible"},
 	} {
 		b := &bandCase{n: tc.n}
 		rng := rand.New(rand.NewSource(int64(tc.n)))
 		b.ring(rng, 0, tc.n/2)
 		b.ring(rng, tc.n/2, tc.n)
-		_, err := b.chain(t).SteadyStateWithOptions(SteadyStateOptions{Method: tc.method})
+		c := b.chain(t)
+		if _, err := NewPattern(c); err != nil {
+			t.Fatal(err)
+		}
+		_, err := c.SteadyStateWithOptions(SteadyStateOptions{Method: tc.method})
 		if !errors.Is(err, linalg.ErrReducible) || err.Error() != tc.want {
 			t.Errorf("%d states, method %q: %v, want %q", tc.n, tc.method, err, tc.want)
+		}
+		if tc.method != "sor" {
+			continue
+		}
+		for _, pair := range [][2]int{{0, tc.n / 2}, {tc.n / 2, 0}} {
+			if err := c.AddRate(fmt.Sprintf("s%d", pair[0]), fmt.Sprintf("s%d", pair[1]), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.SteadyStateWithOptions(SteadyStateOptions{Method: "sor"}); err != nil {
+			t.Errorf("%d states, rings joined: sor: %v", tc.n, err)
 		}
 	}
 }

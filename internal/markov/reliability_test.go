@@ -38,17 +38,17 @@ func TestReliabilityWithRepairExceedsWithout(t *testing.T) {
 	// Extra: the full availability chain even repairs from "0"; the
 	// reliability computation must ignore that path.
 	_ = rep.AddRate("0", "1", mu)
-	tt := 2.0
-	r1, err := norep.ReliabilityAt(tt, "2", "0")
+	tt := []float64{2}
+	r1, err := norep.ReliabilityCurve(tt, "2", "0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := rep.ReliabilityAt(tt, "2", "0")
+	r2, err := rep.ReliabilityCurve(tt, "2", "0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2 <= r1 {
-		t.Errorf("repair should raise R(t): %g vs %g", r2, r1)
+	if r2[0] <= r1[0] {
+		t.Errorf("repair should raise R(t): %g vs %g", r2[0], r1[0])
 	}
 	// R(t) must be monotone decreasing despite the repair-from-0 edge in
 	// the source chain (proof the absorbing copy is used).
@@ -94,10 +94,10 @@ func TestReliabilityMatchesMTTFIntegral(t *testing.T) {
 
 func TestReliabilityValidation(t *testing.T) {
 	c := twoState(t, 1, 1)
-	if _, err := c.ReliabilityAt(1, "up"); err == nil {
+	if _, err := c.ReliabilityCurve([]float64{1}, "up"); err == nil {
 		t.Error("no failure states accepted")
 	}
-	if _, err := c.ReliabilityAt(1, "ghost", "down"); err == nil {
+	if _, err := c.ReliabilityCurve([]float64{1}, "ghost", "down"); err == nil {
 		t.Error("unknown initial accepted")
 	}
 }

@@ -37,14 +37,23 @@ func (d *DTMC) structure() (*relstruct.StructReport, error) {
 	return relstruct.AnalyzeClasses(structInput(d.names, &d.edges, true))
 }
 
-// closedClasses finds the closed classes of a generator's chain from q's
-// pattern alone (see relstruct.ClosedClasses): the class of each state,
-// -1 for a transient one, and their number.
-func closedClasses(q *linalg.CSR) ([]int, int) {
-	return relstruct.ClosedClasses(q.Rows(), func(v int) []int {
-		cols, _ := q.Row(v)
-		return cols
-	})
+// closedClasses finds the closed classes of c, whose generator is q, from
+// q's pattern alone (see relstruct.ClosedClasses): the class of each
+// state, -1 for a transient one, and their number. A chain with a fixed
+// structure finds them once (see CTMC.classes).
+func (c *CTMC) closedClasses(q *linalg.CSR) ([]int, int) {
+	find := func() ([]int, int) {
+		return relstruct.ClosedClasses(q.Rows(), func(v int) []int {
+			cols, _ := q.Row(v)
+			return cols
+		})
+	}
+	cc := c.classes
+	if cc == nil {
+		return find()
+	}
+	cc.once.Do(func() { cc.closedOf, cc.closed = find() })
+	return cc.closedOf, cc.closed
 }
 
 // sorClass reports whether auto may solve c, whose generator is q, by SOR
@@ -57,7 +66,7 @@ func closedClasses(q *linalg.CSR) ([]int, int) {
 // relative change SOR cannot settle a cycle of them, whose mass shrinks
 // by a constant factor each sweep until it underflows.
 func (c *CTMC) sorClass(q *linalg.CSR) (class []int, ok bool) {
-	closedOf, closed := closedClasses(q)
+	closedOf, closed := c.closedClasses(q)
 	if closed != 1 {
 		return nil, false
 	}

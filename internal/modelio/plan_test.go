@@ -1,6 +1,7 @@
 package modelio
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -103,6 +104,30 @@ func TestCTMCPlanRateErrors(t *testing.T) {
 	_, want = SolveWithOptions(loop, SolveOptions{})
 	if _, err := CompileCTMC(loop); err == nil || err.Error() != want.Error() {
 		t.Fatalf("compile with a self-transition: %v, want %v", err, want)
+	}
+}
+
+// TestCTMCPlanSolveAllocs pins the allocations of one rated solve of a
+// compiled plan: models/repairfarm.json's availability, as a sweep job
+// solves it per sample. The plan finds the chain's closed classes, which
+// its explicit "sor" checks, once and not per solve.
+func TestCTMCPlanSolveAllocs(t *testing.T) {
+	spec := ctmcFixtures(t)["repairfarm.json"]
+	ctmc := *spec.CTMC
+	ctmc.Measures = []string{"availability"}
+	p, err := CompileCTMC(&Spec{Type: "ctmc", Name: spec.Name, CTMC: &ctmc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := p.Rates()
+	opts := SolveOptions{Context: context.Background()}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := p.Solve(rates, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 9 {
+		t.Errorf("%v allocations per rated solve, want 9", got)
 	}
 }
 

@@ -101,6 +101,20 @@ func TestFitDistributionWeibull(t *testing.T) {
 	if ph.Order() < 2 {
 		t.Errorf("order = %d, want >= 2", ph.Order())
 	}
+	// The fit also follows the CDF's shape: within a few percent in the
+	// sup norm, where the exponential of the same mean is far worse.
+	exp := dist.MustExponential(1 / w.Mean())
+	var supPH, supExp float64
+	for x := 0.5; x <= 500; x += 0.5 {
+		supPH = math.Max(supPH, math.Abs(ph.CDF(x)-w.CDF(x)))
+		supExp = math.Max(supExp, math.Abs(exp.CDF(x)-w.CDF(x)))
+	}
+	if supPH > 0.05 {
+		t.Errorf("sup |F_ph - F| = %g, want < 0.05", supPH)
+	}
+	if supExp < 2*supPH {
+		t.Errorf("exponential sup distance %g should be far worse than the fit's %g", supExp, supPH)
+	}
 }
 
 func TestFitDistributionLognormalHighCV(t *testing.T) {

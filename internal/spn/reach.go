@@ -224,33 +224,3 @@ func (tc *TangibleChain) Utilization(transition string) (float64, error) { //num
 	}
 	return u, nil
 }
-
-// ExpectedReward returns the steady-state expectation of an arbitrary
-// marking-dependent reward rate Σ_m π(m)·rate(m) — utilization-weighted
-// power draw, marking-dependent throughput, and similar measures.
-func (tc *TangibleChain) ExpectedReward(rate func(Marking) float64) (float64, error) { //numvet:allow unused-export delete: no binary reaches it, and it goes with TestExpectedRewardMarkingDependent
-	if rate == nil {
-		return 0, fmt.Errorf("spn: nil reward rate")
-	}
-	probs, err := tc.SteadyState()
-	if err != nil {
-		return 0, err
-	}
-	var e float64
-	for i, m := range tc.Markings {
-		e += probs[i] * rate(m)
-	}
-	return e, nil
-}
-
-// StatesWhere returns the chain-state names whose marking satisfies cond
-// (for use with the markov package's name-based APIs).
-func (tc *TangibleChain) StatesWhere(cond func(Marking) bool) []string {
-	var out []string
-	for _, m := range tc.Markings {
-		if cond(m) {
-			out = append(out, stateName(m))
-		}
-	}
-	return out
-}

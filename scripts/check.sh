@@ -41,8 +41,8 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 
 # numvet's unused-export rule reads references from the whole module
 # (examples, cmd/experiments, the nested cmd/relperf module, every test
-# file) and reports exported functions under internal/ that nothing but
-# their own package's tests calls.
+# file) and reports functions under internal/, exported or not, that
+# nothing but their own package's tests calls.
 echo "== numvet"
 go run ./cmd/numvet ./internal/... ./cmd/relcli
 
