@@ -76,7 +76,7 @@ var docFaults = []struct {
 		`{"type":"ctmc","ctmc":{"transitions":[],"measures":["steadystate"]}}`},
 	{"ctmc-sor-absorbing", lint.CodeCTMCAbsorbing, `markov steady state: sor: state 3 has no outgoing rate; generator reducible`, linalg.ErrReducible,
 		`{"type":"ctmc","ctmc":{"transitions":[{"from":"a","to":"b","rate":1},{"from":"b","to":"c","rate":1},{"from":"c","to":"a","rate":1},{"from":"a","to":"d","rate":1}],"measures":["steadystate"],"solver":"sor","lump":"off"}}`},
-	{"ft-not-rare-event", "", `faulttree: operation requires a coherent tree (no NOT gates)`, faulttree.ErrNonCoherent,
+	{"ft-not-rare-event", lint.CodeFTNonCoherent, `faulttree: operation requires a coherent tree (no NOT gates)`, faulttree.ErrNonCoherent,
 		`{"type":"faulttree","faulttree":{"events":[{"name":"e","prob":0.1},{"name":"f","prob":0.2}],"top":{"op":"and","children":[{"event":"e"},{"op":"not","children":[{"event":"f"}]}]},"measures":["rare-event"]}}`},
 	{"spn-place", lint.CodePNUnknownPlace, `spn: unknown place: "zz"`, spn.ErrUnknownPlace,
 		`{"type":"spn","spn":{"places":[{"name":"p","tokens":1}],"transitions":[{"name":"t","kind":"timed","rate":1}],"arcs":[{"kind":"input","place":"zz","transition":"t"}],"measures":["throughput:t"]}}`},

@@ -8,6 +8,7 @@ package bdd
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/failpoint"
 )
@@ -27,6 +28,9 @@ const (
 	True  Ref = 1
 )
 
+// node is a BDD node: the variable it tests and its two children. A
+// node's children are made before it, so they always have lower refs:
+// ascending Ref order is a bottom-up order.
 type node struct {
 	level     int32 // variable index; terminals use a sentinel
 	low, high Ref
@@ -38,8 +42,8 @@ const terminalLevel int32 = 1<<31 - 1
 // share a variable ordering. It is not safe for concurrent use.
 type Manager struct {
 	nodes  []node
-	unique map[node]Ref
-	iteC   map[[3]Ref]Ref
+	unique table // (level, low, high) -> Ref
+	iteC   table // (f, g, h) -> ITE(f, g, h)
 	nvars  int
 
 	nodeLimit int
@@ -48,11 +52,12 @@ type Manager struct {
 
 	iteHits, iteMisses int64
 
-	// Prob's memo: probMemo[r] holds Pr[r = 1] for the running call
-	// when probGen[r] equals probStamp.
-	probMemo  []float64
-	probGen   []uint32
-	probStamp uint32
+	// orders caches, per root, the internal nodes reachable from it in
+	// ascending Ref order; a root's reachable set never changes.
+	orders map[Ref][]Ref
+	// vals is Prob's scratch: vals[r] holds Pr[r = 1] once the running
+	// pass has reached r.
+	vals []float64
 }
 
 // Stats reports manager-level telemetry: live node count and ITE
@@ -74,8 +79,8 @@ func (m *Manager) Stats() Stats {
 // New returns a manager for nvars Boolean variables, ordered by index.
 func New(nvars int) *Manager {
 	m := &Manager{
-		unique: make(map[node]Ref, 1024),
-		iteC:   make(map[[3]Ref]Ref, 1024),
+		unique: newTable(),
+		iteC:   newTable(),
 		nvars:  nvars,
 	}
 	m.nodes = append(m.nodes,
@@ -120,9 +125,9 @@ func (m *Manager) mk(level int32, low, high Ref) Ref {
 	if low == high {
 		return low
 	}
-	key := node{level: level, low: low, high: high}
-	if r, ok := m.unique[key]; ok {
-		return r
+	slot, ok := m.unique.find(level, int32(low), int32(high))
+	if ok {
+		return Ref(m.unique.value(slot))
 	}
 	if m.nodeLimit > 0 && len(m.nodes)-2 >= m.nodeLimit {
 		m.limitHit = true
@@ -136,8 +141,8 @@ func (m *Manager) mk(level int32, low, high Ref) Ref {
 		return low
 	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, key)
-	m.unique[key] = r
+	m.nodes = append(m.nodes, node{level: level, low: low, high: high})
+	m.unique.insert(slot, level, int32(low), int32(high), int32(r))
 	return r
 }
 
@@ -162,10 +167,9 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	case g == True && h == False:
 		return f
 	}
-	key := [3]Ref{f, g, h}
-	if r, ok := m.iteC[key]; ok {
+	if slot, ok := m.iteC.find(int32(f), int32(g), int32(h)); ok {
 		m.iteHits++
-		return r
+		return Ref(m.iteC.value(slot))
 	}
 	m.iteMisses++
 	// Split on the top variable.
@@ -182,7 +186,9 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	low := m.ITE(f0, g0, h0)
 	high := m.ITE(f1, g1, h1)
 	r := m.mk(lv, low, high)
-	m.iteC[key] = r
+	// The recursion may have grown the table, so find the slot again.
+	slot, _ := m.iteC.find(int32(f), int32(g), int32(h))
+	m.iteC.insert(slot, int32(f), int32(g), int32(h), int32(r))
 	return r
 }
 
@@ -204,20 +210,25 @@ func (m *Manager) Or(f, g Ref) Ref { return m.ITE(f, True, g) }
 // Not returns ¬f.
 func (m *Manager) Not(f Ref) Ref { return m.ITE(f, False, True) }
 
-// AndN folds And over its arguments (True for none).
+// AndN folds And over its arguments (True for none), from the last to
+// the first. When each argument's variables precede those of the
+// arguments after it, as when variables are numbered in order of first
+// appearance, each step descends only the new argument, so the fold
+// costs the size of its arguments' diagrams.
 func (m *Manager) AndN(fs ...Ref) Ref {
 	r := True
-	for _, f := range fs {
-		r = m.And(r, f)
+	for i := len(fs) - 1; i >= 0; i-- {
+		r = m.And(fs[i], r)
 	}
 	return r
 }
 
-// OrN folds Or over its arguments (False for none).
+// OrN folds Or over its arguments (False for none), from the last to the
+// first, as AndN does.
 func (m *Manager) OrN(fs ...Ref) Ref {
 	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
+	for i := len(fs) - 1; i >= 0; i-- {
+		r = m.Or(fs[i], r)
 	}
 	return r
 }
@@ -281,19 +292,44 @@ func (m *Manager) Restrict(f Ref, v int, value bool) (Ref, error) {
 }
 
 // NodeCount returns the number of distinct internal nodes reachable from f.
-func (m *Manager) NodeCount(f Ref) int {
-	seen := make(map[Ref]bool)
-	var rec func(Ref)
-	rec = func(r Ref) {
-		if r == True || r == False || seen[r] {
-			return
-		}
-		seen[r] = true
-		rec(m.nodes[r].low)
-		rec(m.nodes[r].high)
+func (m *Manager) NodeCount(f Ref) int { return len(m.order(f)) }
+
+// order returns the internal nodes reachable from f in ascending Ref
+// order, children before parents, and caches it for f.
+func (m *Manager) order(f Ref) []Ref {
+	if f == False || f == True {
+		return nil
 	}
-	rec(f)
-	return len(seen)
+	if ord, ok := m.orders[f]; ok {
+		return ord
+	}
+	// Every node reachable from f has a ref at most f: mark them in a
+	// bitset over [0, f], then read the marks in ascending order.
+	seen := make([]uint64, int(f)/64+1)
+	stack := []Ref{f}
+	count := 0
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if r == False || r == True || seen[r/64]&(1<<(r%64)) != 0 {
+			continue
+		}
+		seen[r/64] |= 1 << (r % 64)
+		count++
+		stack = append(stack, m.nodes[r].low, m.nodes[r].high)
+	}
+	ord := make([]Ref, 0, count)
+	for w, word := range seen {
+		for word != 0 {
+			ord = append(ord, Ref(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	if m.orders == nil {
+		m.orders = make(map[Ref][]Ref)
+	}
+	m.orders[f] = ord
+	return ord
 }
 
 // SatCount returns the number of satisfying assignments over all nvars

@@ -121,10 +121,10 @@ func TestProbRepeatedEvent(t *testing.T) {
 	}
 }
 
-// TestProbMemoIsPerCall checks that Prob's memo, kept on the Manager,
-// never carries one call's values into the next: not between calls with
-// different probabilities, not after the node table grows, and not when
-// the memo's generation counter wraps.
+// TestProbMemoIsPerCall checks that Prob's scratch values and cached pass
+// order, kept on the Manager, never carry one call's values into the
+// next: not between calls with different probabilities, and not after the
+// node table grows.
 func TestProbMemoIsPerCall(t *testing.T) {
 	m := New(16)
 	a, b, c := mustVar(t, m, 0), mustVar(t, m, 1), mustVar(t, m, 2)
@@ -154,7 +154,6 @@ func TestProbMemoIsPerCall(t *testing.T) {
 		t.Fatalf("node table grew from %d to only %d", size, m.Size())
 	}
 	check(0.2, 0.6, 0.1)
-	m.probStamp = math.MaxUint32
 	check(0.3, 0.3, 0.3)
 	check(0.9, 0.8, 0.7)
 }

@@ -10,10 +10,11 @@ import (
 var ErrBadProb = errors.New("outside [0,1]")
 
 // Prob computes Pr[f = 1] given independent variable probabilities
-// p[i] = Pr[var i = 1], by a memoized Shannon expansion over the BDD
-// (Rauzy's bottom-up algorithm). Complexity is linear in the BDD size.
-// The memo is scratch space on the Manager, reused across calls, so Prob
-// writes to the Manager even though it adds no nodes.
+// p[i] = Pr[var i = 1] by Shannon expansion over the BDD (Rauzy's
+// algorithm): one bottom-up pass over the nodes reachable from f, so the
+// cost is linear in the BDD size. The pass order is cached per root and
+// its scratch values are kept on the Manager, so Prob writes to the
+// Manager even though it adds no nodes.
 func (m *Manager) Prob(f Ref, p []float64) (float64, error) {
 	if len(p) != m.nvars {
 		return 0, fmt.Errorf("bdd prob: %d probabilities for %d variables", len(p), m.nvars)
@@ -23,41 +24,20 @@ func (m *Manager) Prob(f Ref, p []float64) (float64, error) {
 			return 0, fmt.Errorf("bdd prob: p[%d]=%g %w", i, pi, ErrBadProb)
 		}
 	}
-	if len(m.probMemo) < len(m.nodes) {
-		// Size to the node table's capacity, so the memo grows only when
-		// the table itself reallocates.
-		m.probMemo = make([]float64, cap(m.nodes))
-		m.probGen = make([]uint32, cap(m.nodes))
-		m.probStamp = 0
+	ord := m.order(f)
+	if len(m.vals) < len(m.nodes) {
+		// Size to the node table's capacity, so the scratch grows only
+		// when the table itself reallocates.
+		m.vals = make([]float64, cap(m.nodes))
 	}
-	m.probStamp++
-	if m.probStamp == 0 {
-		// The generation counter wrapped: stamps from 2³² calls ago
-		// would read as current.
-		clear(m.probGen)
-		m.probStamp = 1
+	vals := m.vals
+	vals[False], vals[True] = 0, 1
+	for _, r := range ord {
+		n := m.nodes[r]
+		pi := p[n.level]
+		vals[r] = (1-pi)*vals[n.low] + pi*vals[n.high]
 	}
-	return m.prob(f, p), nil
-}
-
-// prob is Prob's recursion; a node's memo entry is valid when its stamp
-// equals the current call's.
-func (m *Manager) prob(r Ref, p []float64) float64 {
-	switch r {
-	case False:
-		return 0
-	case True:
-		return 1
-	}
-	if m.probGen[r] == m.probStamp {
-		return m.probMemo[r]
-	}
-	n := m.nodes[r]
-	pi := p[n.level]
-	v := (1-pi)*m.prob(n.low, p) + pi*m.prob(n.high, p)
-	m.probMemo[r] = v
-	m.probGen[r] = m.probStamp
-	return v
+	return vals[f], nil
 }
 
 // Birnbaum computes the Birnbaum importance of variable v for function f:

@@ -134,8 +134,7 @@ func E2FaultTree(rec obs.Recorder) (*core.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := tree.BDDStats()
-		sp.Set(obs.I("bdd_nodes", st.Nodes), obs.I("mincuts", nCuts))
+		sp.Set(obs.I("bdd_nodes", tree.BDDSize()), obs.I("mincuts", nCuts))
 		sp.End()
 		if err := t.AddRow(itoa(pairs), itoa(len(tree.Events())), itoa(nCuts),
 			f64(top), f64(bound), ms(bddDur), ms(mocusDur)); err != nil {

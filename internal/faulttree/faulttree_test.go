@@ -330,3 +330,22 @@ func itoa(i int) string {
 	}
 	return string(b)
 }
+
+// TestOrOfAndPairsCompilesLinearly holds the whole construction of an OR
+// of k AND-pairs, every node its manager makes, to three per event:
+// the n-ary fold descends only each new operand.
+func TestOrOfAndPairsCompilesLinearly(t *testing.T) {
+	for _, k := range []int{50, 200} {
+		gates := make([]*Node, k)
+		for i := range gates {
+			gates[i] = And(Basic(ev("a"+itoa(i), 0.001)), Basic(ev("b"+itoa(i), 0.001)))
+		}
+		tr, err := New(Or(gates...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, n := tr.BDDStats().Nodes, 2*k; got > 3*n {
+			t.Errorf("k=%d: construction made %d nodes, want at most %d", k, got, 3*n)
+		}
+	}
+}

@@ -51,6 +51,9 @@
 //	FT009  error    fault tree without a top gate
 //	FT010  error    topAt or mttf measure with an event that has no
 //	                lifetime distribution
+//	FT011  error*   NOT gate in a tree with a rare-event measure, which
+//	                needs a coherent tree (*warning when the tree only
+//	                sets bddBudget, whose MOCUS fallback needs one too)
 //
 // Reliability block diagrams (CheckRBD):
 //
@@ -142,6 +145,7 @@ const (
 	CodeFTDuplicateEvent = "FT008"
 	CodeFTMissingTop     = "FT009"
 	CodeFTNoLifetime     = "FT010"
+	CodeFTNonCoherent    = "FT011"
 
 	CodeRBDUnknownComp      = "RBD001"
 	CodeRBDArity            = "RBD002"

@@ -41,6 +41,7 @@ func CheckFaultTree(ft *modelio.FaultTreeSpec) []Diagnostic {
 	used := map[string]int{}
 	visiting := map[*modelio.GateSpec]bool{}
 	visited := map[*modelio.GateSpec]bool{}
+	notPath := "" // the first NOT gate, which makes the tree non-coherent
 	var walk func(g *modelio.GateSpec, path string)
 	walk = func(g *modelio.GateSpec, path string) {
 		if g == nil {
@@ -81,6 +82,9 @@ func CheckFaultTree(ft *modelio.FaultTreeSpec) []Diagnostic {
 			if len(g.Children) != 1 {
 				ds = errf(ds, CodeFTBadGate, path, "not gate takes exactly one child, got %d", len(g.Children))
 			}
+			if notPath == "" {
+				notPath = path
+			}
 		default:
 			ds = errf(ds, CodeFTBadGate, path, "unknown gate op %q", g.Op)
 		}
@@ -97,6 +101,15 @@ func CheckFaultTree(ft *modelio.FaultTreeSpec) []Diagnostic {
 			ds = warnf(ds, CodeFTSharedSubtree, "faulttree.top",
 				"basic event %q appears %d times in the tree; min-cut based bounds are safer than naive bottom-up evaluation here", name, n)
 		}
+	}
+	switch {
+	case notPath == "":
+	case slices.Contains(ft.Measures, "rare-event"):
+		ds = errf(ds, CodeFTNonCoherent, notPath,
+			"not gate makes the tree non-coherent, and the rare-event measure needs a coherent tree")
+	case ft.BDDBudget > 0:
+		ds = warnf(ds, CodeFTNonCoherent, notPath,
+			"not gate makes the tree non-coherent, so past bddBudget the MOCUS fallback fails: it needs a coherent tree")
 	}
 	timed := slices.Contains(ft.Measures, "topAt") || slices.Contains(ft.Measures, "mttf")
 	for i, e := range ft.Events {

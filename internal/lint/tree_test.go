@@ -132,6 +132,33 @@ func TestCheckFaultTreeNoLifetime(t *testing.T) {
 	}
 }
 
+// TestCheckFaultTreeNonCoherent: a NOT gate with a rare-event measure is
+// an FT011 error at the gate; with only bddBudget set, whose MOCUS
+// fallback also needs a coherent tree, a warning; with neither, or with
+// no NOT gate, nothing.
+func TestCheckFaultTreeNonCoherent(t *testing.T) {
+	ft := &modelio.FaultTreeSpec{
+		Events: []modelio.FTEvent{{Name: "a", Prob: 0.1}, {Name: "b", Prob: 0.2}},
+		Top: &modelio.GateSpec{Op: "and", Children: []*modelio.GateSpec{
+			{Event: "a"}, {Op: "not", Children: []*modelio.GateSpec{{Event: "b"}}}}},
+		Measures: []string{"top", "rare-event"},
+	}
+	if d := wantCode(t, CheckFaultTree(ft), CodeFTNonCoherent, SevError); d.Path != "faulttree.top.children[1]" {
+		t.Errorf("bad path %q", d.Path)
+	}
+	ft.Measures, ft.BDDBudget = []string{"top"}, 10
+	wantCode(t, CheckFaultTree(ft), CodeFTNonCoherent, SevWarning)
+	ft.BDDBudget = 0
+	if n := codes(CheckFaultTree(ft))[CodeFTNonCoherent]; n != 0 {
+		t.Errorf("top alone reported FT011")
+	}
+	ft.Top.Children[1] = &modelio.GateSpec{Event: "b"}
+	ft.Measures, ft.BDDBudget = []string{"rare-event"}, 10
+	if n := codes(CheckFaultTree(ft))[CodeFTNonCoherent]; n != 0 {
+		t.Errorf("a coherent tree reported FT011")
+	}
+}
+
 func TestCheckFaultTreeClean(t *testing.T) {
 	ds := CheckFaultTree(&modelio.FaultTreeSpec{
 		Events: []modelio.FTEvent{{Name: "a", Prob: 0.1}, {Name: "b", Prob: 0.2}},

@@ -320,7 +320,7 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 	}
 	switch method {
 	case "gth":
-		return gthSteadyState(opts.Ctx, q, rec)
+		return c.gthSteadyState(opts.Ctx, q, rec)
 	case "chain":
 		chainSteps := func(q *linalg.CSR) []guard.Step[[]float64] {
 			return []guard.Step[[]float64]{
@@ -389,7 +389,7 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 	if err != nil {
 		if budget > 0 && !interrupted(err) {
 			rec.Set(obs.S("fallback", "gth"))
-			return gthSteadyState(opts.Ctx, q, rec)
+			return c.gthSteadyState(opts.Ctx, q, rec)
 		}
 		return nil, fmt.Errorf("markov steady state: %w", err)
 	}
@@ -456,13 +456,28 @@ func interrupted(err error) bool {
 }
 
 // gthSteadyState is the "gth" method: a last check of ctx, since GTH
-// cannot be interrupted, and the elimination.
-func gthSteadyState(ctx context.Context, q *linalg.CSR, rec obs.Recorder) ([]float64, error) {
+// cannot be interrupted, and the elimination. GTH fails a chain with one
+// closed class when a transient state is numbered before the class:
+// eliminating from the last state down, it reaches a state of the class
+// with no transition to a lower-indexed one. So on linalg.ErrReducible a
+// chain with exactly one closed class solves that class alone and pads
+// the transient states with zeros. With several closed classes GTH's
+// error stands.
+func (c *CTMC) gthSteadyState(ctx context.Context, q *linalg.CSR, rec obs.Recorder) ([]float64, error) {
 	if err := guard.Ctx(ctx, "markov.steadystate", 0, math.NaN()); err != nil {
 		guard.RecordInterrupt(rec, err)
 		return nil, err
 	}
 	pi, err := solveGTH(q, rec)
+	if errors.Is(err, linalg.ErrReducible) {
+		if class := c.loneClosedClass(q); class != nil {
+			if qsub := c.restricted(class, rec); qsub != nil {
+				if sub, serr := solveGTH(qsub, rec); serr == nil {
+					return pad(sub, class, len(c.names)), nil
+				}
+			}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("markov steady state: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/linalg"
+	"repro/internal/relstruct"
 )
 
 // bandCase is one generated chain for the auto policy's oracle: its
@@ -329,6 +330,100 @@ func TestAutoBandInterruptAndBudget(t *testing.T) {
 	if free, err := c.SteadyState(); err != nil || sameBits(free, want) == "" {
 		t.Fatalf("uncapped auto: %v; want SOR's own answer", err)
 	}
+}
+
+// TestGTHSolvesTransientStatesFirst: GTH's elimination fails a chain
+// whose transient states are numbered before its one closed class, so
+// the gth method then solves the class alone and pads zeros. The
+// four-state chain t0 → ring r0 → r1 → r2 → r0 at rates 1, 2, 3, 4 has
+// π = (0, 6, 4, 3)/13. A ring with ten transient states numbered first
+// matches the same chain numbered last within 1e-12, under gth at 40
+// and 310 states and under auto at 40.
+func TestGTHSolvesTransientStatesFirst(t *testing.T) {
+	c := NewCTMC()
+	for _, tr := range []struct {
+		from, to string
+		rate     float64
+	}{{"t0", "r0", 1}, {"r0", "r1", 2}, {"r1", "r2", 3}, {"r2", "r0", 4}} {
+		if err := c.AddRate(tr.from, tr.to, tr.rate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, method := range []string{"gth", ""} {
+		pi, err := c.SteadyStateWithOptions(SteadyStateOptions{Method: method})
+		if err != nil {
+			t.Fatalf("method %q: %v", method, err)
+		}
+		for s, want := range []float64{0, 6.0 / 13, 4.0 / 13, 3.0 / 13} {
+			if math.Abs(pi[s]-want) > 1e-15 {
+				t.Errorf("method %q: π = %v, want (0, 6, 4, 3)/13", method, pi)
+				break
+			}
+		}
+	}
+	for _, tc := range []struct {
+		n      int
+		method string
+	}{{40, "gth"}, {310, "gth"}, {40, ""}} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		b := &bandCase{n: tc.n}
+		b.ring(rng, 10, tc.n)
+		for s := 0; s < 10; s++ {
+			to := s + 1
+			if s == 9 {
+				to = 10 + rng.Intn(tc.n-10)
+			}
+			b.add(s, to, 0.5+rng.Float64())
+		}
+		got, err := b.chain(t).SteadyStateWithOptions(SteadyStateOptions{Method: tc.method})
+		if err != nil {
+			t.Fatalf("%d states, method %q: %v", tc.n, tc.method, err)
+		}
+		want, err := renumbered(t, b)
+		if err != nil {
+			t.Fatalf("%d states, transient states last: %v", tc.n, err)
+		}
+		for s := range want {
+			if math.Abs(got[s]-want[s]) > 1e-12 {
+				t.Fatalf("%d states, method %q: state %d %.17g, numbered last %.17g", tc.n, tc.method, s, got[s], want[s])
+			}
+		}
+	}
+}
+
+// renumbered solves the chain by GTH with its closed classes' states
+// numbered first and its transient states last, each in their order.
+func renumbered(tb testing.TB, b *bandCase) ([]float64, error) {
+	rep, err := relstruct.Analyze(relstruct.Input{States: b.n, From: b.from, To: b.to, Weight: b.rate})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	classOf := rep.ClassOf()
+	order := make([]int, 0, b.n)
+	for _, recurrent := range []bool{true, false} {
+		for s := 0; s < b.n; s++ {
+			if rep.Classes[classOf[s]].Recurrent == recurrent {
+				order = append(order, s)
+			}
+		}
+	}
+	pos := make([]int, b.n)
+	for i, s := range order {
+		pos[s] = i
+	}
+	r := &bandCase{n: b.n}
+	for k := range b.from {
+		r.add(pos[b.from[k]], pos[b.to[k]], b.rate[k])
+	}
+	pi, err := r.chain(tb).SteadyStateWithOptions(SteadyStateOptions{Method: "gth"})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, b.n)
+	for s := range out {
+		out[s] = pi[pos[s]]
+	}
+	return out, nil
 }
 
 // TestMultiClassChainsAreReducible: a chain of two closed rings fails

@@ -81,15 +81,24 @@ func (c *CTMC) sorClass(q *linalg.CSR) (class []int, ok bool) {
 	if !(hi > 0 && hi/lo < relstruct.StiffThreshold) {
 		return nil, false
 	}
-	if !slices.Contains(closedOf, -1) {
-		return nil, true
+	return c.loneClosedClass(q), true
+}
+
+// loneClosedClass returns the states, ascending, of c's one closed class
+// when c, whose generator is q, has exactly one and some transient
+// states besides; nil otherwise.
+func (c *CTMC) loneClosedClass(q *linalg.CSR) []int {
+	closedOf, closed := c.closedClasses(q)
+	if closed != 1 || !slices.Contains(closedOf, -1) {
+		return nil
 	}
+	var class []int
 	for s, cl := range closedOf {
 		if cl == 0 {
 			class = append(class, s)
 		}
 	}
-	return class, true
+	return class
 }
 
 // notUnique is the error for a chain with several closed classes, whose

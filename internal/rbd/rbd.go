@@ -236,9 +236,32 @@ func (m *Model) ReliabilityAt(t float64) (float64, error) {
 // MTTF returns ∫₀^∞ R(t) dt by linalg.IntegrateToInf, to ~9
 // significant digits.
 func (m *Model) MTTF() (float64, error) {
+	// Components that share a lifetime share its survival value, so each
+	// point evaluates every distinct lifetime once. Distinct means
+	// unequal by ==: the dist types are comparable values or pointers.
+	var lives []dist.Distribution
+	idx := make(map[dist.Distribution]int)
+	life := make([]int, len(m.comps))
+	for i, c := range m.comps {
+		j, ok := idx[c.Lifetime]
+		if !ok {
+			j = len(lives)
+			idx[c.Lifetime] = j
+			lives = append(lives, c.Lifetime)
+		}
+		life[i] = j
+	}
+	surv := make([]float64, len(lives))
+	p := make([]float64, len(m.comps))
 	var firstErr error
 	val := linalg.IntegrateToInf(func(t float64) float64 {
-		r, err := m.ReliabilityAt(t)
+		for j, d := range lives {
+			surv[j] = dist.Survival(d, t)
+		}
+		for i, j := range life {
+			p[i] = surv[j]
+		}
+		r, err := m.mgr.Prob(m.success, p)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

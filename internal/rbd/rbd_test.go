@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/linalg"
 )
 
 func comp(t *testing.T, name string, failRate float64) *Component {
@@ -403,4 +405,93 @@ func itoaRBD(i int) string {
 		i /= 10
 	}
 	return string(b)
+}
+
+// TestSeriesOfPairsCompilesLinearly holds the whole construction of a
+// series of n/2 parallel pairs, every node its manager makes, to 3n:
+// the n-ary fold descends only each new operand. Folding from the
+// first operand instead makes 2,602 nodes at n = 100 and 40,402 at 400.
+func TestSeriesOfPairsCompilesLinearly(t *testing.T) {
+	for _, n := range []int{100, 400} {
+		blocks := make([]*Block, n/2)
+		for i := range blocks {
+			a := comp(t, "a"+strconv.Itoa(i), 1)
+			b := comp(t, "b"+strconv.Itoa(i), 1)
+			blocks[i] = Parallel(Comp(a), Comp(b))
+		}
+		m, err := New(Series(blocks...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.BDDStats().Nodes; got > 3*n {
+			t.Errorf("n=%d: construction made %d nodes, want at most %d", n, got, 3*n)
+		}
+		if got := m.BDDSize(); got != n {
+			t.Errorf("n=%d: BDD size %d, want %d", n, got, n)
+		}
+	}
+}
+
+// TestMTTFSharedLifetimes checks MTTF, which evaluates each distinct
+// lifetime once per point, bit for bit against integrating ReliabilityAt,
+// which evaluates every component's own: with one lifetime shared by
+// several components, a *PhaseType shared by pointer, two Weibulls equal
+// by value, and all lifetimes distinct.
+func TestMTTFSharedLifetimes(t *testing.T) {
+	erlang, err := dist.NewErlang(3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := dist.NewWeibull(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := dist.NewWeibull(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w3, err := dist.NewWeibull(1.5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := dist.MustExponential(0.2)
+	named := func(name string, d dist.Distribution) *Component {
+		return &Component{Name: name, Lifetime: d}
+	}
+	tests := []struct {
+		name string
+		root *Block
+	}{
+		{"shared", Series(
+			Parallel(Comp(named("a", exp)), Comp(named("b", exp))),
+			Parallel(Comp(named("c", exp)), Comp(named("d", exp))))},
+		{"mixed", KOfN(2,
+			Comp(named("p1", erlang)), Comp(named("p2", erlang)),
+			Comp(named("w1", w1)), Comp(named("w2", w2)), Comp(named("e", exp)))},
+		{"distinct", Parallel(
+			Series(Comp(named("w", w3)), Comp(named("e", exp))),
+			Comp(named("p", erlang)))},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m, err := New(tt.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.MTTF()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := linalg.IntegrateToInf(func(x float64) float64 {
+				r, err := m.ReliabilityAt(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			})
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("MTTF = %v, per-component integrand %v", got, want)
+			}
+		})
+	}
 }

@@ -108,8 +108,9 @@ go test -count=1 -run '^(TestSuiteBaseline|TestServeSolveAllocs|TestSolveLargeAl
 # tolerance merge against its first-fit oracle, lint's one-report
 # CheckCTMC against the checks it replaced, and the indexed chain (the
 # counting-sort generator, uniformization and the plan's answers) against
-# the triplet-sorting pipeline it replaced. Go allows one -fuzz target
-# per invocation, hence the loop.
+# the triplet-sorting pipeline it replaced, and the BDD manager against
+# the map-table, memoized-Prob reference it replaced. Go allows one -fuzz
+# target per invocation, hence the loop.
 if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     for target in FuzzLoadDocument FuzzLint FuzzDecodeCTMC FuzzPlanMatchesReference; do
         echo "== fuzz smoke: $target"
@@ -123,6 +124,8 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     go test -run='^$' -fuzz='^FuzzSplitBlock$' -fuzztime=10s ./internal/relstruct/
     echo "== fuzz smoke: FuzzCheckCTMC"
     go test -run='^$' -fuzz='^FuzzCheckCTMC$' -fuzztime=10s ./internal/lint/
+    echo "== fuzz smoke: FuzzBDDMatchesReference"
+    go test -run='^$' -fuzz='^FuzzBDDMatchesReference$' -fuzztime=10s ./internal/bdd/
 fi
 
 # Chaos smoke is opt-in (CHECK_CHAOS=1): the seeded fault-injection
