@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,23 +66,7 @@ func compareBaseline(got, want []baselineRow) []string {
 			msgs = append(msgs, g.ID+": not in "+baselineFile+"; regenerate it with -update")
 			continue
 		}
-		name := b.ID
-		if b.Solver != "" {
-			name += " (" + b.Solver + ")"
-		}
-		if g.Solver != b.Solver {
-			msgs = append(msgs, fmt.Sprintf("%s: dominant solver %q -> %q", name, b.Solver, g.Solver))
-		}
-		if g.Iterations != b.Iterations {
-			msgs = append(msgs, fmt.Sprintf("%s: iterations %d -> %d; iteration counts are exact", name, b.Iterations, g.Iterations))
-		}
-		if ga, ba := float64(g.Allocs), float64(b.Allocs); math.Abs(ga-ba) > allocBandAbs && core.RelativeError(ba, ga) > allocBandRel {
-			msgs = append(msgs, fmt.Sprintf("%s: allocations %d -> %d (%+.2f%%), outside the %g%% / %d band; if intended, regenerate with -update",
-				name, b.Allocs, g.Allocs, 100*(ga-ba)/ba, 100*allocBandRel, allocBandAbs))
-		}
-		if g.WallMS > b.WallMS*wallFactor && g.WallMS-b.WallMS > wallSlackMS {
-			msgs = append(msgs, fmt.Sprintf("%s: wall %.1fms -> %.1fms, over the %dx + %dms backstop", name, b.WallMS, g.WallMS, wallFactor, wallSlackMS))
-		}
+		msgs = append(msgs, rowViolations(g, b)...)
 	}
 	for _, b := range want {
 		if !seen[b.ID] {
@@ -89,6 +74,52 @@ func compareBaseline(got, want []baselineRow) []string {
 		}
 	}
 	return msgs
+}
+
+// rowViolations returns one message per way a fresh row g leaves the
+// band of its committed row b.
+func rowViolations(g, b baselineRow) []string {
+	var msgs []string
+	name := b.ID
+	if b.Solver != "" {
+		name += " (" + b.Solver + ")"
+	}
+	if g.Solver != b.Solver {
+		msgs = append(msgs, fmt.Sprintf("%s: dominant solver %q -> %q", name, b.Solver, g.Solver))
+	}
+	if g.Iterations != b.Iterations {
+		msgs = append(msgs, fmt.Sprintf("%s: iterations %d -> %d; iteration counts are exact", name, b.Iterations, g.Iterations))
+	}
+	if ga, ba := float64(g.Allocs), float64(b.Allocs); math.Abs(ga-ba) > allocBandAbs && core.RelativeError(ba, ga) > allocBandRel {
+		msgs = append(msgs, fmt.Sprintf("%s: allocations %d -> %d (%+.2f%%), outside the %g%% / %d band; if intended, regenerate with -update",
+			name, b.Allocs, g.Allocs, 100*(ga-ba)/ba, 100*allocBandRel, allocBandAbs))
+	}
+	if g.WallMS > b.WallMS*wallFactor && g.WallMS-b.WallMS > wallSlackMS {
+		msgs = append(msgs, fmt.Sprintf("%s: wall %.1fms -> %.1fms, over the %dx + %dms backstop", name, b.WallMS, g.WallMS, wallFactor, wallSlackMS))
+	}
+	return msgs
+}
+
+// mergeBaseline returns the rows -update writes: the run's rows, in run
+// order, where a row that passes its committed row keeps the committed
+// numbers (allocations and wall time included, so in-band noise never
+// rewrites them) and only its title follows the run, while a row that
+// fails it, or has none, is the fresh row. Committed rows the run lacks
+// are dropped.
+func mergeBaseline(got, want []baselineRow) []baselineRow {
+	base := make(map[string]baselineRow, len(want))
+	for _, b := range want {
+		base[b.ID] = b
+	}
+	out := make([]baselineRow, 0, len(got))
+	for _, g := range got {
+		if b, ok := base[g.ID]; ok && len(rowViolations(g, b)) == 0 {
+			b.Title = g.Title
+			g = b
+		}
+		out = append(out, g)
+	}
+	return out
 }
 
 // TestBaselineVerdicts pins the gate's verdicts on canned rows.
@@ -139,5 +170,42 @@ func TestBaselineVerdicts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMergeBaseline pins what -update writes on canned rows: an in-band
+// row keeps its committed numbers, wall time included; a row outside the
+// band, with a changed solver or iteration count, or over the wall
+// backstop, and a new row, take the run's; a row the run lacks goes.
+func TestMergeBaseline(t *testing.T) {
+	base := []baselineRow{
+		{ID: "E1", Title: "one", Solver: "bdd", Allocs: 100_000, WallMS: 30},
+		{ID: "E2", Title: "two", Solver: "sor", Iterations: 52, Allocs: 1_000, WallMS: 20},
+		{ID: "E3", Title: "three", Allocs: 221_228, WallMS: 58.575},
+		{ID: "E4", Title: "four", Solver: "gth", Allocs: 500, WallMS: 1},
+		{ID: "E5", Title: "five", Allocs: 2_000, WallMS: 10},
+		{ID: "E6", Title: "six", Allocs: 10, WallMS: 0.5},
+	}
+	run := []baselineRow{
+		{ID: "E1", Title: "one, renamed", Solver: "bdd", Allocs: 100_400, WallMS: 31.2},
+		{ID: "E2", Title: "two", Solver: "sor", Iterations: 53, Allocs: 1_000, WallMS: 20},
+		{ID: "E3", Title: "three", Allocs: 1_745, WallMS: 40.1},
+		{ID: "E4", Title: "four", Solver: "sor", Allocs: 500, WallMS: 1},
+		{ID: "E5", Title: "five", Allocs: 2_030, WallMS: 400},
+		{ID: "E7", Title: "seven", Allocs: 7, WallMS: 7},
+	}
+	want := []baselineRow{
+		{ID: "E1", Title: "one, renamed", Solver: "bdd", Allocs: 100_000, WallMS: 30},
+		run[1], run[2], run[3], run[4], run[5],
+	}
+	got := mergeBaseline(run, base)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged %+v,\nwant %+v", got, want)
+	}
+	if msgs := compareBaseline(run, got); len(msgs) != 0 {
+		t.Fatalf("the run fails its own merged baseline: %q", msgs)
+	}
+	if got := mergeBaseline(run, nil); !reflect.DeepEqual(got, run) {
+		t.Fatalf("merged into an empty baseline %+v, want the run", got)
 	}
 }

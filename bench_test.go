@@ -9,6 +9,8 @@
 package repro
 
 import (
+	"context"
+	"os"
 	"strconv"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/linalg"
 	"repro/internal/markov"
+	"repro/internal/modelio"
 	"repro/internal/obs"
 	"repro/internal/spn"
 )
@@ -125,6 +128,37 @@ func BenchmarkSOR(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSweepSample measures one sweep sample: a rated solve of
+// models/repairfarm.json's availability (explicit SOR over six states)
+// through a reused evaluator of the compiled plan, as a sweep shard
+// solves each of its samples.
+func BenchmarkSweepSample(b *testing.B) {
+	f, err := os.Open("models/repairfarm.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	spec, err := modelio.Parse(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctmc := *spec.CTMC
+	ctmc.Measures = []string{"availability"}
+	plan, err := modelio.CompileCTMC(&modelio.Spec{Type: "ctmc", Name: spec.Name, CTMC: &ctmc})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, rates := plan.Evaluator(), plan.Rates()
+	opts := modelio.SolveOptions{Context: context.Background()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.Solve(rates, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -284,7 +284,6 @@ func (e *Engine) Submit(spec *Spec, idemKey string) (snap *Snapshot, created boo
 // limit, then folds and finalizes. It owns the job's WAL handle.
 func (e *Engine) run(j *job, sw *sweep) {
 	defer e.wg.Done()
-	model := sw.model(j.ctx)
 	j.mu.Lock()
 	missing := make([]int, 0, j.total-j.doneShards)
 	for i := 0; i < j.total; i++ {
@@ -315,7 +314,7 @@ func (e *Engine) run(j *job, sw *sweep) {
 				return
 			default:
 			}
-			st, err := e.runShard(j, sw, model, idx)
+			st, err := e.runShard(j, sw, idx)
 			if err != nil {
 				j.mu.Lock()
 				first := failErr == nil
@@ -340,8 +339,10 @@ func (e *Engine) run(j *job, sw *sweep) {
 
 // runShard runs one shard with retry-on-escalatable-failure semantics:
 // exponential backoff with deterministic jitter, bounded attempts, and
-// the jobs.shard failpoint fired before every attempt.
-func (e *Engine) runShard(j *job, sw *sweep, model uncertainty.Model, idx int) (*uncertainty.ShardState, error) {
+// the jobs.shard failpoint fired before every attempt. Each attempt
+// solves its samples in a model of its own (see sweep.model), so no two
+// shards share a buffer and an attempt never sees a failed one's state.
+func (e *Engine) runShard(j *job, sw *sweep, idx int) (*uncertainty.ShardState, error) {
 	// The jitter stream is seeded from the sweep seed and shard index
 	// (inverted so it never collides with the sample stream): retry
 	// timing is reproducible under a fixed seed, like everything else.
@@ -350,7 +351,7 @@ func (e *Engine) runShard(j *job, sw *sweep, model uncertainty.Model, idx int) (
 		err := failpoint.InjectCtx(j.ctx, fpShard)
 		var st *uncertainty.ShardState
 		if err == nil {
-			st, err = uncertainty.RunShard(j.ctx, model, sw.params, sw.plan(idx))
+			st, err = uncertainty.RunShard(j.ctx, sw.model(j.ctx), sw.params, sw.plan(idx))
 		}
 		if err == nil {
 			return st, nil

@@ -5,8 +5,10 @@
 // without retaining them: each shard folds into exact moment sums plus
 // streaming P² quantile estimators (see internal/uncertainty), and a
 // finished job keeps only the folded result. The model is compiled once
-// per job (see modelio.CTMCPlan), so a sample only writes its rates and
-// solves.
+// per job (see modelio.CTMCPlan), and each shard attempt solves its
+// samples in an evaluator of its own (modelio.Evaluator), so a sample
+// only writes its rates and solves; one that neither lumps nor leaves
+// SOR allocates nothing.
 //
 // The robustness contract:
 //

@@ -13,7 +13,8 @@ import (
 // and the transition indices each parameter rewrites. Compilation
 // happens once per submission (and once per resume): it builds the
 // chain's state table, generator pattern and lumping decision, so each
-// sample only fills a rate vector and solves.
+// sample only writes its rates and solves, in buffers its shard attempt
+// owns (see model).
 type sweep struct {
 	spec    *Spec
 	ctmc    *modelio.CTMCPlan
@@ -110,14 +111,20 @@ func (sw *sweep) plan(i int) uncertainty.ShardPlan {
 	return uncertainty.ShardPlan{Index: i, Size: size, Seed: s.Seed, Quantiles: s.Quantiles}
 }
 
-// model builds the per-sample evaluator: write the sampled assignment
-// into a copy of the document's rates and solve the compiled plan at
-// them. The plan is shared by every shard and never written; the rate
-// vector belongs to the call.
+// model builds the per-sample evaluator of one shard attempt: write the
+// sampled assignment into a copy of the document's rates and solve the
+// compiled plan at them. The plan is shared by every shard and never
+// written; the rate vector and the plan's Evaluator, which owns every
+// buffer a rated solve needs, belong to the model, so a sample that
+// neither lumps nor leaves SOR allocates nothing, and one model must not
+// be shared between goroutines.
 func (sw *sweep) model(ctx context.Context) uncertainty.Model {
 	measure := sw.spec.Measure
+	ev := sw.ctmc.Evaluator()
+	rates := make([]float64, len(sw.rates))
+	opts := modelio.SolveOptions{Context: ctx}
 	return func(assign map[string]float64) (float64, error) {
-		rates := append([]float64(nil), sw.rates...)
+		copy(rates, sw.rates)
 		for _, t := range sw.targets {
 			x := assign[t.name]
 			for _, j := range t.idxs {
@@ -131,7 +138,7 @@ func (sw *sweep) model(ctx context.Context) uncertainty.Model {
 				}
 			}
 		}
-		results, err := sw.ctmc.Solve(rates, modelio.SolveOptions{Context: ctx})
+		results, err := ev.Solve(rates, opts)
 		if err != nil {
 			return 0, err
 		}

@@ -131,3 +131,33 @@ func TestZeroBaseRateJobRuns(t *testing.T) {
 		t.Fatalf("state %s (%s), want done", final.State, final.Error)
 	}
 }
+
+// TestShardAllocationsFlat holds a repairfarm shard's allocations flat
+// in its size. A shard attempt makes its model, with the plan's
+// evaluator, and its estimators once; each sample then writes its rates
+// and solves in their buffers. So 1,000 samples allocate what 100 do,
+// within a few.
+func TestShardAllocationsFlat(t *testing.T) {
+	s := &Spec{Model: modelFile(t, "repairfarm.json"), Measure: "availability",
+		Params: []ParamSpec{lognormalScale("lambda0", "0down", "1down", 0.25)}, Samples: 1000, Seed: 7}
+	s.normalize()
+	sw, err := compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	shard := func(size int) float64 {
+		plan := sw.plan(0)
+		plan.Size = size
+		return testing.AllocsPerRun(5, func() {
+			if _, err := uncertainty.RunShard(ctx, sw.model(ctx), sw.params, plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := shard(100), shard(1000)
+	t.Logf("shard allocations: %v at 100 samples, %v at 1,000", small, large)
+	if math.Abs(large-small) > 3 {
+		t.Errorf("a 1,000-sample shard makes %v allocations and a 100-sample one %v; want at most 3 apart", large, small)
+	}
+}

@@ -99,8 +99,28 @@ func (e *ErrDiverged) FailureClass() string { return string(guard.ClassDivergenc
 //
 // The iteration runs on the transposed matrix so each unknown update reads a
 // contiguous CSR row. Returns the stationary vector and the number of sweeps
-// performed.
+// performed. It solves in a workspace of its own (see SORWork).
 func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
+	var w SORWork
+	return w.SteadyState(q, opts)
+}
+
+// SORWork holds the buffers of an SOR solve: the transposed generator's
+// values, the diagonal and the iterate. The zero value is ready to use.
+// Each solve resizes the buffers to its chain and reuses them, so solving
+// one generator pattern at rate after rate allocates nothing. The vector
+// a solve returns is the workspace's iterate, which the next solve
+// overwrites. A workspace is not safe for concurrent use.
+type SORWork struct {
+	qt   CSR
+	diag []float64
+	pi   []float64
+}
+
+// SteadyState is SORSteadyState in w's buffers. A generator on a pattern
+// with a kept transpose (see CSR.WithTranspose) has its values placed in
+// w; any other is transposed afresh.
+func (w *SORWork) SteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 	n := q.Rows()
 	if q.Cols() != n {
 		return nil, 0, fmt.Errorf("sor: matrix %dx%d not square: %w", q.Rows(), q.Cols(), ErrDimensionMismatch)
@@ -130,11 +150,15 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 		defer rec.End()
 	}
 
-	// Row j of qt holds the incoming rates q(i,j) plus q(j,j). A generator
-	// on a pattern with a kept transpose (a compiled plan's) only places
-	// its values here.
-	qt := q.Transpose()
-	diag := make([]float64, n)
+	// Row j of qt holds the incoming rates q(i,j) plus q(j,j).
+	qt := &w.qt
+	if q.tr != nil {
+		q.transposeInto(qt)
+	} else {
+		qt = q.transpose(nil)
+	}
+	w.diag = resize(w.diag, n)
+	diag := w.diag
 	for j := 0; j < n; j++ {
 		d := qt.At(j, j)
 		if d >= 0 {
@@ -154,7 +178,8 @@ func SORSteadyState(q *CSR, opts SOROptions) ([]float64, int, error) {
 		diag[j] = d
 	}
 
-	pi := make([]float64, n)
+	w.pi = resize(w.pi, n)
+	pi := w.pi
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}

@@ -229,7 +229,7 @@ func TestCSRMulAndTranspose(t *testing.T) {
 	if x[0] != 1 || x[1] != 6 || x[2] != 2 {
 		t.Fatalf("VecMul = %v", x)
 	}
-	tr := m.Transpose()
+	tr := m.transpose(nil)
 	if tr.Rows() != 3 || tr.Cols() != 2 {
 		t.Fatalf("transpose shape %dx%d", tr.Rows(), tr.Cols())
 	}
@@ -249,7 +249,7 @@ func TestCSRTransposeProperty(t *testing.T) {
 			_ = c.Add(rng.Intn(rows), rng.Intn(cols), rng.Float64())
 		}
 		m := c.Build()
-		tt := m.Transpose().Transpose()
+		tt := m.transpose(nil).transpose(nil)
 		if tt.Rows() != m.Rows() || tt.Cols() != m.Cols() || tt.NNZ() != m.NNZ() {
 			return false
 		}

@@ -233,9 +233,12 @@ func (m *CSR) Slot(i, j int) int {
 
 // WithValues returns a matrix with m's sparsity pattern and the given
 // values, one per stored entry in value-array order (see Slot). The
-// pattern is shared, not copied: no CSR is modified after construction,
-// so any number of matrices may share one. vals becomes the new
-// matrix's.
+// pattern is shared, not copied: no CSR's pattern is modified after
+// construction, so any number of matrices may share one. vals becomes
+// the new matrix's. Two kinds of CSR have their values rewritten in
+// place, each by the one goroutine that owns it: a markov.Rated's
+// generator, which each of its solves fills, and an SORWork's transpose,
+// which each solve in it places (see transposeInto).
 func (m *CSR) WithValues(vals []float64) (*CSR, error) {
 	if len(vals) != len(m.vals) {
 		return nil, fmt.Errorf("csr with values: %d values for %d entries: %w", len(vals), len(m.vals), ErrDimensionMismatch)
@@ -292,9 +295,10 @@ func (m *CSR) WithDiagonal() (*CSR, error) {
 }
 
 // WithTranspose returns m with its pattern's transpose kept alongside:
-// Transpose of it, or of any matrix WithValues makes from it, then places
-// the values without laying the pattern out again. Like the pattern, the
-// kept transpose is never modified, so the matrices may be shared.
+// SOR on it, or on any matrix WithValues makes from it, then places the
+// values without laying the pattern out again (see transposeInto). Like
+// the pattern, the kept transpose is never modified, so the matrices may
+// be shared.
 func (m *CSR) WithTranspose() *CSR {
 	pos := make([]int, len(m.vals))
 	t := m.transpose(pos)
@@ -348,17 +352,25 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
-// Transpose returns mᵀ in CSR form. A matrix with a kept transpose (see
-// WithTranspose) only places its values.
-func (m *CSR) Transpose() *CSR {
-	if tr := m.tr; tr != nil {
-		vals := make([]float64, len(m.vals))
-		for k, v := range m.vals {
-			vals[tr.pos[k]] = v
-		}
-		return &CSR{rows: m.cols, cols: m.rows, rowPtr: tr.rowPtr, colIdx: tr.colIdx, vals: vals}
+// transposeInto makes t mᵀ, for an m with a kept transpose: it places m's
+// values through the kept positions, into t's value array when that has
+// room.
+func (m *CSR) transposeInto(t *CSR) {
+	tr := m.tr
+	vals := resize(t.vals, len(m.vals))
+	for k, v := range m.vals {
+		vals[tr.pos[k]] = v
 	}
-	return m.transpose(nil)
+	*t = CSR{rows: m.cols, cols: m.rows, rowPtr: tr.rowPtr, colIdx: tr.colIdx, vals: vals}
+}
+
+// resize returns s with length n, reusing its array when it has room;
+// the contents are the caller's to overwrite.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // transpose lays out mᵀ and places its values; pos, when not nil,

@@ -179,7 +179,8 @@ func TestAssembleSlots(t *testing.T) {
 
 // TestWithDiagonalAndKeptTranspose: WithDiagonal stores a zero on each
 // missing diagonal and changes nothing else, and a kept transpose
-// transposes matrices made WithValues exactly as Transpose lays them out.
+// transposes matrices made WithValues exactly as transpose lays them out,
+// overwriting whatever the reused value array held.
 func TestWithDiagonalAndKeptTranspose(t *testing.T) {
 	rng := newTestRand(29)
 	for trial := 0; trial < 500; trial++ {
@@ -216,7 +217,12 @@ func TestWithDiagonalAndKeptTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := w.Transpose(), plain.Transpose()
+		got := &CSR{vals: make([]float64, m.NNZ(), m.NNZ()+1)}
+		for k := range got.vals {
+			got.vals[k] = math.NaN() // transposeInto overwrites whatever vals holds
+		}
+		w.transposeInto(got)
+		want := plain.transpose(nil)
 		if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colIdx, want.colIdx) || !slices.Equal(got.vals, want.vals) {
 			t.Fatalf("trial %d: kept transpose %v %v %v, want %v %v %v", trial,
 				got.rowPtr, got.colIdx, got.vals, want.rowPtr, want.colIdx, want.vals)

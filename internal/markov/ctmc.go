@@ -32,7 +32,7 @@ type CTMC struct {
 	edges
 	// classes keeps the closed classes of a chain whose structure a
 	// pattern has fixed (see NewPattern) once a solve has found them; the
-	// chains WithRates makes from it share them. nil: each solve finds
+	// chains rated on the pattern share them. nil: each solve finds
 	// them.
 	classes *closedClassCache
 }
@@ -164,24 +164,6 @@ func NewCTMCFrom(names []string, index map[string]int, from, to []int, rate []fl
 	return &CTMC{names: names, index: index, edges: edges{from: from, to: to, rate: rate}}, nil
 }
 
-// WithRates returns a chain over c's states and transitions whose k-th
-// transition, in AddRate order, has rate rates[k]. Each rate is checked
-// as AddRate checks it. The two chains share one state table and one set
-// of index arrays, so add no states or transitions to either afterwards.
-func (c *CTMC) WithRates(rates []float64) (*CTMC, error) {
-	if len(rates) != len(c.from) {
-		return nil, fmt.Errorf("markov: %d rates for %d transitions", len(rates), len(c.from))
-	}
-	for k, r := range rates {
-		if err := CheckRate(c.names[c.from[k]], c.names[c.to[k]], r); err != nil {
-			return nil, err
-		}
-	}
-	n := len(c.from)
-	e := edges{from: c.from[:n:n], to: c.to[:n:n], rate: append([]float64(nil), rates...)}
-	return &CTMC{names: c.names, index: c.index, edges: e, classes: c.classes}, nil
-}
-
 // NumStates returns the number of states created so far.
 func (c *CTMC) NumStates() int { return len(c.names) }
 
@@ -210,7 +192,9 @@ func (c *CTMC) Generator() (*linalg.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Fill(c)
+	vals := make([]float64, p.q.NNZ())
+	p.fill(c, vals)
+	return p.q.WithValues(vals)
 }
 
 // gthCutoff is the largest chain auto always solves by dense GTH: every
@@ -268,12 +252,13 @@ func (c *CTMC) SteadyStateWithOptions(opts SteadyStateOptions) ([]float64, error
 	if err != nil {
 		return nil, err
 	}
-	return c.SteadyStateFrom(q, opts)
+	return c.steadyState(q, opts, nil)
 }
 
-// SteadyStateFrom is SteadyStateWithOptions on c's generator q, which
-// the caller has already built (by Generator, or on a Pattern).
-func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float64, error) {
+// steadyState is SteadyStateWithOptions on c's generator q, which the
+// caller has already built (by Generator, or on a Pattern), with SOR
+// solving in work (nil: a workspace of its own).
+func (c *CTMC) steadyState(q *linalg.CSR, opts SteadyStateOptions, work *linalg.SORWork) ([]float64, error) {
 	method := opts.Method
 	// budget is the sweep budget of auto's SOR between the cutoffs; 0
 	// leaves SOR as the options set it. class, when set, holds the states
@@ -328,7 +313,7 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 					so := opts.SOR
 					so.Recorder = arec
 					so.Ctx = ctx
-					v, _, err := linalg.SORSteadyState(q, so)
+					v, _, err := sor(work, q, so)
 					if err != nil {
 						return nil, err
 					}
@@ -385,7 +370,7 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 			}
 		}
 	}
-	pi, _, err := linalg.SORSteadyState(sq, sorOpts)
+	pi, _, err := sor(work, sq, sorOpts)
 	if err != nil {
 		if budget > 0 && !interrupted(err) {
 			rec.Set(obs.S("fallback", "gth"))
@@ -394,6 +379,15 @@ func (c *CTMC) SteadyStateFrom(q *linalg.CSR, opts SteadyStateOptions) ([]float6
 		return nil, fmt.Errorf("markov steady state: %w", err)
 	}
 	return pad(pi, members, len(c.names)), nil
+}
+
+// sor runs linalg's SOR on q in work, or in a workspace of its own when
+// work is nil.
+func sor(work *linalg.SORWork, q *linalg.CSR, opts linalg.SOROptions) ([]float64, int, error) {
+	if work == nil {
+		return linalg.SORSteadyState(q, opts)
+	}
+	return work.SteadyState(q, opts)
 }
 
 // pad spreads pi, the stationary vector of the sub-chain over members

@@ -237,13 +237,14 @@ func TestLumpedSolvesAreDeterministic(t *testing.T) {
 	for k := range rates {
 		rates[k] *= 1.3
 	}
+	ev := plan.Evaluator()
 	for _, tc := range []struct {
 		name  string
 		solve func() ([]Result, error)
 	}{
 		{"sor-availability", func() ([]Result, error) { return Solve(threeComponentSpec("availability")) }},
 		{"mtta", func() ([]Result, error) { return Solve(threeComponentSpec("mtta")) }},
-		{"plan-mtta", func() ([]Result, error) { return plan.Solve(rates, SolveOptions{}) }},
+		{"plan-mtta", func() ([]Result, error) { return ev.Solve(rates, SolveOptions{}) }},
 	} {
 		seen := map[uint64]bool{}
 		for run := 0; run < 20; run++ {

@@ -11,12 +11,12 @@ import (
 // CTMCPlan is a ctmc document compiled for solving at many rate vectors:
 // the chain's state table and transitions, the generator's sparsity
 // pattern with one value slot per transition and per diagonal, and the
-// lumping decision. Each Solve writes one rate vector into the pattern
-// and solves the document's measures, so a parameter sweep builds the
-// structure once. Every ctmc solve is a compile followed by an
-// evaluation; a one-shot solve evaluates at the document's own rates and
-// reuses the compiled chain as is. A plan is never modified after
-// compilation, so concurrent Solve calls share it.
+// lumping decision. An Evaluator writes one rate vector after another
+// into the pattern and solves the document's measures, so a parameter
+// sweep builds the structure once. Every ctmc solve is a compile followed
+// by an evaluation; a one-shot solve evaluates at the document's own
+// rates and reuses the compiled chain as is. A plan is never modified
+// after compilation, so the evaluators of concurrent goroutines share it.
 type CTMCPlan struct {
 	doc  *Spec
 	spec *CTMCSpec
@@ -42,12 +42,12 @@ type CTMCPlan struct {
 	toBlock  map[string]string
 }
 
-// CompileCTMC compiles a ctmc document for Solve. A rate that is not
-// positive and finite does not fail compilation, since Solve may replace
-// it; Solve checks rates per evaluation. What no rate vector can repair
-// does fail it: a document that is not a ctmc, a chain without states,
-// or a self-transition (reported, like every solve reports, as the first
-// error in document order).
+// CompileCTMC compiles a ctmc document for its Evaluators. A rate that
+// is not positive and finite does not fail compilation, since an
+// evaluation may replace it; each evaluation checks its rates. What no
+// rate vector can repair does fail it: a document that is not a ctmc, a
+// chain without states, or a self-transition (reported, like every solve
+// reports, as the first error in document order).
 func CompileCTMC(doc *Spec) (*CTMCPlan, error) {
 	if doc.Type != "ctmc" || doc.CTMC == nil {
 		return nil, fmt.Errorf("%w: compile needs a ctmc document, got type %q", ErrBadSpec, doc.Type)
@@ -110,11 +110,11 @@ func solveCTMC(doc *Spec, rec obs.Recorder, env solveEnv) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.evaluate(nil, rec, env)
+	return p.evaluate(nil, nil, rec, env)
 }
 
 // Rates returns a copy of the document's rates, one per transition in
-// document order, for the caller to change and pass to Solve.
+// document order, for the caller to change and pass to an Evaluator.
 func (p *CTMCPlan) Rates() []float64 {
 	rates := make([]float64, len(p.spec.Transitions))
 	for k, tr := range p.spec.Transitions {
@@ -123,30 +123,57 @@ func (p *CTMCPlan) Rates() []float64 {
 	return rates
 }
 
+// Evaluator solves a compiled plan's measures at one rate vector after
+// another. It owns every buffer a rated solve needs: a chain rated on the
+// plan's pattern, whose generator values and SOR workspace it reuses (see
+// markov.Rated), and the result slice. So a rated availability solve by
+// SOR allocates nothing. The plan stays shared and unwritten; an
+// Evaluator is not safe for concurrent use, so each goroutine makes its
+// own.
+type Evaluator struct {
+	p     *CTMCPlan
+	chain *markov.Rated
+	out   []Result
+}
+
+// Evaluator returns a new evaluator of the plan.
+func (p *CTMCPlan) Evaluator() *Evaluator {
+	return &Evaluator{p: p, chain: p.pattern.Rated()}
+}
+
 // Solve solves the document's measures at the given rates, one per
 // transition in document order, each positive and finite. Options, guard
-// rails, panic recovery and errors are those of SolveWithOptions.
-func (p *CTMCPlan) Solve(rates []float64, opts SolveOptions) ([]Result, error) {
-	return solveWith(p.doc, opts, func(rec obs.Recorder, env solveEnv) ([]Result, error) {
+// rails, panic recovery and errors are those of SolveWithOptions. The
+// results are the evaluator's own: its next Solve overwrites them.
+func (e *Evaluator) Solve(rates []float64, opts SolveOptions) ([]Result, error) {
+	return solveWith(e.p.doc, opts, func(rec obs.Recorder, env solveEnv) ([]Result, error) {
 		if err := enter(env); err != nil {
 			return nil, err
 		}
-		return p.evaluate(rates, rec, env)
+		if err := e.chain.SetRates(rates); err != nil {
+			return nil, err
+		}
+		out, err := e.p.evaluate(e, rates, rec, env)
+		if err == nil {
+			e.out = out
+		}
+		return out, err
 	})
 }
 
-// evaluate solves the document's measures at rates (nil: its own).
-func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]Result, error) {
+// evaluate solves the document's measures: at its own rates on the
+// compiled chain when e is nil, and otherwise on e's chain, at the rates
+// just written into it.
+func (p *CTMCPlan) evaluate(e *Evaluator, rates []float64, rec obs.Recorder, env solveEnv) ([]Result, error) {
 	spec := p.spec
 	c := &p.chain
-	if rates == nil && p.baseErr != nil {
-		return nil, p.baseErr
-	}
-	if rates != nil {
-		var err error
-		if c, err = c.WithRates(rates); err != nil {
-			return nil, err
+	var out []Result
+	if e == nil {
+		if p.baseErr != nil {
+			return nil, p.baseErr
 		}
+	} else {
+		c, out = e.chain.Chain(), e.out[:0]
 	}
 	if rec.Enabled() {
 		rec.Set(obs.I("states", c.NumStates()), obs.I("transitions", len(spec.Transitions)))
@@ -155,13 +182,16 @@ func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]
 	var lumped *markov.CTMC
 	var toBlock map[string]string
 	switch {
-	case rates == nil:
+	case e == nil:
 		lumped, toBlock = p.lumped, p.toBlock
 	case p.lumpEach:
 		lumped, toBlock = p.autoLump(c, rates, rec)
 	}
+	// rated, when set, solves the steady state in its own buffers: a
+	// rated evaluation that did not lump.
+	rated := e
 	if lumped != nil {
-		c = lumped
+		c, rated = lumped, nil
 		upStates = mapToBlocks(upStates, toBlock)
 		absorbing = mapToBlocks(absorbing, toBlock)
 		if b, ok := toBlock[initial]; ok {
@@ -169,24 +199,13 @@ func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]
 		}
 	}
 	// The stationary vector is solved on first use, once for all
-	// measures, from a generator written into the compiled pattern for a
-	// rated chain and assembled otherwise.
+	// measures.
 	var pi []float64
 	steadyState := func(sp obs.Recorder) ([]float64, error) {
 		if pi != nil {
 			return pi, nil
 		}
-		var q *linalg.CSR
-		var err error
-		if rates != nil && lumped == nil {
-			q, err = p.pattern.Fill(c)
-		} else {
-			q, err = c.Generator()
-		}
-		if err != nil {
-			return nil, err
-		}
-		pi, err = c.SteadyStateFrom(q, markov.SteadyStateOptions{
+		opts := markov.SteadyStateOptions{
 			Method: spec.Solver,
 			SOR: linalg.SOROptions{
 				Tol:     spec.SolverTol,
@@ -195,10 +214,15 @@ func (p *CTMCPlan) evaluate(rates []float64, rec obs.Recorder, env solveEnv) ([]
 			},
 			Recorder: sp,
 			Ctx:      env.ctx,
-		})
+		}
+		var err error
+		if rated != nil {
+			pi, err = rated.chain.SteadyState(opts)
+		} else {
+			pi, err = c.SteadyStateWithOptions(opts)
+		}
 		return pi, err
 	}
-	var out []Result
 	for _, meas := range spec.Measures {
 		sp := measureSpan(rec, meas)
 		switch meas {

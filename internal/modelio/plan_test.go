@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,7 +52,7 @@ func TestCTMCPlanMatchesSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.Solve(p.Rates(), SolveOptions{})
+			got, err := p.Evaluator().Solve(p.Rates(), SolveOptions{})
 			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 				t.Fatalf("error %v, want %v", err, werr)
 			}
@@ -81,13 +82,14 @@ func TestCTMCPlanRateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile rejected a rate an evaluation may replace: %v", err)
 	}
-	if _, err := p.Solve(p.Rates(), SolveOptions{}); err == nil || err.Error() != want.Error() {
+	ev := p.Evaluator()
+	if _, err := ev.Solve(p.Rates(), SolveOptions{}); err == nil || err.Error() != want.Error() {
 		t.Fatalf("solve at own rates: %v, want %v", err, want)
 	}
-	if _, err := p.Solve([]float64{-1, 1}, SolveOptions{}); !errors.Is(err, markov.ErrBadRate) {
+	if _, err := ev.Solve([]float64{-1, 1}, SolveOptions{}); !errors.Is(err, markov.ErrBadRate) {
 		t.Fatalf("solve at a negative rate: %v, want ErrBadRate", err)
 	}
-	res, err := p.Solve([]float64{1, 3}, SolveOptions{})
+	res, err := ev.Solve([]float64{1, 3}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +109,12 @@ func TestCTMCPlanRateErrors(t *testing.T) {
 	}
 }
 
-// TestCTMCPlanSolveAllocs pins the allocations of one rated solve of a
-// compiled plan: models/repairfarm.json's availability, as a sweep job
-// solves it per sample. The plan finds the chain's closed classes, which
-// its explicit "sor" checks, once and not per solve.
+// TestCTMCPlanSolveAllocs pins the allocations of one rated solve
+// through a reused evaluator: models/repairfarm.json's availability, as
+// a sweep shard solves it per sample. The evaluator owns every buffer the
+// solve needs, and the plan finds the chain's closed classes, which its
+// explicit "sor" checks, once and not per solve, so a sample allocates
+// nothing.
 func TestCTMCPlanSolveAllocs(t *testing.T) {
 	spec := ctmcFixtures(t)["repairfarm.json"]
 	ctmc := *spec.CTMC
@@ -119,21 +123,23 @@ func TestCTMCPlanSolveAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := p.Evaluator()
 	rates := p.Rates()
 	opts := SolveOptions{Context: context.Background()}
 	got := testing.AllocsPerRun(100, func() {
-		if _, err := p.Solve(rates, opts); err != nil {
+		if _, err := ev.Solve(rates, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got != 9 {
-		t.Errorf("%v allocations per rated solve, want 9", got)
+	if got != 0 {
+		t.Errorf("%v allocations per rated solve, want 0", got)
 	}
 }
 
 // TestCTMCPlanConcurrentSolve evaluates one plan from several goroutines
-// at once; each must get the answer a lone evaluation gets. Run it under
-// -race: the plan is shared and must never be written after compile.
+// at once, each through its own evaluator; each must get the answer a
+// lone evaluation gets. Run it under -race: the plan is shared and must
+// never be written after compile.
 func TestCTMCPlanConcurrentSolve(t *testing.T) {
 	for _, name := range []string{"repairfarm.json", "stiff.json", "lumpable.json"} {
 		spec := ctmcFixtures(t)[name]
@@ -152,7 +158,7 @@ func TestCTMCPlanConcurrentSolve(t *testing.T) {
 		want := make([][]Result, workers*evals)
 		for w := 0; w < workers; w++ {
 			for i := 0; i < evals; i++ {
-				if want[w*evals+i], err = p.Solve(rates(w, i), SolveOptions{}); err != nil {
+				if want[w*evals+i], err = p.Evaluator().Solve(rates(w, i), SolveOptions{}); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -162,8 +168,9 @@ func TestCTMCPlanConcurrentSolve(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				ev := p.Evaluator()
 				for i := 0; i < evals; i++ {
-					got, err := p.Solve(rates(w, i), SolveOptions{})
+					got, err := ev.Solve(rates(w, i), SolveOptions{})
 					if err != nil {
 						t.Errorf("%s: worker %d eval %d: %v", name, w, i, err)
 						return
@@ -176,5 +183,123 @@ func TestCTMCPlanConcurrentSolve(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
+	}
+}
+
+// cancelOnCall is a context that is canceled from the n-th call of Done
+// on. guard.Ctx reads Done once as a solve enters and once before each
+// SOR sweep, so n = 5 cancels a solve by SOR after its third sweep.
+type cancelOnCall struct {
+	context.Context
+	n int
+}
+
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *cancelOnCall) Done() <-chan struct{} {
+	if c.n--; c.n <= 0 {
+		return closedDone
+	}
+	return nil
+}
+
+func (c *cancelOnCall) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEvaluatorKeepsNoState reuses one evaluator per plan across seeded
+// rate vectors, on the six plans a sweep's solver paths take, with
+// failing samples interleaved: a NaN rate, a context canceled in the
+// middle of SOR, and solverMaxIter 1 (the plan reads its document's
+// solver settings per evaluation, so the test sets it for one sample).
+// Each answer must have the bits, and each error the text, that a fresh
+// evaluator gives on the same sample.
+func TestEvaluatorKeepsNoState(t *testing.T) {
+	fx := ctmcFixtures(t)
+	swept := func(name, measure string) *CTMCSpec {
+		c := *fx[name].CTMC
+		c.Measures = []string{measure}
+		return &c
+	}
+	pair := func(down float64) *CTMCSpec {
+		return &CTMCSpec{Transitions: []CTMCTransition{{From: "up", To: "down", Rate: down}, {From: "down", To: "up", Rate: 1}},
+			UpStates: []string{"up"}, Measures: []string{"availability"}}
+	}
+	cases := []struct {
+		name string
+		ctmc *CTMCSpec
+	}{
+		{"repairfarm-sor", swept("repairfarm.json", "availability")},
+		{"pair-gth", pair(0.01)},
+		{"stiff-chain", swept("stiff.json", "availability")},
+		{"lumpable", swept("lumpable.json", "availability")},
+		{"absorbing-mtta", swept("absorbing.json", "mtta")},
+		{"zero-base-rate", pair(0)},
+	}
+	const (
+		good = iota
+		nanRate
+		canceled
+		oneSweep
+		kinds
+	)
+	const samples, perKind = 60, 60 / kinds
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := CompileCTMC(&Spec{Type: "ctmc", Name: tc.name, CTMC: tc.ctmc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(20160628 + ci)))
+			base, ev := p.Rates(), p.Evaluator()
+			maxIter := tc.ctmc.SolverMaxIter
+			failed := make(map[int]int)
+			for i := 0; i < samples; i++ {
+				kind := i % kinds
+				rates := make([]float64, len(base))
+				for k, r := range base {
+					if !(r > 0) {
+						r = 1
+					}
+					rates[k] = r * math.Exp(0.3*rng.NormFloat64())
+				}
+				opts := func() SolveOptions { return SolveOptions{} }
+				switch kind {
+				case nanRate:
+					rates[rng.Intn(len(rates))] = math.NaN()
+				case canceled:
+					opts = func() SolveOptions {
+						return SolveOptions{Context: &cancelOnCall{Context: context.Background(), n: 5}}
+					}
+				case oneSweep:
+					tc.ctmc.SolverMaxIter = 1
+				}
+				got, gotErr := ev.Solve(rates, opts())
+				want, wantErr := p.Evaluator().Solve(rates, opts())
+				tc.ctmc.SolverMaxIter = maxIter
+				if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+					t.Fatalf("sample %d (kind %d): error %v, fresh evaluator %v", i, kind, gotErr, wantErr)
+				}
+				if d := sameResults(got, nil, want, nil); d != "" {
+					t.Fatalf("sample %d (kind %d): %s", i, kind, d)
+				}
+				if gotErr != nil {
+					failed[kind]++
+				}
+			}
+			if failed[good] != 0 || failed[nanRate] != perKind {
+				t.Fatalf("failures by kind %v: want none of the plain samples and every NaN one", failed)
+			}
+			if tc.name == "repairfarm-sor" && (failed[canceled] != perKind || failed[oneSweep] != perKind) {
+				t.Fatalf("failures by kind %v: SOR must fail every canceled and one-sweep sample", failed)
+			}
+		})
 	}
 }

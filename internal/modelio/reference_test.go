@@ -134,7 +134,8 @@ func refCompile(spec *CTMCSpec) (*refPlan, error) {
 	return p, nil
 }
 
-// evaluate is CTMCPlan.evaluate as it was, without telemetry or rails.
+// evaluate is CTMCPlan.evaluate as it was, without telemetry or rails,
+// and with each rated chain built anew.
 func (p *refPlan) evaluate(rates []float64) ([]Result, error) {
 	spec := p.spec
 	c := p.chain
@@ -142,9 +143,12 @@ func (p *refPlan) evaluate(rates []float64) ([]Result, error) {
 		return nil, p.baseErr
 	}
 	if rates != nil {
-		var err error
-		if c, err = c.WithRates(rates); err != nil {
-			return nil, err
+		// The chain at rates, built as refCompile builds it.
+		c = markov.NewCTMC()
+		for k, tr := range spec.Transitions {
+			if err := c.AddRate(tr.From, tr.To, rates[k]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	initial, upStates, absorbing := spec.Initial, spec.UpStates, spec.Absorbing
@@ -371,6 +375,8 @@ func checkPlanMatchesReference(spec *CTMCSpec, rates []float64) (bool, error) {
 	if err != nil {
 		return false, nil
 	}
+	// One evaluator solves both rate vectors, as a sweep shard would.
+	ev := plan.Evaluator()
 	if plan.baseErr == nil {
 		in := plan.idx.analysis(spec, plan.rate)
 		got, gotErr := relstruct.Analyze(in)
@@ -378,13 +384,13 @@ func checkPlanMatchesReference(spec *CTMCSpec, rates []float64) (bool, error) {
 		if d := sameReport(got, gotErr, want, wantErr); d != "" {
 			return false, fmt.Errorf("plan analysis: %s", d)
 		}
-		own, err := plan.Solve(plan.Rates(), SolveOptions{})
+		own, err := ev.Solve(plan.Rates(), SolveOptions{})
 		wantOwn, wantErr := ref.evaluate(spec.rates())
 		if d := sameResults(own, err, wantOwn, wantErr); d != "" {
 			return false, fmt.Errorf("compiled at its own rates: %s", d)
 		}
 	}
-	rated, err := plan.Solve(rates, SolveOptions{})
+	rated, err := ev.Solve(rates, SolveOptions{})
 	wantRated, wantErr := ref.evaluate(rates)
 	if d := sameResults(rated, err, wantRated, wantErr); d != "" {
 		return false, fmt.Errorf("rated: %s", d)

@@ -8,7 +8,9 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"io/fs"
 	"math"
 	"os"
 	"runtime"
@@ -18,15 +20,16 @@ import (
 	"repro/internal/obs"
 )
 
-var updateBaseline = flag.Bool("update", false, "rewrite "+baselineFile+" from this run")
+var updateBaseline = flag.Bool("update", false, "rewrite the rows of "+baselineFile+" this run moves out of their band (see mergeBaseline)")
 
 // TestSuiteBaseline is the suite's performance gate. It runs every
 // registered experiment once, in registry order, under an obs.Trace,
 // counts its heap allocations as the runtime.MemStats.Mallocs delta (a
 // GC first, so each experiment starts from the same heap), and checks
 // each row against the committed BENCH_solvers.json (see
-// compareBaseline for the band). With -update it rewrites the file
-// instead.
+// compareBaseline for the band). With -update it rewrites instead the
+// rows that fail that check or are new, and keeps every other row as
+// committed (see mergeBaseline).
 func TestSuiteBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite")
@@ -60,8 +63,16 @@ func TestSuiteBaseline(t *testing.T) {
 			WallMS:     math.Round(float64(s.WallNS)/1e3) / 1e3,
 		})
 	}
+	var want []baselineRow
+	data, err := os.ReadFile(baselineFile)
+	if err == nil {
+		err = json.Unmarshal(data, &want)
+	}
 	if *updateBaseline {
-		data, err := json.MarshalIndent(rows, "", "  ")
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: %v", baselineFile, err)
+		}
+		data, err := json.MarshalIndent(mergeBaseline(rows, want), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,12 +81,7 @@ func TestSuiteBaseline(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(baselineFile)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var want []baselineRow
-	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("%s: %v", baselineFile, err)
 	}
 	for _, msg := range compareBaseline(rows, want) {
